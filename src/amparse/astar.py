@@ -42,7 +42,7 @@ from .chart import GOAL_SIG, INF, ParseItem, Sig, _extract_tree
 from .costs import SentenceCosts, top_k_tags
 from .lexicon import Lexicon
 from .trees import BOTTOM, IGNORE, ROOT, AmDepTree
-from .types import EMPTY_TYPE, serialize_type, type_combine
+from .types import type_combine  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
 HEURISTICS = ("trivial", "supertag", "edge", "ignore-aware")
 
@@ -60,14 +60,20 @@ class HeuristicTables:
     kind: str
     per_token: tuple[float, ...]
     attach_floor: tuple[float, ...]
+    _outside: dict[tuple[int, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def outside(self, i: int, k: int) -> float:
-        # direct sum: infinities must propagate, which rules out prefix sums
-        total = 0.0
-        for j, c in enumerate(self.per_token, start=1):
-            if i <= j < k:
-                continue
-            total += c
+        # The direct left-to-right sum, memoized per span.  Prefix-sum
+        # differences (or a compensated sum()) would round differently,
+        # which would change f-values and so the pop order on ties.
+        total = self._outside.get((i, k))
+        if total is None:
+            total = 0.0
+            for c in self.per_token[: i - 1] + self.per_token[k - 1:]:
+                total += c
+            self._outside[(i, k)] = total
         return total
 
     def estimate(self, i: int, k: int, head: int) -> float:
@@ -150,10 +156,10 @@ def astar_parse(
     """Minimum-cost projective analysis by best-first search.
 
     Ties in priority break toward shorter spans, then lower left boundary,
-    lower head, type serialization, and finally insertion order.  dequeued
-    counts settled item pops; the terminating goal pop is not an item.
-    Aborts with stats.limit_hit once dequeued reaches dequeue_limit while
-    work remains.
+    lower head, type id (ids follow type serialization order), and finally
+    insertion order.  dequeued counts settled item pops; the terminating
+    goal pop is not an item.  Aborts with stats.limit_hit once dequeued
+    reaches dequeue_limit while work remains.
     """
     t0 = time.perf_counter()
     n = costs.n
@@ -164,27 +170,25 @@ def astar_parse(
     settled: dict[Sig, tuple[float, tuple]] = {}
     by_left: dict[int, list[Sig]] = {}
     by_right: dict[int, list[Sig]] = {}
-    labels = sorted(
-        (l for l in lexicon.labels if l.kind in ("app", "mod")), key=str
-    )
+    table = lexicon.type_table
 
     def push(sig, cost: float, back: tuple) -> None:
         if sig in settled:
             return
         if sig == GOAL_SIG:
-            f, length, i, head, tstr = cost, n + 1, 0, 0, ""
+            f, length, i, head, typ = cost, n + 1, 0, 0, -1
         else:
             i, k, head, typ = sig
             f = cost + tables.estimate(i, k, head)
-            length, tstr = k - i, serialize_type(typ)
+            length = k - i
         if f == INF:
             return
         stats.pushed += 1
-        heapq.heappush(heap, (f, length, i, head, tstr, next(counter), cost, sig, back))
+        heapq.heappush(heap, (f, length, i, head, typ, next(counter), cost, sig, back))
 
     for j in range(1, n + 1):
         for g, tag_cost in top_k_tags(costs, j, k_tags):
-            push((j, j + 1, j, lexicon.type_of(g)), tag_cost, ("init", g))
+            push((j, j + 1, j, table.ids[lexicon.type_of(g)]), tag_cost, ("init", g))
 
     tree = None
     while heap:
@@ -205,7 +209,7 @@ def astar_parse(
         by_left.setdefault(i, []).append(sig)
         by_right.setdefault(k, []).append(sig)
 
-        if (i, k) == (1, n + 1) and typ == EMPTY_TYPE:
+        if (i, k) == (1, n + 1) and typ == table.empty_id:
             push(GOAL_SIG, cost + costs.edge(0, head, ROOT), ("goal", sig))
         if i >= 2:
             push(
@@ -221,24 +225,17 @@ def astar_parse(
             )
 
         def arcs(lsig: Sig, rsig: Sig) -> None:
-            (li, lk, lhead, ltyp) = lsig
-            (ri, rk, rhead, rtyp) = rsig
+            (li, _, lhead, ltyp) = lsig
+            (_, rk, rhead, rtyp) = rsig
             lcost, rcost = settled[lsig][0], settled[rsig][0]
-            for lbl in labels:
-                new = type_combine(lbl, ltyp, rtyp)
-                if new is not None:
-                    push(
-                        (li, rk, lhead, new),
-                        lcost + rcost + costs.edge(lhead, rhead, lbl),
-                        ("arc", lbl, lsig, rsig, "left"),
-                    )
-                new = type_combine(lbl, rtyp, ltyp)
-                if new is not None:
-                    push(
-                        (li, rk, rhead, new),
-                        lcost + rcost + costs.edge(rhead, lhead, lbl),
-                        ("arc", lbl, lsig, rsig, "right"),
-                    )
+            for lbl, new, head_is_left in table.combine[ltyp][rtyp]:
+                hd, dep, side = ((lhead, rhead, "left") if head_is_left
+                                 else (rhead, lhead, "right"))
+                push(
+                    (li, rk, hd, new),
+                    lcost + rcost + costs.edge(hd, dep, lbl),
+                    ("arc", lbl, lsig, rsig, side),
+                )
 
         for other in by_right.get(i, []):
             if other != sig:

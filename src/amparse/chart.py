@@ -7,6 +7,9 @@ adjacent spans with an apply or modify edge between their heads.  A goal is
 a full-span item of empty type plus a root edge.  The chart fills spans in
 increasing length, keeping the cheapest item per (span, head, type)
 signature, so the optimum over the whole derivation space is exact.
+Types are the dense ids of the lexicon's type table (amparse.types), and
+the Arc rule reads the table's precomputed combinations for each pair of
+adjacent items instead of calling type_combine per label and direction.
 
 Optionally every valid rule instance is recorded as a hyperedge; a backward
 min-plus pass over those then yields, for each signature, the cheapest cost
@@ -16,7 +19,6 @@ heuristic-admissibility tests compare against.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,12 +26,14 @@ from typing import Optional
 from .costs import SentenceCosts, top_k_tags
 from .lexicon import Lexicon
 from .trees import BOTTOM, IGNORE, ROOT, AmDepTree, EdgeLabel, TreeEntry
-from .types import EMPTY_TYPE, Type, serialize_type, type_combine
+from .types import type_combine  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
 INF = float("inf")
 
-# (i, k, head, type): tokens i..k-1 (k exclusive), head in that range.
-Sig = tuple[int, int, int, Type]
+# (i, k, head, type id): tokens i..k-1 (k exclusive), head in that range.
+# The type id indexes the lexicon's compiled type table, so the item's Type
+# is lexicon.type_table.types[sig[3]].
+Sig = tuple[int, int, int, int]
 
 # ("goal",) is the virtual parent of all accepted full-span items.
 GOAL_SIG = ("goal",)
@@ -39,13 +43,9 @@ GOAL_SIG = ("goal",)
 class ParseItem:
     span: tuple[int, int]
     head: int
-    typ: Type
+    typ: int  # type id, see Sig
     cost: float
     back: tuple
-
-    @property
-    def sig(self) -> Sig:
-        return (self.span[0], self.span[1], self.head, self.typ)
 
 
 @dataclass
@@ -90,80 +90,57 @@ def chart_parse(
     best: dict[Sig, ParseItem] = {}
     by_span: dict[tuple[int, int], list[Sig]] = {}
     hyper: list[tuple] = []
-    labels = sorted(
-        (l for l in lexicon.labels if l.kind in ("app", "mod")), key=str
-    )
+    table = lexicon.type_table
+    checks_per_pair = 2 * len(lexicon.arc_labels)
 
-    def offer(item: ParseItem, children: tuple[Sig, ...], delta: float) -> None:
-        if item.cost == INF:
+    def offer(sig: Sig, cost: float, back: tuple, children: tuple[Sig, ...], delta: float) -> None:
+        if cost == INF:
             return
         if record_hyperedges:
-            hyper.append((item.sig, delta, children))
-        cur = best.get(item.sig)
+            hyper.append((sig, delta, children))
+        cur = best.get(sig)
         if cur is None:
-            best[item.sig] = item
-            by_span.setdefault(item.span, []).append(item.sig)
-        elif item.cost < cur.cost:
-            best[item.sig] = item
+            by_span.setdefault(sig[:2], []).append(sig)
+        elif cost >= cur.cost:
+            return
+        best[sig] = ParseItem(sig[:2], sig[2], sig[3], cost, back)
 
     for j in range(1, n + 1):
         for g, tag_cost in top_k_tags(costs, j, k_tags):
-            typ = lexicon.type_of(g)
-            offer(ParseItem((j, j + 1), j, typ, tag_cost, ("init", g)), (), tag_cost)
+            typ = table.ids[lexicon.type_of(g)]
+            offer((j, j + 1, j, typ), tag_cost, ("init", g), (), tag_cost)
 
     for length in range(2, n + 1):
         for i in range(1, n - length + 2):
             k = i + length
-            skip_l_cost = costs.tag(i, BOTTOM) + costs.edge(0, i, IGNORE)
-            for sig in by_span.get((i + 1, k), []):
-                child = best[sig]
-                offer(
-                    ParseItem((i, k), child.head, child.typ,
-                              child.cost + skip_l_cost, ("skip", sig)),
-                    (sig,), skip_l_cost,
-                )
-            skip_r_cost = costs.tag(k - 1, BOTTOM) + costs.edge(0, k - 1, IGNORE)
-            for sig in by_span.get((i, k - 1), []):
-                child = best[sig]
-                offer(
-                    ParseItem((i, k), child.head, child.typ,
-                              child.cost + skip_r_cost, ("skip", sig)),
-                    (sig,), skip_r_cost,
-                )
+            # Skip the leftmost token, then the rightmost.
+            for skipped, child_span in ((i, (i + 1, k)), (k - 1, (i, k - 1))):
+                skip_cost = costs.tag(skipped, BOTTOM) + costs.edge(0, skipped, IGNORE)
+                for sig in by_span.get(child_span, []):
+                    child = best[sig]
+                    offer((i, k, child.head, child.typ), child.cost + skip_cost,
+                          ("skip", sig), (sig,), skip_cost)
             for j in range(i + 1, k):
-                pairs = itertools.product(
-                    by_span.get((i, j), []), by_span.get((j, k), [])
-                )
-                for lsig, rsig in pairs:
-                    left, right = best[lsig], best[rsig]
-                    for lbl in labels:
-                        stats.arcs_checked += 2
-                        # head on the left: left absorbs right
-                        typ = type_combine(lbl, left.typ, right.typ)
-                        if typ is not None:
-                            delta = costs.edge(left.head, right.head, lbl)
-                            offer(
-                                ParseItem((i, k), left.head, typ,
-                                          left.cost + right.cost + delta,
-                                          ("arc", lbl, lsig, rsig, "left")),
-                                (lsig, rsig), delta,
-                            )
-                        # head on the right: right absorbs left
-                        typ = type_combine(lbl, right.typ, left.typ)
-                        if typ is not None:
-                            delta = costs.edge(right.head, left.head, lbl)
-                            offer(
-                                ParseItem((i, k), right.head, typ,
-                                          left.cost + right.cost + delta,
-                                          ("arc", lbl, lsig, rsig, "right")),
-                                (lsig, rsig), delta,
-                            )
+                rights = [(rsig, best[rsig]) for rsig in by_span.get((j, k), [])]
+                for lsig in by_span.get((i, j), []):
+                    left = best[lsig]
+                    row = table.combine[left.typ]
+                    # one check per (label, direction) of each pair, though one
+                    # table lookup answers them all
+                    stats.arcs_checked += checks_per_pair * len(rights)
+                    for rsig, right in rights:
+                        for lbl, typ, head_is_left in row[right.typ]:
+                            hd, dep, side = ((left.head, right.head, "left") if head_is_left
+                                             else (right.head, left.head, "right"))
+                            delta = costs.edge(hd, dep, lbl)
+                            offer((i, k, hd, typ), left.cost + right.cost + delta,
+                                  ("arc", lbl, lsig, rsig, side), (lsig, rsig), delta)
 
     goal_cost = INF
     goal_sig: Optional[Sig] = None
     for sig in by_span.get((1, n + 1), []):
         item = best[sig]
-        if item.typ != EMPTY_TYPE:
+        if item.typ != table.empty_id:
             continue
         stats.n_goal_candidates += 1
         root_cost = costs.edge(0, item.head, ROOT)
@@ -193,22 +170,21 @@ def _extract_tree(
     head = [0] * (n + 1)
     label: list[EdgeLabel] = [IGNORE] * (n + 1)
 
-    def walk(sig: Sig) -> None:
-        item = best[sig]
+    stack = [goal_sig]
+    while stack:
+        item = best[stack.pop()]
         back = item.back
         if back[0] == "init":
             constant[item.head] = back[1]
         elif back[0] == "skip":
-            walk(back[1])
+            stack.append(back[1])
         else:
             _, lbl, lsig, rsig, side = back
             dep = best[rsig].head if side == "left" else best[lsig].head
             head[dep] = item.head
             label[dep] = lbl
-            walk(lsig)
-            walk(rsig)
-
-    walk(goal_sig)
+            stack.append(lsig)
+            stack.append(rsig)
     root = best[goal_sig].head
     head[root] = 0
     label[root] = ROOT
@@ -250,11 +226,3 @@ def outside_costs(result: ChartResult) -> dict[Sig, float]:
                 outside[c] = cand
     return {sig: cost for sig, cost in outside.items() if sig != GOAL_SIG}
 
-
-def signature_count(result: ChartResult) -> int:
-    return len(result.best)
-
-
-def serialize_sig(sig: Sig) -> str:
-    i, k, head, typ = sig
-    return f"({i},{k}) h={head} t={serialize_type(typ)}"

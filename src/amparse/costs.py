@@ -123,9 +123,7 @@ def gen_synthetic(
         for g in names:
             tags[(i, g)] = draw()
     edges: dict[tuple[int, int, EdgeLabel], float] = {}
-    labels = sorted(
-        (l for l in lexicon.labels if l.kind in ("app", "mod")), key=str
-    )
+    labels = lexicon.arc_labels
     for j in range(1, n + 1):
         edges[(0, j, ROOT)] = draw()
         edges[(0, j, IGNORE)] = draw()

@@ -88,9 +88,7 @@ def demo_costs() -> SentenceCosts:
     gold = demo_gold_tree()
     n = gold.n
     constants = sorted(lex.constants) + [BOTTOM]
-    labels = sorted(
-        (l for l in lex.labels if l.kind in ("app", "mod")), key=str
-    )
+    labels = lex.arc_labels
     tag_cost: dict[tuple[int, str], float] = {}
     edge_cost: dict[tuple[int, int, EdgeLabel], float] = {}
     for i in range(1, n + 1):

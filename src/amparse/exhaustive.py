@@ -16,13 +16,13 @@ from typing import Optional
 from .costs import SentenceCosts, top_k_tags
 from .lexicon import Lexicon
 from .trees import BOTTOM, IGNORE, ROOT
-from .types import EMPTY_TYPE, Type, type_combine
 
 INF = float("inf")
 
 # a decision is ("tag", j, g) | ("ignore", j) | ("edge", o, j, lbl) | ("root", r)
 Decision = tuple
-Analysis = tuple[int, Type, frozenset]
+# (head, type id in lexicon.type_table, decisions)
+Analysis = tuple[int, int, frozenset]
 
 
 def _decision_cost(d: Decision, costs: SentenceCosts) -> float:
@@ -40,9 +40,7 @@ def enumerate_analyses(
 ) -> set[frozenset]:
     """All decision sets of complete projective parses of the sentence."""
     n = costs.n
-    labels = sorted(
-        (l for l in lexicon.labels if l.kind in ("app", "mod")), key=str
-    )
+    table = lexicon.type_table
     memo: dict[tuple[int, int], set[Analysis]] = {}
 
     def spans(i: int, k: int) -> set[Analysis]:
@@ -53,7 +51,7 @@ def enumerate_analyses(
         if k - i == 1:
             for g, c in top_k_tags(costs, i, k_tags):
                 if c < INF:
-                    out.add((i, lexicon.type_of(g), frozenset({("tag", i, g)})))
+                    out.add((i, table.ids[lexicon.type_of(g)], frozenset({("tag", i, g)})))
         else:
             if costs.tag(i, BOTTOM) + costs.edge(0, i, IGNORE) < INF:
                 for h, t, d in spans(i + 1, k):
@@ -64,19 +62,16 @@ def enumerate_analyses(
             for j in range(i + 1, k):
                 for hl, tl, dl in spans(i, j):
                     for hr, tr, dr in spans(j, k):
-                        for lbl in labels:
-                            t = type_combine(lbl, tl, tr)
-                            if t is not None and costs.edge(hl, hr, lbl) < INF:
-                                out.add((hl, t, dl | dr | {("edge", hl, hr, lbl)}))
-                            t = type_combine(lbl, tr, tl)
-                            if t is not None and costs.edge(hr, hl, lbl) < INF:
-                                out.add((hr, t, dl | dr | {("edge", hr, hl, lbl)}))
+                        for lbl, t, head_is_left in table.combine[tl][tr]:
+                            h, dep = (hl, hr) if head_is_left else (hr, hl)
+                            if costs.edge(h, dep, lbl) < INF:
+                                out.add((h, t, dl | dr | {("edge", h, dep, lbl)}))
         memo[(i, k)] = out
         return out
 
     complete: set[frozenset] = set()
     for h, t, d in spans(1, n + 1):
-        if t == EMPTY_TYPE and costs.edge(0, h, ROOT) < INF:
+        if t == table.empty_id and costs.edge(0, h, ROOT) < INF:
             complete.add(d | {("root", h)})
     return complete
 

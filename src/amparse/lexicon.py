@@ -15,11 +15,12 @@ types (root labeled _synth, one opK edge per source of the type).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .graphs import AsGraph, GraphNode, graph_type
 from .trees import BOTTOM, EdgeLabel, IGNORE, ROOT, app, mod
-from .types import EMPTY_TYPE, Type, request
+from .types import EMPTY_TYPE, Type, TypeTable, build_type_table, request
 
 
 @dataclass
@@ -57,6 +58,17 @@ class Lexicon:
 
     def type_of(self, constant: str) -> Type:
         return self._types[constant]
+
+    @property
+    def arc_labels(self) -> list[EdgeLabel]:
+        """The apply and modify labels, in str order."""
+        return sorted((l for l in self.labels if l.kind in ("app", "mod")), key=str)
+
+    @cached_property
+    def type_table(self) -> TypeTable:
+        """The lexical types' closure under the arc labels, compiled once on
+        first use (see amparse.types.TypeTable)."""
+        return build_type_table(self._types.values(), self.arc_labels)
 
     def constant_names(self) -> list[str]:
         return sorted(self.constants)

@@ -319,3 +319,69 @@ def apply_set(lex: Type, term: Type) -> Optional[frozenset[str]]:
 
 def apply_reachable(lex: Type, term: Type) -> bool:
     return apply_set(lex, term) is not None
+
+
+# --- compiled type table ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TypeTable:
+    """Every type the deductive decoders can meet, interned as dense ids.
+
+    types is the closure of a lexicon's lexical types under type_combine
+    over its arc labels.  It is finite, because both combine operations
+    return a sub-DAG of the head, but it is not omega: an apply result can
+    fall outside omega.  A type's id is its index in types, which lists the
+    types in serialize_type order, so comparing ids ranks types exactly as
+    comparing their text would.  types[i] recovers the Type of id i; ids
+    maps back.
+
+    combine[lt][rt] lists the successful arcs between a left item of type
+    id lt and an adjacent right item of type id rt, as (label, result id,
+    head_is_left) triples: labels in str order, and for each label the
+    left-headed arc (type_combine(label, left, right)) before the
+    right-headed one.
+    """
+
+    types: tuple[Type, ...]
+    ids: dict[Type, int]
+    combine: tuple[tuple[tuple[tuple, ...], ...], ...]
+
+    @property
+    def empty_id(self) -> int:
+        """Id of the empty type, or -1 when no lexical type reduces to it."""
+        return self.ids.get(EMPTY_TYPE, -1)
+
+
+def build_type_table(lexical: Iterable[Type], labels: Iterable) -> TypeTable:
+    """Close the lexical types under type_combine over the given app/mod
+    labels, intern them, and tabulate every successful combination."""
+    labels = sorted(labels, key=str)
+    closed = set(lexical)
+    frontier = list(closed)
+    while frontier:
+        found: set[Type] = set()
+        for t in frontier:
+            for u in closed:
+                for lbl in labels:
+                    for r in (type_combine(lbl, t, u), type_combine(lbl, u, t)):
+                        if r is not None and r not in closed:
+                            found.add(r)
+        closed |= found
+        frontier = list(found)
+    types = tuple(sorted(closed, key=serialize_type))
+    ids = {t: i for i, t in enumerate(types)}
+
+    def arcs(left: Type, right: Type) -> tuple:
+        out = []
+        for lbl in labels:
+            for result, head_is_left in (
+                (type_combine(lbl, left, right), True),
+                (type_combine(lbl, right, left), False),
+            ):
+                if result is not None:
+                    out.append((lbl, ids[result], head_is_left))
+        return tuple(out)
+
+    combine = tuple(tuple(arcs(lt, rt) for rt in types) for lt in types)
+    return TypeTable(types, ids, combine)

@@ -6,7 +6,8 @@ import pytest
 
 from amparse.astar import HEURISTICS, astar_parse, build_heuristic
 from amparse.chart import GOAL_SIG, chart_parse, outside_costs
-from amparse.costs import INF, gen_synthetic
+from amparse.costs import INF, SentenceCosts, gen_synthetic
+from amparse.trees import BOTTOM, IGNORE, ROOT
 
 
 def test_gold_zero_all_heuristics(costs, gold, lex):
@@ -86,3 +87,31 @@ def test_settle_once(lex):
     c = gen_synthetic(5, 6, lex)
     res = astar_parse(c, lex, heuristic="ignore-aware", k_tags=None)
     assert res.stats.dequeued <= len(res.settled)
+
+
+def test_outside_memo_matches_direct_sum(lex):
+    c = gen_synthetic(11, 7, lex)
+    for h in HEURISTICS:
+        tables = build_heuristic(h, c, lex)
+        for _ in range(2):  # the second round reads the memo
+            for i in range(1, c.n + 1):
+                for k in range(i + 1, c.n + 2):
+                    direct = 0.0
+                    for j, x in enumerate(tables.per_token, start=1):
+                        if not i <= j < k:
+                            direct += x
+                    assert tables.outside(i, k) == direct
+
+
+def test_long_sparse_sentence_does_not_recurse(lex):
+    """1,500 tokens, one real token, a chain of 1,499 skips to extract."""
+    n = 1500
+    tags = {(1, "writer"): 1.0}
+    edges = {(0, 1, ROOT): 1.0}
+    for j in range(2, n + 1):
+        tags[(j, BOTTOM)] = 0.0
+        edges[(0, j, IGNORE)] = 0.0
+    c = SentenceCosts(n, tuple(f"w{i}" for i in range(1, n + 1)), tags, edges)
+    res = astar_parse(c, lex)
+    assert res.ok and res.cost == 2.0
+    assert res.tree.token(1).label == ROOT

@@ -54,6 +54,10 @@ def test_augment_adds_synthetic_names(lex, closed_lex):
     assert added and all(name.startswith("_synth_") for name in added)
 
 
+def test_arc_labels_sorted(lex):
+    assert [str(l) for l in lex.arc_labels] == ["APP_m", "APP_o", "APP_s", "MOD_m"]
+
+
 def test_source_partition(lex):
     assert set(lex.app_sources()) >= {"s", "o"}
     assert lex.mod_sources() == ["m"]
