@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
 """Write the bundled demo fixtures (lexicon, gold costs, gold tree) to disk,
-and with --golden, the decode golden file the test suite compares against.
+and with --golden, the two golden files the test suite compares against.
 
 Usage: python scripts/make_fixtures.py [outdir]   (default: ./fixtures)
-       python scripts/make_fixtures.py --golden [path]
-           (default: tests/data/decode_golden.txt)
+       python scripts/make_fixtures.py --golden [dir]
+           (default: tests/data; writes decode_golden.txt and
+           transition_golden.txt)
 
-The golden file records, for a seeded corpus over the closed demo lexicon,
-what chart_parse and astar_parse (every estimate, k_tags None and 6) return:
-tree text, repr(cost) and the work counters.  A change to the decoders'
-internals must leave it byte-identical.
+The decode golden file records, for a seeded corpus over the closed demo
+lexicon, what chart_parse and astar_parse (every estimate, k_tags None and
+6) return: tree text, repr(cost) and the work counters.  The transition
+golden file records, for both transition systems and n = 2..10, seeded fuzz
+episodes (config digests and transitions), their step tables, random walks,
+the oracle sequences of the episodes' trees with the digest of their replay,
+and greedy/beam-3 decodes (tree, cost, score, transitions).  A change to the
+decoders' or the transition systems' internals must leave both files
+byte-identical.
 """
 
 import random
@@ -22,10 +28,15 @@ from amparse.chart import chart_parse
 from amparse.costs import SentenceCosts, gen_synthetic
 from amparse.demo import demo_costs, demo_gold_tree, demo_lexicon
 from amparse.lexicon import augment_closure
+from amparse.oracles import fuzz_episode, oracle_sequence, replay
+from amparse.transitions import SYSTEMS, decode, parse_transition, random_walk, render_trace
 
-GOLDEN_PATH = Path(__file__).resolve().parent.parent / "tests" / "data" / "decode_golden.txt"
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
+GOLDEN_PATH = GOLDEN_DIR / "decode_golden.txt"
+TRANSITION_GOLDEN_PATH = GOLDEN_DIR / "transition_golden.txt"
 GOLDEN_LENGTHS = range(2, 9)
 GOLDEN_K_TAGS = (None, 6)
+TRANSITION_LENGTHS = range(2, 11)
 
 
 def tie_heavy(c: SentenceCosts, seed: int) -> SentenceCosts:
@@ -71,13 +82,57 @@ def decode_golden_text() -> str:
     return "".join(blocks)
 
 
+def transition_golden_text() -> str:
+    """Fuzz episodes, step tables, random walks, oracle replays and
+    transition decodes over the closed demo lexicon, as canonical text."""
+    lexicon = augment_closure(demo_lexicon())
+    blocks = []
+    for n in TRANSITION_LENGTHS:
+        for system in SYSTEMS:
+            # from pure completion to a walk run to its end (4n + 4 bounds it)
+            for k, steps in enumerate((0, n // 2, n, 2 * n, 4 * n + 4)):
+                seed, bias = 1000 * n + k, (1.0, 3.0)[k % 2]
+                ep = fuzz_episode(seed, system, lexicon, n, steps, bias_apply=bias)
+                lines = [f"== fuzz {system} n={n} seed={seed} steps={steps} "
+                         f"bias={bias} goal={ep.goal}"]
+                lines += [f"{digest} {tr}" for digest, tr in ep.steps]
+                trs = [parse_transition(tr) for _, tr in ep.steps]
+                lines += render_trace(trs, lexicon, system, n)
+                blocks.append("\n".join(lines) + "\n" + _tree_text(ep.tree))
+                for oracle_system in SYSTEMS:
+                    seq = oracle_sequence(ep.tree, lexicon, oracle_system)
+                    final = replay(ep.tree, seq, lexicon, oracle_system)
+                    blocks.append(
+                        f"== oracle {oracle_system} final={final.digest()}\n"
+                        + " ".join(str(t) for t in seq) + "\n"
+                    )
+            cfg, trace = random_walk(lexicon, system, n, random.Random(n), bias_apply=2.0)
+            blocks.append(
+                f"== walk {system} n={n} final={cfg.digest()}\n"
+                + "".join(f"{digest} {tr}\n" for digest, tr in trace)
+            )
+            uniform = gen_synthetic(300 + n, n, lexicon)
+            for name, c in (("uniform", uniform), ("ties", tie_heavy(uniform, 400 + n))):
+                for beam in (1, 3):
+                    res = decode(c, lexicon, system, beam=beam)
+                    blocks.append(
+                        f"== decode {system} {name}-n{n} beam={beam} cost={res.cost!r} "
+                        f"score={res.score!r}\n"
+                        + " ".join(str(t) for t in res.transitions) + "\n"
+                        + _tree_text(res.tree)
+                    )
+    return "".join(blocks)
+
+
 def main() -> int:
     args = sys.argv[1:]
     if args and args[0] == "--golden":
-        path = Path(args[1]) if len(args) > 1 else GOLDEN_PATH
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(decode_golden_text(), encoding="utf-8")
-        print(f"wrote {path}")
+        outdir = Path(args[1]) if len(args) > 1 else GOLDEN_DIR
+        outdir.mkdir(parents=True, exist_ok=True)
+        for path, text in ((GOLDEN_PATH, decode_golden_text()),
+                           (TRANSITION_GOLDEN_PATH, transition_golden_text())):
+            (outdir / path.name).write_text(text, encoding="utf-8")
+            print(f"wrote {outdir / path.name}")
         return 0
     outdir = Path(args[0] if args else "fixtures")
     outdir.mkdir(parents=True, exist_ok=True)

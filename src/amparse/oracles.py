@@ -17,15 +17,17 @@ from typing import Optional
 
 from .lexicon import Lexicon, constants_of_type
 from .transitions import (
+    SYSTEMS,
     Configuration,
     Transition,
     TransitionError,
+    _headless_tokens,
     apply_transition,
     config_to_tree,
     initial_config,
     is_goal,
-    legal_transitions,
     owed,
+    random_walk,
 )
 from .trees import AmDepTree, check_well_typed
 from .types import EMPTY_TYPE, Type, apply_set, request, serialize_type
@@ -38,55 +40,45 @@ def oracle_sequence(tree: AmDepTree, lexicon: Lexicon, system: str) -> list[Tran
     """The canonical transition sequence that reconstructs tree.
 
     Children are visited apply-edges first, then modify-edges, each in
-    ascending token position; ltf recurses as it attaches (depth-first),
+    ascending token position; ltf descends as it attaches (depth-first),
     ltl finishes a token before descending, matching its stack order.
     """
     report = check_well_typed(tree, lexicon)
     if not report.ok:
         raise TransitionError(f"tree is not well-typed: {report.failure}")
+    if system not in SYSTEMS:
+        raise TransitionError(f"unknown system {system!r}")
     root = tree.root_token()
     seq: list[Transition] = [Transition("init", token=root)]
 
-    def split_children(i: int) -> tuple[list[tuple[int, str]], list[tuple[int, str]]]:
-        apps, mods = [], []
-        for j in tree.children(i):
-            lbl = tree.token(j).label
-            if lbl.kind == "app":
-                apps.append((j, lbl.source))
-            elif lbl.kind == "mod":
-                mods.append((j, lbl.source))
-        return apps, mods
+    def arcs(i: int) -> list[Transition]:
+        kids = [(j, tree.token(j).label) for j in tree.children(i)]
+        return [
+            Transition("apply" if lbl.kind == "app" else "modify", token=j, source=lbl.source)
+            for kind in ("app", "mod")
+            for j, lbl in kids
+            if lbl.kind == kind
+        ]
 
-    def visit_ltf(i: int) -> None:
-        apps, mods = split_children(i)
-        seq.append(
-            Transition("choose", term_type=report.term_types[i],
-                       constant=tree.token(i).constant)
-        )
-        for j, alpha in apps:
-            seq.append(Transition("apply", token=j, source=alpha))
-            visit_ltf(j)
-        for j, beta in mods:
-            seq.append(Transition("modify", token=j, source=beta))
-            visit_ltf(j)
-        seq.append(Transition("pop"))
-
-    def visit_ltl(i: int) -> None:
-        apps, mods = split_children(i)
-        for j, alpha in apps:
-            seq.append(Transition("apply", token=j, source=alpha))
-        for j, beta in mods:
-            seq.append(Transition("modify", token=j, source=beta))
-        seq.append(Transition("finish", constant=tree.token(i).constant))
-        for j, _ in apps + mods:
-            visit_ltl(j)
-
-    if system == "ltf":
-        visit_ltf(root)
-    elif system == "ltl":
-        visit_ltl(root)
-    else:
-        raise TransitionError(f"unknown system {system!r}")
+    # work stack, not recursion, so deep trees fit: an int is a token still
+    # to visit, a Transition is emitted when popped (ltf interleaves each
+    # arc with its dependent's visit and closes with Pop)
+    todo: list = [root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Transition):
+            seq.append(item)
+            continue
+        out = arcs(item)
+        constant = tree.token(item).constant
+        if system == "ltf":
+            seq.append(Transition("choose", term_type=report.term_types[item], constant=constant))
+            later = [x for tr in out for x in (tr, tr.token)] + [Transition("pop")]
+        else:
+            seq.extend(out)
+            seq.append(Transition("finish", constant=constant))
+            later = [tr.token for tr in out]
+        todo.extend(reversed(later))
     return seq
 
 
@@ -152,7 +144,7 @@ def _complete_step_ltf(cfg: Configuration, lexicon: Lexicon) -> list[Transition]
     lex_type = lexicon.type_of(cfg.constant(i))
     (term,) = cfg.term_set(i)
     missing = sorted(apply_set(lex_type, term) - cfg.applied_set(i))
-    targets = [j for j in range(1, cfg.n + 1) if cfg.headless(j)][: len(missing)]
+    targets = _headless_tokens(cfg)[: len(missing)]
     if len(targets) < len(missing):
         raise TransitionError("owed slots exceed free tokens; configuration unreachable")
     out: list[Transition] = []
@@ -190,7 +182,7 @@ def _complete_step_ltl(cfg: Configuration, lexicon: Lexicon) -> list[Transition]
     _, _, _, lam, t = best
     g = _cheapest_constant(lexicon, lam)
     missing = sorted(apply_set(lam, t) - done)
-    targets = [j for j in range(1, cfg.n + 1) if cfg.headless(j)][: len(missing)]
+    targets = _headless_tokens(cfg)[: len(missing)]
     if len(targets) < len(missing):
         raise TransitionError("owed slots exceed free tokens; configuration unreachable")
     out = [
@@ -247,17 +239,9 @@ def fuzz_episode(
     """Seeded exploration: up to `steps` random legal transitions, then
     completion drives the rest of the way to a goal.  steps=0 is pure
     completion.  Deterministic per seed."""
-    rng = random.Random(seed)
-    cfg = initial_config(n)
-    trace: list[tuple[str, Transition]] = []
-    for _ in range(steps):
-        legal = legal_transitions(cfg, lexicon, system)
-        if not legal:
-            break
-        weights = [bias_apply if t.kind == "apply" else 1.0 for t in legal]
-        tr = rng.choices(legal, weights=weights, k=1)[0]
-        trace.append((cfg.digest(), tr))
-        cfg = apply_transition(cfg, tr, lexicon, system, check=False)
+    cfg, trace = random_walk(
+        lexicon, system, n, random.Random(seed), bias_apply, max_steps=steps
+    )
     completion, final = complete_config(cfg, lexicon, system, check=False)
     for tr in completion:
         trace.append((cfg.digest(), tr))

@@ -41,33 +41,28 @@ class TransitionError(ValueError):
 
 @dataclass(frozen=True)
 class Configuration:
-    """Immutable parser state; annotation maps are stored as sorted tuples
-    so configurations hash and compare structurally."""
+    """Immutable parser state, hashed and compared structurally.
+
+    terms, applied and graphs hold T(i), A(i) and G(i) at position i, for
+    tokens 0..n; position 0 is the virtual root and stays undefined.  None
+    marks an undefined annotation.  Build configurations with initial_config.
+    """
 
     n: int
     edges: tuple[tuple[int, int, EdgeLabel], ...] = ()
     stack: tuple[int, ...] = ()
-    terms: tuple[tuple[int, tuple[Type, ...]], ...] = ()
-    applied: tuple[tuple[int, tuple[str, ...]], ...] = ()
-    graphs: tuple[tuple[int, str], ...] = ()
+    terms: tuple[Optional[frozenset[Type]], ...] = ()
+    applied: tuple[Optional[frozenset[str]], ...] = ()
+    graphs: tuple[Optional[str], ...] = ()
 
     def term_set(self, i: int) -> Optional[frozenset[Type]]:
-        for j, ts in self.terms:
-            if j == i:
-                return frozenset(ts)
-        return None
+        return self.terms[i]
 
     def applied_set(self, i: int) -> Optional[frozenset[str]]:
-        for j, names in self.applied:
-            if j == i:
-                return frozenset(names)
-        return None
+        return self.applied[i]
 
     def constant(self, i: int) -> Optional[str]:
-        for j, g in self.graphs:
-            if j == i:
-                return g
-        return None
+        return self.graphs[i]
 
     def head_of(self, j: int) -> Optional[tuple[int, EdgeLabel]]:
         for h, d, lbl in self.edges:
@@ -84,7 +79,8 @@ class Configuration:
 
     @property
     def is_initial(self) -> bool:
-        return not self.edges and not self.terms and not self.stack
+        """Before Init, which always adds the root edge."""
+        return not self.edges
 
     def free_tokens(self) -> int:
         """W: how many tokens still lack an incoming edge."""
@@ -95,13 +91,17 @@ class Configuration:
         return [(d, lbl) for h, d, lbl in self.edges if h == i]
 
     def digest(self) -> str:
+        """Short hash of the configuration's text, which lists the defined
+        annotations in token order with type texts and source names sorted."""
         text = repr((
             self.n,
             tuple((h, d, str(lbl)) for h, d, lbl in self.edges),
             self.stack,
-            tuple((i, tuple(serialize_type(t) for t in ts)) for i, ts in self.terms),
-            self.applied,
-            self.graphs,
+            tuple((i, tuple(sorted(map(serialize_type, ts))))
+                  for i, ts in enumerate(self.terms) if ts is not None),
+            tuple((i, tuple(sorted(names)))
+                  for i, names in enumerate(self.applied) if names is not None),
+            tuple((i, g) for i, g in enumerate(self.graphs) if g is not None),
         ))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -109,21 +109,13 @@ class Configuration:
 def initial_config(n: int) -> Configuration:
     if n < 1:
         raise TransitionError("need at least one token")
-    return Configuration(n=n)
+    undefined = (None,) * (n + 1)
+    return Configuration(n=n, terms=undefined, applied=undefined, graphs=undefined)
 
 
-def _set_entry(entries: tuple, i: int, value: tuple) -> tuple:
-    kept = tuple(e for e in entries if e[0] != i)
-    return tuple(sorted(kept + ((i, value),)))
-
-
-def _set_terms(cfg: Configuration, i: int, types: Iterable[Type]) -> tuple:
-    ts = tuple(sorted(set(types), key=serialize_type))
-    return _set_entry(cfg.terms, i, ts)
-
-
-def _set_applied(cfg: Configuration, i: int, names: Iterable[str]) -> tuple:
-    return _set_entry(cfg.applied, i, tuple(sorted(set(names))))
+def _put(values: tuple, i: int, value) -> tuple:
+    """values with position i replaced by value."""
+    return values[:i] + (value,) + values[i + 1:]
 
 
 # --- transitions ------------------------------------------------------------
@@ -361,33 +353,29 @@ def apply_transition(
             cfg,
             edges=((0, tr.token, ROOT),),
             stack=(tr.token,),
-            terms=_set_terms(cfg, tr.token, [EMPTY_TYPE]),
+            terms=_put(cfg.terms, tr.token, frozenset([EMPTY_TYPE])),
         )
         if system == "ltl":
-            new = replace(new, applied=_set_applied(new, tr.token, []))
+            new = replace(new, applied=_put(cfg.applied, tr.token, frozenset()))
         return new
 
     i = cfg.active
     if tr.kind == "choose":
         return replace(
             cfg,
-            terms=_set_terms(cfg, i, [tr.term_type]),
-            applied=_set_applied(cfg, i, []),
-            graphs=_set_entry(cfg.graphs, i, tr.constant),
+            terms=_put(cfg.terms, i, frozenset([tr.term_type])),
+            applied=_put(cfg.applied, i, frozenset()),
+            graphs=_put(cfg.graphs, i, tr.constant),
         )
     if tr.kind == "apply":
         edges = cfg.edges + ((i, tr.token, app(tr.source)),)
         done = cfg.applied_set(i) or frozenset()
-        new = replace(
-            cfg,
-            edges=edges,
-            applied=_set_applied(cfg, i, done | {tr.source}),
-        )
+        new = replace(cfg, edges=edges, applied=_put(cfg.applied, i, done | {tr.source}))
         if system == "ltf":
             lex_type = lexicon.type_of(cfg.constant(i))
             new = replace(
                 new,
-                terms=_set_terms(new, tr.token, [request(lex_type, tr.source)]),
+                terms=_put(cfg.terms, tr.token, frozenset([request(lex_type, tr.source)])),
                 stack=cfg.stack + (tr.token,),
             )
         return new
@@ -398,7 +386,7 @@ def apply_transition(
             lex_type = lexicon.type_of(cfg.constant(i))
             new = replace(
                 new,
-                terms=_set_terms(new, tr.token, _mod_term_types(lexicon, tr.source, lex_type)),
+                terms=_put(cfg.terms, tr.token, _mod_term_types(lexicon, tr.source, lex_type)),
                 stack=cfg.stack + (tr.token,),
             )
         return new
@@ -407,35 +395,37 @@ def apply_transition(
     if tr.kind == "finish":
         lex_type = lexicon.type_of(tr.constant)
         witness = _finish_witness(lex_type, cfg.term_set(i), cfg.applied_set(i))
-        new = replace(cfg, graphs=_set_entry(cfg.graphs, i, tr.constant))
+        terms, applied = list(cfg.terms), list(cfg.applied)
         if witness is not None:
-            new = replace(new, terms=_set_terms(new, i, [witness]))
+            terms[i] = frozenset([witness])
         children = cfg.children(i)
-        stack = cfg.stack[:-1] + tuple(j for j, _ in reversed(children))
-        terms, applied = new.terms, new.applied
         for j, lbl in children:
-            if lbl.kind == "app":
-                if lbl.source in lex_type.nodes:
-                    child_terms: Iterable[Type] = [request(lex_type, lbl.source)]
-                else:
-                    child_terms = []
+            if lbl.kind == "mod":
+                terms[j] = _mod_term_types(lexicon, lbl.source, lex_type)
+            elif lbl.source in lex_type.nodes:
+                terms[j] = frozenset([request(lex_type, lbl.source)])
             else:
-                child_terms = _mod_term_types(lexicon, lbl.source, lex_type)
-            terms = _set_entry(terms, j, tuple(sorted(child_terms, key=serialize_type)))
-            applied = _set_entry(applied, j, ())
-        return replace(new, stack=stack, terms=terms, applied=applied)
+                terms[j] = frozenset()
+            applied[j] = frozenset()
+        return replace(
+            cfg,
+            stack=cfg.stack[:-1] + tuple(j for j, _ in reversed(children)),
+            terms=tuple(terms),
+            applied=tuple(applied),
+            graphs=_put(cfg.graphs, i, tr.constant),
+        )
     raise TransitionError(f"unknown transition kind {tr.kind!r}")
 
 
 def is_goal(cfg: Configuration) -> bool:
     """Stack empty with at least one constant assigned."""
-    return not cfg.stack and not cfg.is_initial and bool(cfg.graphs)
+    return not cfg.stack and not cfg.is_initial and any(cfg.graphs)
 
 
 def check_goal_config(cfg: Configuration, lexicon: Lexicon) -> bool:
     """Full goal definition, for cross-checking is_goal in tests: every
     token is either ignored (headless, unannotated) or fully finished."""
-    if cfg.stack or not cfg.graphs:
+    if cfg.stack or not any(cfg.graphs):
         return False
     for i in range(1, cfg.n + 1):
         if cfg.headless(i):
@@ -569,17 +559,17 @@ def render_trace(
             f"({h},{d},{lbl})" for h, d, lbl in nxt.edges[len(cfg.edges):]
         )
         t_delta = " ".join(
-            f"{i}:{{{','.join(serialize_type(t) for t in ts)}}}"
-            for i, ts in nxt.terms
-            if (i, ts) not in cfg.terms
+            f"{i}:{{{','.join(sorted(map(serialize_type, ts)))}}}"
+            for i, ts in enumerate(nxt.terms)
+            if ts != cfg.terms[i]
         )
         a_delta = " ".join(
-            f"{i}:{{{','.join(names)}}}"
-            for i, names in nxt.applied
-            if (i, names) not in cfg.applied
+            f"{i}:{{{','.join(sorted(names))}}}"
+            for i, names in enumerate(nxt.applied)
+            if names != cfg.applied[i]
         )
         g_delta = " ".join(
-            f"{i}:{g}" for i, g in nxt.graphs if (i, g) not in cfg.graphs
+            f"{i}:{g}" for i, g in enumerate(nxt.graphs) if g != cfg.graphs[i]
         )
         stack = "[" + " ".join(str(x) for x in nxt.stack) + "]"
         rows.append((str(step), e_delta, t_delta, a_delta, g_delta, stack, str(tr)))
@@ -601,23 +591,26 @@ def random_walk(
     n: int,
     rng: random.Random,
     bias_apply: float = 1.0,
+    max_steps: Optional[int] = None,
 ) -> tuple[Configuration, list[tuple[str, Transition]]]:
-    """Uniform (optionally Apply-biased) random legal walk to termination.
+    """Uniform (optionally Apply-biased) random legal walk from the initial
+    configuration, until no transition is legal or after max_steps steps.
 
     Returns the final configuration and the (config digest, transition)
-    trace.  On a closed lexicon the final configuration is always a goal;
-    that is the dead-end-freeness property the fuzz tests hammer on.
+    trace.  On a closed lexicon a walk run to termination always ends in a
+    goal; that is the dead-end-freeness property the fuzz tests hammer on.
     """
     cfg = initial_config(n)
     trace: list[tuple[str, Transition]] = []
     limit = 4 * n + 4
-    while True:
+    while max_steps is None or len(trace) < max_steps:
         legal = legal_transitions(cfg, lexicon, system)
         if not legal:
-            return cfg, trace
+            break
         if len(trace) >= limit:
             raise TransitionError(f"walk exceeded {limit} steps; broken guards")
         weights = [bias_apply if t.kind == "apply" else 1.0 for t in legal]
         tr = rng.choices(legal, weights=weights, k=1)[0]
         trace.append((cfg.digest(), tr))
         cfg = apply_transition(cfg, tr, lexicon, system, check=False)
+    return cfg, trace

@@ -152,9 +152,6 @@ class AmDepTree:
     def attached_tokens(self) -> list[int]:
         return [i for i, e in enumerate(self.entries, start=1) if e.label != IGNORE]
 
-    def is_ignored(self, i: int) -> bool:
-        return self.entries[i - 1].label == IGNORE
-
 
 @dataclass
 class TypingReport:
@@ -172,27 +169,32 @@ class _FoldPlan:
 
 
 def _analyze(t: AmDepTree, lexicon) -> tuple[TypingReport, dict[int, _FoldPlan]]:
+    """Fold the root's subtree bottom-up, each token after its children and
+    siblings in ascending position.  plans lists the tokens in that order."""
     report = TypingReport(ok=True)
     plans: dict[int, _FoldPlan] = {}
+    children: dict[int, list[int]] = {}  # ascending position
+    for j, e in enumerate(t.entries, start=1):
+        children.setdefault(e.head, []).append(j)
 
     def fail(token: int, why: str) -> None:
         if report.ok:
             report.ok = False
             report.failure = (token, why)
 
-    def walk(i: int) -> Optional[Type]:
-        entry = t.token(i)
-        lex_type = lexicon.type_of(entry.constant)
-        tau = lex_type
+    folded: dict[int, Optional[Type]] = {}  # token -> term type, None on failure
+
+    def fold(i: int) -> Optional[Type]:
+        """i's term type from its children's, or None on failure."""
+        tau = lexicon.type_of(t.token(i).constant)
         plan = _FoldPlan()
         plans[i] = plan
-        kids = t.children(i)
-        child_types: dict[int, Optional[Type]] = {c: walk(c) for c in kids}
+        kids = children.get(i, [])
         for c in kids:
             if t.token(c).label.kind == "mod":
                 plan.mod_children.append(c)
         for c in plan.mod_children:
-            ct = child_types[c]
+            ct = folded[c]
             if ct is None:
                 return None
             combined = type_combine(t.token(c).label, tau, ct)
@@ -208,7 +210,7 @@ def _analyze(t: AmDepTree, lexicon) -> tuple[TypingReport, dict[int, _FoldPlan]]
                 src = label.source
                 if src not in tau.nodes or tau.has_incoming(src):
                     continue
-                ct = child_types[c]
+                ct = folded[c]
                 if ct is None:
                     return None
                 combined = type_combine(label, tau, ct)
@@ -227,8 +229,17 @@ def _analyze(t: AmDepTree, lexicon) -> tuple[TypingReport, dict[int, _FoldPlan]]
         report.term_types[i] = tau
         return tau
 
+    # a work stack, not recursion, so deep trees fit; the reverse of a
+    # pre-order that takes the highest child first is the fold order
     root = t.root_token()
-    root_type = walk(root)
+    order, todo = [], [root]
+    while todo:
+        i = todo.pop()
+        order.append(i)
+        todo.extend(children.get(i, []))
+    for i in reversed(order):
+        folded[i] = fold(i)
+    root_type = folded[root]
     if report.ok and root_type is not None and not root_type.is_empty():
         fail(root, f"root term type {root_type} is not empty")
     return report, plans
@@ -248,14 +259,14 @@ def evaluate_tree(t: AmDepTree, lexicon) -> AsGraph:
         token, why = report.failure
         raise TreeError(f"tree is not well-typed at token {token}: {why}")
 
-    def build(i: int) -> AsGraph:
+    built: dict[int, AsGraph] = {}
+    for i, plan in plans.items():  # children before their head
         g = lexicon.constants[t.token(i).constant]
-        for c in plans[i].mod_children:
-            g = graph_modify(g, t.token(c).label.source, build(c))
-        for c in plans[i].app_children:
-            g = graph_apply(g, t.token(c).label.source, build(c))
-        return g
-
-    result = build(t.root_token())
+        for c in plan.mod_children:
+            g = graph_modify(g, t.token(c).label.source, built.pop(c))
+        for c in plan.app_children:
+            g = graph_apply(g, t.token(c).label.source, built.pop(c))
+        built[i] = g
+    result = built[t.root_token()]
     assert graph_type(result) == EMPTY_TYPE
     return result

@@ -1,4 +1,5 @@
-"""The decoders reproduce the committed decode golden file byte for byte."""
+"""The decoders and transition systems reproduce the committed golden files
+byte for byte."""
 
 import importlib.util
 from pathlib import Path
@@ -13,9 +14,17 @@ def _make_fixtures():
     return module
 
 
-def test_decode_golden_reproduced():
-    mf = _make_fixtures()
-    expected = mf.GOLDEN_PATH.read_text(encoding="utf-8")
-    got = mf.decode_golden_text()
+def _assert_reproduced(path: Path, got: str) -> None:
+    expected = path.read_text(encoding="utf-8")
     assert got.splitlines() == expected.splitlines()
     assert got == expected
+
+
+def test_decode_golden_reproduced():
+    mf = _make_fixtures()
+    _assert_reproduced(mf.GOLDEN_PATH, mf.decode_golden_text())
+
+
+def test_transition_golden_reproduced():
+    mf = _make_fixtures()
+    _assert_reproduced(mf.TRANSITION_GOLDEN_PATH, mf.transition_golden_text())

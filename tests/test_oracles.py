@@ -1,6 +1,8 @@
 """Oracle extraction, replay, completion, and seeded fuzzing."""
 
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -19,7 +21,14 @@ from amparse.transitions import (
     legal_transitions,
     parse_transition,
 )
-from amparse.trees import check_well_typed
+from amparse.trees import (
+    ROOT,
+    AmDepTree,
+    TreeEntry,
+    check_well_typed,
+    evaluate_tree,
+    mod,
+)
 
 
 GOLD_LTF = [
@@ -166,3 +175,36 @@ def test_fuzz_steps_zero_is_pure_completion(closed_lex):
     assert ep.goal
     # pure completion starts with Init; the first recorded step proves it
     assert ep.steps[0][1].startswith("Init(")
+
+
+@contextmanager
+def recursion_headroom(frames):
+    """Lower the recursion limit to `frames` above the caller's depth, so a
+    walk that recurses once per tree level fails on a short chain."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_deep_chain_does_not_recurse(closed_lex):
+    """writer as ROOT, then a chain of soundly tokens, each MOD_m of the one
+    before: typing, evaluation and both oracle round trips stay iterative."""
+    n = 250
+    entries = [TreeEntry("w1", "writer", 0, ROOT)] + [
+        TreeEntry(f"w{k}", "soundly", k - 1, mod("m")) for k in range(2, n + 1)
+    ]
+    tree = AmDepTree(tuple(entries))
+    forms = tuple(e.form for e in entries)
+    with recursion_headroom(100):
+        assert check_well_typed(tree, closed_lex).ok
+        assert evaluate_tree(tree, closed_lex) is not None
+        for system in ("ltf", "ltl"):
+            seq = oracle_sequence(tree, closed_lex, system)
+            final = replay(tree, seq, closed_lex, system)
+            assert config_to_tree(final, forms) == tree
