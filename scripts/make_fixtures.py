@@ -8,23 +8,25 @@ Usage: python scripts/make_fixtures.py [outdir]   (default: ./fixtures)
            transition_golden.txt)
 
 The decode golden file records, for a seeded corpus over the closed demo
-lexicon, what chart_parse and astar_parse (every estimate, k_tags None and
-6) return: tree text, repr(cost) and the work counters.  The transition
-golden file records, for both transition systems and n = 2..10, seeded fuzz
-episodes (config digests and transitions), their step tables, random walks,
-the oracle sequences of the episodes' trees with the digest of their replay,
-and greedy/beam-3 decodes (tree, cost, score, transitions).  A change to the
-decoders' or the transition systems' internals must leave both files
-byte-identical.
+lexicon, what chart_parse (k_tags None and 2) and astar_parse (every
+estimate, k_tags None, 2 and 6) return: tree text, repr(cost) and the work
+counters, and for each chart run the hyperedge count and a digest of the
+sorted outside costs.  The transition golden file records, for both
+transition systems and n = 2..10, seeded fuzz episodes (config digests and
+transitions), their step tables, random walks, the oracle sequences of the
+episodes' trees with the digest of their replay, and greedy/beam-3 decodes
+(tree, cost, score, transitions).  A change to the decoders' or the
+transition systems' internals must leave both files byte-identical.
 """
 
+import hashlib
 import random
 import sys
 from pathlib import Path
 
 from amparse import fileformats as ff
 from amparse.astar import HEURISTICS, astar_parse
-from amparse.chart import chart_parse
+from amparse.chart import chart_parse, outside_costs
 from amparse.costs import SentenceCosts, gen_synthetic
 from amparse.demo import demo_costs, demo_gold_tree, demo_lexicon
 from amparse.lexicon import augment_closure
@@ -35,7 +37,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 GOLDEN_PATH = GOLDEN_DIR / "decode_golden.txt"
 TRANSITION_GOLDEN_PATH = GOLDEN_DIR / "transition_golden.txt"
 GOLDEN_LENGTHS = range(2, 9)
-GOLDEN_K_TAGS = (None, 6)
+CHART_K_TAGS = (None, 2)
+ASTAR_K_TAGS = (None, 2, 6)
 TRANSITION_LENGTHS = range(2, 11)
 
 
@@ -66,13 +69,17 @@ def decode_golden_text() -> str:
     lexicon = augment_closure(demo_lexicon())
     blocks = []
     for name, c in golden_corpus(lexicon):
-        res = chart_parse(c, lexicon)
-        blocks.append(
-            f"== {name} chart cost={res.cost!r} items={res.stats.n_items} "
-            f"arcs_checked={res.stats.arcs_checked}\n" + _tree_text(res.tree)
-        )
+        for k in CHART_K_TAGS:
+            res = chart_parse(c, lexicon, k_tags=k)
+            rec = chart_parse(c, lexicon, k_tags=k, record_hyperedges=True)
+            outside = repr(sorted(outside_costs(rec).items())).encode()
+            blocks.append(
+                f"== {name} chart k_tags={k} cost={res.cost!r} items={res.stats.n_items} "
+                f"arcs_checked={res.stats.arcs_checked} hyperedges={len(rec.hyperedges)} "
+                f"outside={hashlib.sha256(outside).hexdigest()[:16]}\n" + _tree_text(res.tree)
+            )
         for h in HEURISTICS:
-            for k in GOLDEN_K_TAGS:
+            for k in ASTAR_K_TAGS:
                 res = astar_parse(c, lexicon, heuristic=h, k_tags=k)
                 blocks.append(
                     f"== {name} astar {h} k_tags={k} cost={res.cost!r} "

@@ -38,10 +38,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chart import GOAL_SIG, INF, ParseItem, Sig, _extract_tree
+from . import rules
 from .costs import SentenceCosts, top_k_tags
 from .lexicon import Lexicon
-from .trees import BOTTOM, IGNORE, ROOT, AmDepTree
+from .rules import GOAL_SIG, INF, ParseItem, Sig
+from .trees import BOTTOM, ROOT, AmDepTree
 from .types import type_combine  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
 HEURISTICS = ("trivial", "supertag", "edge", "ignore-aware")
@@ -51,10 +52,10 @@ HEURISTICS = ("trivial", "supertag", "edge", "ignore-aware")
 class HeuristicTables:
     """Per-token lower bounds plus per-token head attachment floors.
 
-    An item's estimate is the per-token sum outside its span; the edge and
-    ignore-aware kinds add attach_floor[head]: the cheapest incoming
-    apply/modify edge or root edge the head could take.  A head never ends
-    up ignored, so this is a true lower bound on its future in-edge.
+    An item's estimate is the per-token sum outside its span plus
+    attach_floor[head], zero for the trivial and supertag kinds.  Otherwise
+    it is the cheapest incoming apply/modify edge or root edge the head could
+    take; a head never ends up ignored, so this bounds its future in-edge.
     """
 
     kind: str
@@ -77,18 +78,16 @@ class HeuristicTables:
         return total
 
     def estimate(self, i: int, k: int, head: int) -> float:
-        total = self.outside(i, k)
-        if self.kind in ("edge", "ignore-aware"):
-            total += self.attach_floor[head - 1]
-        return total
+        return self.outside(i, k) + self.attach_floor[head - 1]
 
 
 def build_heuristic(kind: str, costs: SentenceCosts, lexicon: Lexicon) -> HeuristicTables:
     if kind not in HEURISTICS:
         raise ValueError(f"unknown heuristic {kind!r}; expected one of {HEURISTICS}")
     n = costs.n
+    zero = (0.0,) * n
     if kind == "trivial":
-        return HeuristicTables(kind, (0.0,) * n, (0.0,) * n)
+        return HeuristicTables(kind, zero, zero)
 
     best_tag_any = [INF] * (n + 1)   # over all constants including BOT
     best_tag_real = [INF] * (n + 1)  # over non-BOT constants
@@ -97,6 +96,8 @@ def build_heuristic(kind: str, costs: SentenceCosts, lexicon: Lexicon) -> Heuris
             best_tag_any[j] = c
         if g != BOTTOM and c < best_tag_real[j]:
             best_tag_real[j] = c
+    if kind == "supertag":
+        return HeuristicTables(kind, tuple(best_tag_any[1:]), zero)
 
     best_in_any = [INF] * (n + 1)    # any origin, any label
     best_in_attach = [INF] * (n + 1)  # apply/modify edges only
@@ -109,14 +110,12 @@ def build_heuristic(kind: str, costs: SentenceCosts, lexicon: Lexicon) -> Heuris
     floor = tuple(
         min(best_in_attach[j], costs.edge(0, j, ROOT)) for j in range(1, n + 1)
     )
-    if kind == "supertag":
-        per = tuple(best_tag_any[j] for j in range(1, n + 1))
-    elif kind == "edge":
+    if kind == "edge":
         per = tuple(best_tag_any[j] + best_in_any[j] for j in range(1, n + 1))
     else:
         per = tuple(
             min(
-                costs.tag(j, BOTTOM) + costs.edge(0, j, IGNORE),
+                rules.skip_cost(costs, j),
                 best_tag_real[j] + best_in_attach[j],
                 best_tag_real[j] + costs.edge(0, j, ROOT),
             )
@@ -129,7 +128,6 @@ def build_heuristic(kind: str, costs: SentenceCosts, lexicon: Lexicon) -> Heuris
 class SearchStats:
     dequeued: int = 0
     pushed: int = 0
-    goal_cost: float = INF
     elapsed: float = 0.0
     limit_hit: bool = False
 
@@ -139,7 +137,7 @@ class AStarResult:
     tree: Optional[AmDepTree]
     cost: float
     stats: SearchStats
-    settled: dict[Sig, tuple[float, tuple]] = field(default_factory=dict, repr=False)
+    settled: dict[Sig, ParseItem] = field(default_factory=dict, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -167,12 +165,12 @@ def astar_parse(
     stats = SearchStats()
     counter = itertools.count()
     heap: list[tuple] = []
-    settled: dict[Sig, tuple[float, tuple]] = {}
+    settled: dict[Sig, ParseItem] = {}
     by_left: dict[int, list[Sig]] = {}
     by_right: dict[int, list[Sig]] = {}
     table = lexicon.type_table
 
-    def push(sig, cost: float, back: tuple) -> None:
+    def push(sig, cost: float, delta: float, back: tuple) -> None:
         if sig in settled:
             return
         if sig == GOAL_SIG:
@@ -187,72 +185,36 @@ def astar_parse(
         heapq.heappush(heap, (f, length, i, head, typ, next(counter), cost, sig, back))
 
     for j in range(1, n + 1):
-        for g, tag_cost in top_k_tags(costs, j, k_tags):
-            push((j, j + 1, j, table.ids[lexicon.type_of(g)]), tag_cost, ("init", g))
+        rules.init(costs, lexicon, j, top_k_tags(costs, j, k_tags), push)
 
-    tree = None
+    tree, goal_cost = None, INF
     while heap:
         f, _, _, _, _, _, cost, sig, back = heapq.heappop(heap)
         if sig in settled:
             continue
-        settled[sig] = (cost, back)
+        settled[sig] = ParseItem(cost, back)
         if sig == GOAL_SIG:
-            stats.goal_cost = cost
-            tree = _reconstruct(costs, settled)
+            tree, goal_cost = rules.extract_tree(costs, settled, back[1]), cost
             break
         stats.dequeued += 1
         if stats.dequeued >= dequeue_limit and heap:
             stats.limit_hit = True
             break
 
-        i, k, head, typ = sig
+        i, k = sig[0], sig[1]
         by_left.setdefault(i, []).append(sig)
         by_right.setdefault(k, []).append(sig)
 
-        if (i, k) == (1, n + 1) and typ == table.empty_id:
-            push(GOAL_SIG, cost + costs.edge(0, head, ROOT), ("goal", sig))
+        root_cost = rules.root_cost(costs, table, sig)
+        if root_cost < INF:
+            push(GOAL_SIG, cost + root_cost, root_cost, ("goal", sig))
+        one = (sig,)  # the popped item's side of the Skip and Arc calls
         if i >= 2:
-            push(
-                (i - 1, k, head, typ),
-                cost + costs.tag(i - 1, BOTTOM) + costs.edge(0, i - 1, IGNORE),
-                ("skip", sig),
-            )
+            rules.skip(costs, settled, one, i - 1, push, stepwise=True)
         if k <= n:
-            push(
-                (i, k + 1, head, typ),
-                cost + costs.tag(k, BOTTOM) + costs.edge(0, k, IGNORE),
-                ("skip", sig),
-            )
-
-        def arcs(lsig: Sig, rsig: Sig) -> None:
-            (li, _, lhead, ltyp) = lsig
-            (_, rk, rhead, rtyp) = rsig
-            lcost, rcost = settled[lsig][0], settled[rsig][0]
-            for lbl, new, head_is_left in table.combine[ltyp][rtyp]:
-                hd, dep, side = ((lhead, rhead, "left") if head_is_left
-                                 else (rhead, lhead, "right"))
-                push(
-                    (li, rk, hd, new),
-                    lcost + rcost + costs.edge(hd, dep, lbl),
-                    ("arc", lbl, lsig, rsig, side),
-                )
-
-        for other in by_right.get(i, []):
-            if other != sig:
-                arcs(other, sig)
-        for other in by_left.get(k, []):
-            if other != sig:
-                arcs(sig, other)
+            rules.skip(costs, settled, one, k, push, stepwise=True)
+        rules.arcs(costs, table, settled, by_right.get(i, ()), one, push)
+        rules.arcs(costs, table, settled, one, by_left.get(k, ()), push)
 
     stats.elapsed = time.perf_counter() - t0
-    return AStarResult(tree, stats.goal_cost if tree else INF, stats, settled)
-
-
-def _reconstruct(costs: SentenceCosts, settled: dict) -> AmDepTree:
-    goal_cost, goal_back = settled[GOAL_SIG]
-    items = {
-        sig: ParseItem((sig[0], sig[1]), sig[2], sig[3], cost, back)
-        for sig, (cost, back) in settled.items()
-        if sig != GOAL_SIG
-    }
-    return _extract_tree(costs, items, goal_back[1])
+    return AStarResult(tree, goal_cost, stats, settled)

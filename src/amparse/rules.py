@@ -1,0 +1,127 @@
+"""The deduction rules under the chart and A* decoders.
+
+Items are spans annotated with a head token and the term type still open at
+that head.  Init assigns a supertag to one token; Skip extends a span over
+an adjacent ignored token; Arc joins two adjacent spans with an apply or
+modify edge between their heads, reading the type table's precomputed
+combinations instead of calling type_combine per label and direction.  A
+full-span item of empty type is accepted with a root edge into its head.
+
+Each rule hands a consequence to the decoder's own callback, emit(sig,
+inside cost, rule cost, back-pointer); decoders store ParseItem(cost, back).
+A back-pointer names its rule, then the items it derives from:
+("init", constant), ("skip", sig), ("arc", left sig, right sig, label).
+Only this module builds or reads them, except A*'s own ("goal", sig).
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Mapping, NamedTuple, Sequence
+
+from .costs import INF, SentenceCosts
+from .lexicon import Lexicon
+from .trees import BOTTOM, IGNORE, ROOT, AmDepTree, EdgeLabel, TreeEntry
+from .types import TypeTable
+
+# (i, k, head, type id): tokens i..k-1 (k exclusive), head in that range.
+# The type id indexes the lexicon's compiled type table, so the item's Type
+# is lexicon.type_table.types[sig[3]].
+Sig = tuple[int, int, int, int]
+
+# ("goal",) is the virtual parent of all accepted full-span items.
+GOAL_SIG = ("goal",)
+
+Emit = Callable[[Sig, float, float, tuple], None]
+
+
+class ParseItem(NamedTuple):
+    cost: float
+    back: tuple
+
+
+def init(costs: SentenceCosts, lexicon: Lexicon, j: int,
+         tags: Sequence[tuple[str, float]], emit: Emit) -> None:
+    """Init: one item covering token j per (constant, cost) of tags."""
+    for g, cost in tags:
+        try:
+            typ = lexicon.type_of(g)
+        except KeyError:
+            raise ValueError(f"sentence {costs.sid}: tag for unknown constant {g!r}") from None
+        emit((j, j + 1, j, lexicon.type_table.ids[typ]), cost, cost, ("init", g))
+
+
+def skip_cost(costs: SentenceCosts, j: int) -> float:
+    """Cost of leaving token j out of the analysis: BOT tag plus ignore edge."""
+    return costs.tag(j, BOTTOM) + costs.edge(0, j, IGNORE)
+
+
+def skip(costs: SentenceCosts, items: Mapping[Sig, ParseItem], sigs: Sequence[Sig],
+         j: int, emit: Emit, stepwise: bool = False) -> None:
+    """Skip: extend each item of sigs over the adjacent token j.
+
+    The consequence costs the item plus skip_cost(costs, j), or with
+    stepwise, plus the BOT tag and then the ignore edge: the last bit can
+    differ, and decode_golden.txt pins the chart's sum and A*'s steps.
+    """
+    tag, ignore = costs.tag(j, BOTTOM), costs.edge(0, j, IGNORE)
+    delta = tag + ignore
+    for sig in sigs:
+        i, k, head, typ = sig
+        cost = items[sig].cost + tag + ignore if stepwise else items[sig].cost + delta
+        emit((j, k, head, typ) if j < i else (i, j + 1, head, typ), cost, delta, ("skip", sig))
+
+
+def arcs(costs: SentenceCosts, table: TypeTable, items: Mapping[Sig, ParseItem],
+         lefts: Sequence[Sig], rights: Sequence[Sig], emit: Emit) -> None:
+    """Arc: every successful edge between an item of lefts and an adjacent
+    item of rights, pairs in order, labels in the table's order."""
+    for lsig in lefts:
+        li, _, lhead, ltyp = lsig
+        lcost = items[lsig].cost
+        row = table.combine[ltyp]
+        for rsig in rights:
+            for lbl, typ, head_is_left in row[rsig[3]]:
+                hd, dep = (lhead, rsig[2]) if head_is_left else (rsig[2], lhead)
+                delta = costs.edge(hd, dep, lbl)
+                emit((li, rsig[1], hd, typ), lcost + items[rsig].cost + delta, delta,
+                     ("arc", lsig, rsig, lbl))
+
+
+def root_cost(costs: SentenceCosts, table: TypeTable, sig: Sig) -> float:
+    """The root edge accepting sig as a whole analysis; infinite unless sig
+    spans the sentence with the empty type."""
+    i, k, head, typ = sig
+    if i == 1 and k == costs.n + 1 and typ == table.empty_id:
+        return costs.edge(0, head, ROOT)
+    return INF
+
+
+def children(back: tuple) -> tuple[Sig, ...]:
+    """The items a back-pointer derives its item from."""
+    return () if back[0] == "init" else back[1:3]
+
+
+def extract_tree(costs: SentenceCosts, items: Mapping[Sig, ParseItem],
+                 root_sig: Sig) -> AmDepTree:
+    """The tree root_sig's back-pointers derive, rooted at its head."""
+    n = costs.n
+    constant = [BOTTOM] * (n + 1)
+    head = [0] * (n + 1)
+    label: list[EdgeLabel] = [IGNORE] * (n + 1)
+    stack = [root_sig]
+    while stack:
+        sig = stack.pop()
+        back = items[sig].back
+        if back[0] == "init":
+            constant[sig[2]] = back[1]
+        elif back[0] == "skip":
+            stack.append(back[1])
+        else:
+            _, lsig, rsig, lbl = back
+            dep = rsig[2] if lsig[2] == sig[2] else lsig[2]
+            head[dep], label[dep] = sig[2], lbl
+            stack += (lsig, rsig)
+    head[root_sig[2]], label[root_sig[2]] = 0, ROOT
+    return AmDepTree(tuple(
+        TreeEntry(costs.forms[i - 1], constant[i], head[i], label[i]) for i in range(1, n + 1)
+    ))

@@ -1,17 +1,22 @@
 """The decoders and transition systems reproduce the committed golden files
-byte for byte."""
+byte for byte, and the library still exposes what the benchmark wraps."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _make_fixtures():
-    spec = importlib.util.spec_from_file_location("make_fixtures", SCRIPT)
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _make_fixtures():
+    return _load(ROOT / "scripts" / "make_fixtures.py")
 
 
 def _assert_reproduced(path: Path, got: str) -> None:
@@ -28,3 +33,10 @@ def test_decode_golden_reproduced():
 def test_transition_golden_reproduced():
     mf = _make_fixtures()
     _assert_reproduced(mf.TRANSITION_GOLDEN_PATH, mf.transition_golden_text())
+
+
+def test_perfbench_wrapped_attributes_resolve():
+    """perfbench/spans.py replaces these module attributes in its traced run."""
+    spans = _load(ROOT / "perfbench" / "spans.py")
+    for module_name, attr, _, _ in spans.WRAPPED:
+        assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)

@@ -1,6 +1,7 @@
 """The compiled type table, and the decoders that read it, on random closed
 lexicons as well as the demo lexicon."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,3 +74,10 @@ def test_astar_matches_chart(lx, n, seed):
         res = astar_parse(c, lx, heuristic=h, k_tags=None)
         got = res.cost if res.ok else INF
         assert (got == want == INF) or abs(got - want) <= 1e-9, h
+
+
+@pytest.mark.parametrize("decode", [chart_parse, astar_parse])
+def test_unknown_constant_is_a_clear_error(lex, costs, decode):
+    costs.tag_cost[(2, "nosuch")] = 0.0
+    with pytest.raises(ValueError, match=r"^sentence demo: tag for unknown constant 'nosuch'$"):
+        decode(costs, lex)
