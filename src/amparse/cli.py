@@ -73,6 +73,13 @@ def _validate_costs(sentences: list[SentenceCosts], lexicon: Lexicon) -> None:
                 )
 
 
+def _nearest_rank_ms(walls: list[float], p: int) -> Optional[float]:
+    """The nearest-rank p-th percentile of sorted wall times, in ms; None if empty."""
+    if not walls:
+        return None
+    return round(walls[(p * len(walls) + 99) // 100 - 1] * 1000, 3)
+
+
 def _closed_lexicon(lexicon: Lexicon, augment: bool) -> Lexicon:
     report = validate_closure(lexicon)
     if report.ok:
@@ -113,6 +120,7 @@ def cmd_parse(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     sentences = ff.parse_cost_text(_read(args.costs))
     _validate_costs(sentences, lexicon)
+    read_s = round(time.perf_counter() - start, 6)
     if args.decoder in ("ltf", "ltl"):
         lexicon = _closed_lexicon(lexicon, args.augment)
     if args.no_type_check and args.decoder != "ltl":
@@ -179,14 +187,19 @@ def cmd_parse(args) -> int:
         outcomes[rec["outcome"]] = outcomes.get(rec["outcome"], 0) + 1
     total_tokens = sum(rec["n"] for rec in records)
     total_wall = sum(rec["wall_s"] for rec in records)
+    walls = sorted(rec["wall_s"] for rec in records)
     aggregate = {
         "aggregate": True,
         "sentences": len(records),
         "tokens": total_tokens,
         "outcomes": outcomes,
         "total_wall_s": round(total_wall, 6),
+        "read_s": read_s,
         "elapsed_s": elapsed,
         "tokens_per_s": round(total_tokens / elapsed, 3),
+        "latency_p50_ms": _nearest_rank_ms(walls, 50),
+        "latency_p95_ms": _nearest_rank_ms(walls, 95),
+        "latency_max_ms": _nearest_rank_ms(walls, 100),
     }
     fallback = sys.stderr if args.output is None else sys.stdout
     _emit_report(records + [aggregate], args.report, fallback)

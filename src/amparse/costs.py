@@ -33,25 +33,24 @@ class SentenceCosts:
             raise ValueError("a sentence has at least one token")
         if len(self.forms) != self.n:
             raise ValueError("one form per token")
+        n = self.n
+        # Inline tests; _check runs only to raise for the first offender.
         for (i, g), c in self.tag_cost.items():
-            self._check_token(i)
-            self._check_cost(c)
+            if not (1 <= i <= n and 0 <= c < INF):
+                self._check(i, c)
         for (o, j, label), c in self.edge_cost.items():
-            self._check_token(j)
-            self._check_cost(c)
+            if not (1 <= j <= n and 0 <= c < INF):
+                self._check(j, c)
             if label.kind in ("root", "ignore"):
                 if o != 0:
                     raise ValueError(f"{label} edges originate at 0, got {o}")
-            else:
-                if not 1 <= o <= self.n or o == j:
-                    raise ValueError(f"bad edge origin {o} for {label} into {j}")
+            elif not 1 <= o <= n or o == j:
+                raise ValueError(f"bad edge origin {o} for {label} into {j}")
 
-    def _check_token(self, i: int) -> None:
+    def _check(self, i: int, c: float) -> None:
         if not 1 <= i <= self.n:
             raise ValueError(f"token index {i} out of range 1..{self.n}")
-
-    def _check_cost(self, c: float) -> None:
-        if not (c >= 0 and math.isfinite(c)):
+        if not 0 <= c < INF:
             raise ValueError(f"costs are nonnegative finite, got {c}")
 
     def tag(self, i: int, constant: str) -> float:

@@ -54,12 +54,6 @@ class FormatError(ValueError):
         self.line = line
 
 
-def _logical_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        yield lineno, line.strip()
-
-
 # --- lexicon and graph files -------------------------------------------------
 
 
@@ -91,7 +85,8 @@ def parse_lexicon_text(text: str, name: str = "lexicon") -> Lexicon:
     mod_sources: set[str] = set()
     block: Optional[_GraphBlock] = None
 
-    for lineno, line in _logical_lines(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
@@ -215,72 +210,84 @@ def parse_graph_text(text: str) -> AsGraph:
 
 def parse_cost_text(text: str) -> list[SentenceCosts]:
     out: list[SentenceCosts] = []
-    state: Optional[dict] = None
-
-    def fail(lineno: int, msg: str):
-        raise FormatError(lineno, msg)
-
-    for lineno, line in _logical_lines(text):
-        if not line:
+    labels: dict[str, EdgeLabel] = {}  # label text -> its one parsed label
+    tags: Optional[dict] = None  # None outside a sentence block
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         kw = parts[0]
-        if kw == "sentence":
-            if state is not None:
-                fail(lineno, "sentence block opened inside another block")
+        if tags is None and kw != "sentence":
+            raise FormatError(lineno, f"{kw} line outside a sentence block")
+        # Fields convert inline: a failed conversion leaves an index out of
+        # range, so _int_in redoes it to raise, and c = None marks a bad cost,
+        # which is reported after the duplicate test.
+        if kw == "edge":
+            if len(parts) != 5:
+                raise FormatError(lineno, "expected: edge <o> <j> <label> <cost>")
+            _, o_text, j_text, label_text, cost_text = parts
+            try:
+                o, j, c = int(o_text), int(j_text), float(cost_text)
+            except ValueError:
+                o, c = -1, None
+            if not (0 <= o <= n and 1 <= j <= n):
+                o, j = _int_in(o_text, 0, n, lineno), _int_in(j_text, 1, n, lineno)
+            lbl = labels.get(label_text)
+            if lbl is None:
+                try:
+                    lbl = labels[label_text] = parse_edge_label(label_text)
+                except ValueError as e:
+                    raise FormatError(lineno, str(e)) from e
+            size = len(edges)
+            edges[o, j, lbl] = c
+            if len(edges) == size:
+                raise FormatError(lineno, f"duplicate edge entry {(o, j, lbl)}")
+            if c is None:
+                raise FormatError(lineno, f"expected a cost, got {cost_text!r}")
+        elif kw == "tag":
+            if len(parts) != 4:
+                raise FormatError(lineno, "expected: tag <i> <constant|BOT> <cost>")
+            _, i_text, g, cost_text = parts
+            try:
+                i, c = int(i_text), float(cost_text)
+            except ValueError:
+                i, c = 0, None
+            if not 1 <= i <= n:
+                i = _int_in(i_text, 1, n, lineno)
+            size = len(tags)
+            tags[i, g] = c
+            if len(tags) == size:
+                raise FormatError(lineno, f"duplicate tag entry {(i, g)}")
+            if c is None:
+                raise FormatError(lineno, f"expected a cost, got {cost_text!r}")
+        elif kw == "sentence":
+            if tags is not None:
+                raise FormatError(lineno, "sentence block opened inside another block")
             if len(parts) != 3:
-                fail(lineno, "expected: sentence <id> <n>")
+                raise FormatError(lineno, "expected: sentence <id> <n>")
             try:
                 n = int(parts[2])
             except ValueError:
-                fail(lineno, "n must be an integer")
-            state = {
-                "sid": parts[1], "n": n, "line": lineno,
-                "forms": [f"w{i}" for i in range(1, n + 1)],
-                "tags": {}, "edges": {},
-            }
-        elif state is None:
-            fail(lineno, f"{kw} line outside a sentence block")
+                raise FormatError(lineno, "n must be an integer") from None
+            sid, start, forms, tags, edges = parts[1], lineno, {}, {}, {}
         elif kw == "form":
             if len(parts) < 3:
-                fail(lineno, "expected: form <i> <string>")
-            i = _int_in(parts[1], 1, state["n"], lineno)
-            state["forms"][i - 1] = line.split(None, 2)[2]
-        elif kw == "tag":
-            if len(parts) != 4:
-                fail(lineno, "expected: tag <i> <constant|BOT> <cost>")
-            i = _int_in(parts[1], 1, state["n"], lineno)
-            key = (i, parts[2])
-            if key in state["tags"]:
-                fail(lineno, f"duplicate tag entry {key}")
-            state["tags"][key] = _cost(parts[3], lineno)
-        elif kw == "edge":
-            if len(parts) != 5:
-                fail(lineno, "expected: edge <o> <j> <label> <cost>")
-            o = _int_in(parts[1], 0, state["n"], lineno)
-            j = _int_in(parts[2], 1, state["n"], lineno)
-            try:
-                lbl = parse_edge_label(parts[3])
-            except ValueError as e:
-                fail(lineno, str(e))
-            key = (o, j, lbl)
-            if key in state["edges"]:
-                fail(lineno, f"duplicate edge entry {key}")
-            state["edges"][key] = _cost(parts[4], lineno)
+                raise FormatError(lineno, "expected: form <i> <string>")
+            i = _int_in(parts[1], 1, n, lineno)
+            if i in forms:
+                raise FormatError(lineno, f"duplicate form entry {i}")
+            forms[i] = line.split("#", 1)[0].split(None, 2)[2].rstrip()
         elif kw == "end":
             try:
-                out.append(SentenceCosts(
-                    n=state["n"], forms=tuple(state["forms"]),
-                    tag_cost=state["tags"], edge_cost=state["edges"],
-                    sid=state["sid"],
-                ))
+                forms = tuple([forms.get(i, f"w{i}") for i in range(1, n + 1)])
+                out.append(SentenceCosts(n, forms, tags, edges, sid=sid))
             except ValueError as e:
-                fail(lineno, str(e))
-            state = None
+                raise FormatError(lineno, str(e)) from e
+            tags = None
         else:
-            fail(lineno, f"unknown directive {kw!r}")
-    if state is not None:
-        raise FormatError(state["line"], "sentence block missing end")
+            raise FormatError(lineno, f"unknown directive {kw!r}")
+    if tags is not None:
+        raise FormatError(start, "sentence block missing end")
     return out
 
 
@@ -292,13 +299,6 @@ def _int_in(text: str, lo: int, hi: int, lineno: int) -> int:
     if not lo <= v <= hi:
         raise FormatError(lineno, f"index {v} out of range {lo}..{hi}")
     return v
-
-
-def _cost(text: str, lineno: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise FormatError(lineno, f"expected a cost, got {text!r}") from None
 
 
 def write_cost_text(sentences: list[SentenceCosts]) -> str:

@@ -109,6 +109,26 @@ def test_parse_throughput_uses_batch_elapsed_time(files, tmp_path):
     assert agg["elapsed_s"] >= agg["total_wall_s"]
 
 
+def test_parse_aggregate_reports_read_time_and_latency_percentiles(files, tmp_path):
+    from amparse.costs import gen_synthetic
+
+    many = tmp_path / "many.costs"
+    sentences = [gen_synthetic(s, 3, demo_lexicon(), sid=f"s{s}") for s in range(6)]
+    many.write_text(ff.write_cost_text(sentences))
+    for costs, count in ((many, 6), (files["costs"], 1)):
+        rep = tmp_path / "rep.json"
+        main(["parse", str(costs), "--lexicon", str(files["lex"]), "--decoder", "astar",
+              "-o", str(tmp_path / "a.trees"), "--report", str(rep)])
+        *recs, agg = [json.loads(l) for l in rep.read_text().splitlines()]
+        assert len(recs) == agg["sentences"] == count
+        assert 0 < agg["read_s"] <= agg["elapsed_s"]
+        walls = sorted(rec["wall_s"] * 1000 for rec in recs)
+        # nearest rank: the ceil(p * count / 100)-th smallest time
+        for key, p in (("latency_p50_ms", 50), ("latency_p95_ms", 95), ("latency_max_ms", 100)):
+            assert agg[key] == round(walls[-(-p * count // 100) - 1], 3)
+        assert agg["latency_p50_ms"] <= agg["latency_p95_ms"] <= agg["latency_max_ms"]
+
+
 def test_evaluate_emits_parseable_graph(files, capsys):
     rc = main(["evaluate", str(files["trees"]), "--lexicon", str(files["lex"])])
     assert rc == 0

@@ -39,6 +39,30 @@ def test_validation_rejects_negative_costs():
         SentenceCosts(1, ("a",), {(1, "writer"): -0.5}, {})
 
 
+# (id, tag_cost, edge_cost, message): the first offender, tags before edges
+VALIDATION_ORDER = [
+    ("tag-index-before-cost", {(1, "a"): 0.0, (3, "b"): INF}, {}, "token index 3 out of range 1..2"),
+    ("tag-cost", {(2, "a"): float("nan"), (0, "b"): 0.0}, {},
+     "costs are nonnegative finite, got nan"),
+    ("tags-before-edges", {(1, "a"): -1.0}, {(0, 3, ROOT): 0.0}, "costs are nonnegative finite, got -1.0"),
+    ("edge-target-before-cost", {}, {(0, 0, ROOT): -1.0}, "token index 0 out of range 1..2"),
+    ("edge-cost-before-origin", {}, {(1, 2, ROOT): -INF}, "costs are nonnegative finite, got -inf"),
+    ("root-origin", {}, {(0, 1, IGNORE): 0.0, (2, 1, ROOT): 0.0}, "ROOT edges originate at 0, got 2"),
+    ("origin-range", {}, {(3, 1, app("s")): 0.0}, "bad edge origin 3 for APP_s into 1"),
+    ("first-edge", {}, {(1, 1, app("s")): 0.0, (0, 1, app("s")): 0.0},
+     "bad edge origin 1 for APP_s into 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "tags,edges,message", [row[1:] for row in VALIDATION_ORDER], ids=[row[0] for row in VALIDATION_ORDER]
+)
+def test_validation_reports_first_offender(tags, edges, message):
+    with pytest.raises(ValueError) as exc:
+        SentenceCosts(2, ("a", "b"), tags, edges)
+    assert str(exc.value) == message
+
+
 def test_top_k_tags_ordering(costs):
     pairs = top_k_tags(costs, 3, None)
     assert pairs[0] == ("want", 0.0)

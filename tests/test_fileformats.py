@@ -6,7 +6,7 @@ from amparse import fileformats as ff
 from amparse.costs import gen_synthetic
 from amparse.graphs import graphs_isomorphic
 from amparse.lexicon import augment_closure
-from amparse.trees import app, mod
+from amparse.trees import IGNORE, ROOT, app, mod
 from amparse.types import parse_type
 
 
@@ -125,3 +125,125 @@ def test_graph_text_rejects_trailing_blocks(expected_graph):
     text = ff.write_graph_text(expected_graph)
     with pytest.raises(ff.FormatError):
         ff.parse_graph_text(text + "\n" + text)
+
+
+# --- cost files: every fault, where it is reported and how -------------------
+
+_HEAD = "sentence s0 2\n"
+
+# (id, text, FormatError.line, str(FormatError))
+COST_FAULTS = [
+    ("sentence-fields", "sentence s0\nend\n", 1, "line 1: expected: sentence <id> <n>"),
+    ("sentence-n", "sentence s0 two\nend\n", 1, "line 1: n must be an integer"),
+    ("sentence-nested", _HEAD + "sentence s1 2\nend\n", 2,
+     "line 2: sentence block opened inside another block"),
+    ("sentence-empty", "sentence s0 0\nend\n", 2, "line 2: a sentence has at least one token"),
+    ("missing-end", "# head\n" + _HEAD + "tag 1 writer 0.5\n", 2,
+     "line 2: sentence block missing end"),
+    ("outside-block", "tag 1 writer 0.5\n", 1, "line 1: tag line outside a sentence block"),
+    ("outside-end", _HEAD + "end\nend\n", 3, "line 3: end line outside a sentence block"),
+    ("outside-unknown", "frobnicate 1\n", 1, "line 1: frobnicate line outside a sentence block"),
+    ("unknown-directive", _HEAD + "frobnicate 1\nend\n", 2, "line 2: unknown directive 'frobnicate'"),
+    ("form-fields", _HEAD + "form 1\nend\n", 2, "line 2: expected: form <i> <string>"),
+    ("form-index-int", _HEAD + "form one The\nend\n", 2, "line 2: expected an integer, got 'one'"),
+    ("form-index-range", _HEAD + "form 3 The\nend\n", 2, "line 2: index 3 out of range 1..2"),
+    ("form-duplicate", _HEAD + "form 1 The\nform 1 A\nend\n", 3,
+     "line 3: duplicate form entry 1"),
+    ("tag-fields", _HEAD + "tag 1 writer\nend\n", 2,
+     "line 2: expected: tag <i> <constant|BOT> <cost>"),
+    ("tag-fields-long", _HEAD + "tag 1 writer 0.5 0.5\nend\n", 2,
+     "line 2: expected: tag <i> <constant|BOT> <cost>"),
+    ("tag-index-int", _HEAD + "tag 1.0 writer 0.5\nend\n", 2, "line 2: expected an integer, got '1.0'"),
+    ("tag-index-range", _HEAD + "tag 0 writer 0.5\nend\n", 2, "line 2: index 0 out of range 1..2"),
+    ("tag-index-before-cost", _HEAD + "tag 9 writer cheap\nend\n", 2,
+     "line 2: index 9 out of range 1..2"),
+    ("tag-cost", _HEAD + "tag 1 writer cheap\nend\n", 2, "line 2: expected a cost, got 'cheap'"),
+    ("tag-duplicate", _HEAD + "tag 1 writer 0.5\ntag 01 writer 0.7\nend\n", 3,
+     "line 3: duplicate tag entry (1, 'writer')"),
+    ("tag-duplicate-bad-cost", _HEAD + "tag 1 writer 0.5\ntag 1 writer cheap\nend\n", 3,
+     "line 3: duplicate tag entry (1, 'writer')"),
+    ("edge-fields", _HEAD + "edge 1 2 APP_s\nend\n", 2,
+     "line 2: expected: edge <o> <j> <label> <cost>"),
+    ("edge-fields-before-index", _HEAD + "edge x 2 APP_s 0.5 0.5\nend\n", 2,
+     "line 2: expected: edge <o> <j> <label> <cost>"),
+    ("edge-origin-int", _HEAD + "edge x 2 APP_s 0.5\nend\n", 2, "line 2: expected an integer, got 'x'"),
+    ("edge-origin-range", _HEAD + "edge 3 y APP_s 0.5\nend\n", 2, "line 2: index 3 out of range 0..2"),
+    ("edge-target-int", _HEAD + "edge 1 y APP_s 0.5\nend\n", 2, "line 2: expected an integer, got 'y'"),
+    ("edge-target-range", _HEAD + "edge 1 0 APP_s 0.5\nend\n", 2, "line 2: index 0 out of range 1..2"),
+    ("edge-label", _HEAD + "edge 1 2 ARG0 0.5\nend\n", 2, "line 2: bad edge label 'ARG0'"),
+    ("edge-label-case", _HEAD + "edge 0 2 root 0.5\nend\n", 2, "line 2: bad edge label 'root'"),
+    ("edge-app-no-source", _HEAD + "edge 1 2 APP_ 0.5\nend\n", 2,
+     "line 2: app label needs a source name"),
+    ("edge-mod-no-source", _HEAD + "edge 1 2 MOD_ 0.5\nend\n", 2,
+     "line 2: mod label needs a source name"),
+    ("edge-label-before-cost", _HEAD + "edge 1 2 APP_ cheap\nend\n", 2,
+     "line 2: app label needs a source name"),
+    ("edge-cost", _HEAD + "edge 1 2 APP_s cheap\nend\n", 2, "line 2: expected a cost, got 'cheap'"),
+    ("edge-duplicate", _HEAD + "edge 1 2 APP_s 0.5\nedge 1 2 APP_s 0.7\nend\n", 3,
+     "line 3: duplicate edge entry (1, 2, EdgeLabel('APP_s'))"),
+    ("edge-duplicate-bad-cost", _HEAD + "edge 0 2 ROOT 0.5\nedge 0 2 ROOT cheap\nend\n", 3,
+     "line 3: duplicate edge entry (0, 2, EdgeLabel('ROOT'))"),
+    # checks made when the block closes, reported at its `end` line
+    ("tag-cost-negative", _HEAD + "tag 1 writer -0.5\nend\n", 3,
+     "line 3: costs are nonnegative finite, got -0.5"),
+    ("tag-cost-nan", _HEAD + "tag 1 writer nan\nend\n", 3, "line 3: costs are nonnegative finite, got nan"),
+    ("edge-cost-inf", _HEAD + "edge 1 2 APP_s inf\nend\n", 3,
+     "line 3: costs are nonnegative finite, got inf"),
+    ("edge-cost-overflow", _HEAD + "edge 1 2 APP_s 1e999\nend\n", 3,
+     "line 3: costs are nonnegative finite, got inf"),
+    ("root-origin", _HEAD + "edge 1 2 ROOT 0.5\nend\n", 3, "line 3: ROOT edges originate at 0, got 1"),
+    ("ignore-origin", _HEAD + "edge 2 1 IGNORE 0.5\nend\n", 3,
+     "line 3: IGNORE edges originate at 0, got 2"),
+    ("app-from-root", _HEAD + "edge 0 1 APP_s 0.5\nend\n", 3, "line 3: bad edge origin 0 for APP_s into 1"),
+    ("self-edge", _HEAD + "edge 2 2 MOD_m 0.5\nend\n", 3, "line 3: bad edge origin 2 for MOD_m into 2"),
+    ("cost-before-origin", _HEAD + "edge 1 2 ROOT -1\nend\n", 3,
+     "line 3: costs are nonnegative finite, got -1.0"),
+    ("tags-before-edges", _HEAD + "edge 1 2 ROOT 0.5\ntag 2 BOT -1\nend\n", 4,
+     "line 4: costs are nonnegative finite, got -1.0"),
+    ("first-edge-reported", _HEAD + "edge 2 1 APP_s inf\nedge 1 2 ROOT 0.5\nend\n", 4,
+     "line 4: costs are nonnegative finite, got inf"),
+    ("second-block", _HEAD + "end\n" + _HEAD + "tag 2 BOT 1\nedge 1 1 APP_s 0\nend\n", 6,
+     "line 6: bad edge origin 1 for APP_s into 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,line,message", [row[1:] for row in COST_FAULTS], ids=[row[0] for row in COST_FAULTS]
+)
+def test_cost_fault_table(text, line, message):
+    with pytest.raises(ff.FormatError) as exc:
+        ff.parse_cost_text(text)
+    assert exc.value.line == line
+    assert str(exc.value) == message
+
+
+# (id, text, expected sentences as (sid, n, forms, tag_cost, edge_cost))
+COST_ACCEPTED = [
+    ("crlf", "sentence s0 2\r\nform 1 The\r\ntag 1 writer 0.5\r\nedge 0 1 ROOT 1\r\nend\r\n",
+     [("s0", 2, ("The", "w2"), {(1, "writer"): 0.5}, {(0, 1, ROOT): 1.0})]),
+    ("tabs", "sentence\ts0\t2\nform\t2\tsoundly\ntag\t2\tBOT\t0\nedge\t1\t2\tMOD_m\t0.25\nend\n",
+     [("s0", 2, ("w1", "soundly"), {(2, "BOT"): 0.0}, {(1, 2, mod("m")): 0.25})]),
+    ("comments", "# header\nsentence s0 1 # one token\n  tag 1 sleep 2.5#cheap\n\nend # done\n",
+     [("s0", 1, ("w1",), {(1, "sleep"): 2.5}, {})]),
+    ("form-inner-spaces", "sentence s0 2\n  form 1  New  York \t\nform 2 a\tb\nend\n",
+     [("s0", 2, ("New  York", "a\tb"), {}, {})]),
+    ("order-and-zero", _HEAD + "edge 2 1 APP_o 0\nedge 0 2 IGNORE -0.0\nedge 1 2 APP_s 1e-3\n"
+     "tag 2 want 3\ntag 1 want 1\nend\nsentence s1 1\nend\n",
+     [("s0", 2, ("w1", "w2"), {(2, "want"): 3.0, (1, "want"): 1.0},
+       {(2, 1, app("o")): 0.0, (0, 2, IGNORE): -0.0, (1, 2, app("s")): 0.001}),
+      ("s1", 1, ("w1",), {}, {})]),
+]
+
+
+@pytest.mark.parametrize(
+    "text,expected", [row[1:] for row in COST_ACCEPTED], ids=[row[0] for row in COST_ACCEPTED]
+)
+def test_cost_accepted_table(text, expected):
+    got = ff.parse_cost_text(text)
+    assert [
+        (c.sid, c.n, c.forms, c.tag_cost, list(c.tag_cost), c.edge_cost, list(c.edge_cost))
+        for c in got
+    ] == [(sid, n, forms, tags, list(tags), edges, list(edges))
+          for sid, n, forms, tags, edges in expected]
+    for c in got:
+        assert all(type(v) is float for v in (*c.tag_cost.values(), *c.edge_cost.values()))
