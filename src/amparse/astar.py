@@ -210,9 +210,9 @@ def astar_parse(
             push(GOAL_SIG, cost + root_cost, root_cost, ("goal", sig))
         one = (sig,)  # the popped item's side of the Skip and Arc calls
         if i >= 2:
-            rules.skip(costs, settled, one, i - 1, push, stepwise=True)
+            rules.skip(costs, settled, one, i - 1, push)
         if k <= n:
-            rules.skip(costs, settled, one, k, push, stepwise=True)
+            rules.skip(costs, settled, one, k, push)
         rules.arcs(costs, table, settled, by_right.get(i, ()), one, push)
         rules.arcs(costs, table, settled, one, by_left.get(k, ()), push)
 

@@ -6,13 +6,14 @@ node.  A source marking names an open argument slot; its request annotation
 (a Type) says what the filler must still have open.  Combining is by node
 merging: apply plugs the argument's root into the head's slot, modify plugs
 the head's root into the modifier's slot.  Same-named sources of the two
-operands always merge, which is what creates reentrancies.
+operands always merge, except the consumed slot, which fuses only with the
+other root; that merging is what creates reentrancies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from .types import EMPTY_TYPE, Type, parse_type, request
 
@@ -77,21 +78,6 @@ class AsGraph:
                     stack.append(m)
         return len(seen) == len(self.nodes)
 
-    def node(self, node_id: str) -> GraphNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
-    def source_node(self, name: str) -> GraphNode:
-        for n in self.nodes:
-            if n.source == name:
-                return n
-        raise KeyError(f"no source named {name!r}")
-
-    def source_names(self) -> frozenset[str]:
-        return frozenset(n.source for n in self.nodes if n.source is not None)
-
 
 def make_graph(
     nodes: Iterable[tuple], edges: Iterable[tuple[str, str, str]], root: str
@@ -153,95 +139,86 @@ def graph_type(g: AsGraph) -> Type:
 # --- combination -----------------------------------------------------------
 
 
-class _Merge:
-    """Union-find over the disjoint node sets of two operand graphs."""
+def combine(graphs: Sequence[AsGraph], steps: Sequence[tuple[str, int, str, int]]) -> AsGraph:
+    """Run apply and modify steps over graphs in one merge pass.
 
-    def __init__(self) -> None:
-        self.parent: dict[tuple[int, str], tuple[int, str]] = {}
-
-    def add(self, key: tuple[int, str]) -> None:
-        self.parent.setdefault(key, key)
-
-    def find(self, key: tuple[int, str]) -> tuple[int, str]:
-        while self.parent[key] != key:
-            self.parent[key] = self.parent[self.parent[key]]
-            key = self.parent[key]
-        return key
-
-    def union(self, a: tuple[int, str], b: tuple[int, str]) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _rebuild(
-    head: AsGraph,
-    arg: AsGraph,
-    merge: _Merge,
-    drop_source: tuple[int, str],
-    root_key: tuple[int, str],
-) -> AsGraph:
-    """Collapse merge classes into a fresh graph; drop_source names the
-    (graph, source_name) marking consumed by the operation."""
-    order: list[tuple[int, str]] = []
-    seen = set()
-    for tag, g in ((0, head), (1, arg)):
+    Each step (kind, head, source, arg) combines the fragments grown from
+    graphs[head] and graphs[arg]: "app" plugs arg's root into head's source
+    slot, "mod" plugs head's root into arg's source slot, and the root stays
+    head's.  A step comes after every step whose head is its arg.  The
+    consumed slot fuses only with the other root; every other same-named
+    source of the two fragments fuses.  The result is graphs[0]'s fragment,
+    built once at the end with node ids n0, n1, ... in order of first
+    appearance in graphs; with no steps it is graphs[0] itself.  Raises
+    GraphError on a missing slot, or when fused nodes disagree on a label
+    or same-named sources on a request.  A fused node never holds two open
+    sources: the consumed slot's marking goes before it fuses, and every
+    other fusion pairs one name.
+    """
+    if not steps:
+        return graphs[0]
+    parent: list[int] = []  # union-find over every input node, numbered in order
+    label: list[Optional[str]] = []  # a class's label, kept at its representative
+    roots: list[int] = []
+    sources: list[dict[str, tuple[int, Type]]] = []  # per fragment: open name -> (node, request)
+    edges: list[tuple[int, str, int]] = []
+    for g in graphs:
+        index = {}
         for n in g.nodes:
-            rep = merge.find((tag, n.id))
-            if rep not in seen:
-                seen.add(rep)
-                order.append(rep)
-    rename = {rep: f"n{i}" for i, rep in enumerate(order)}
+            index[n.id] = len(parent)
+            parent.append(len(parent))
+            label.append(n.label)
+        roots.append(index[g.root])
+        sources.append({
+            n.source: (index[n.id], n.request if n.request is not None else EMPTY_TYPE)
+            for n in g.nodes if n.source is not None
+        })
+        edges += [(index[a], lbl, index[b]) for a, lbl, b in g.edges]
 
-    members: dict[tuple[int, str], list[tuple[int, GraphNode]]] = {rep: [] for rep in order}
-    for tag, g in ((0, head), (1, arg)):
-        for n in g.nodes:
-            members[merge.find((tag, n.id))].append((tag, n))
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    new_nodes = []
-    for rep in order:
-        labels = {n.label for _, n in members[rep] if n.label is not None}
-        if len(labels) > 1:
-            raise GraphError(f"label conflict on merged node: {sorted(labels)}")
-        marks = {}
-        for tag, n in members[rep]:
-            if n.source is not None and (tag, n.source) != drop_source:
-                req = n.request if n.request is not None else EMPTY_TYPE
-                if n.source in marks and marks[n.source] != req:
-                    raise GraphError(
-                        f"conflicting requests for source {n.source!r} on merge"
-                    )
-                marks[n.source] = req
-        if len(marks) > 1:
-            raise GraphError(f"conflicting source markings on merged node: {sorted(marks)}")
-        source = next(iter(marks), None)
-        new_nodes.append(
-            GraphNode(
-                rename[rep],
-                label=next(iter(labels), None),
-                source=source,
-                request=marks[source] if source is not None else None,
-            )
-        )
+    def union(a: int, b: int) -> None:
+        a, b = find(a), find(b)
+        if a != b:
+            if None not in (label[a], label[b]) and label[a] != label[b]:
+                raise GraphError(f"label conflict on merged node: {sorted((label[a], label[b]))}")
+            parent[a] = b
+            if label[b] is None:
+                label[b] = label[a]
 
-    new_edges = set()
-    for tag, g in ((0, head), (1, arg)):
-        for a, lbl, b in g.edges:
-            new_edges.add((rename[merge.find((tag, a))], lbl, rename[merge.find((tag, b))]))
+    for kind, h, source, a in steps:
+        head, arg = sources[h], sources[a]
+        try:
+            slot, _ = (head if kind == "app" else arg).pop(source)
+        except KeyError:
+            raise GraphError(f"no source named {source!r}") from None
+        union(slot, roots[a] if kind == "app" else roots[h])
+        for name, (node, req) in arg.items():
+            if name not in head:
+                head[name] = (node, req)
+            elif head[name][1] != req:
+                raise GraphError(f"conflicting requests for source {name!r} on merge")
+            else:
+                union(node, head[name][0])
 
-    return AsGraph(tuple(new_nodes), frozenset(new_edges), rename[merge.find(root_key)])
-
-
-def _seed_merge(head: AsGraph, arg: AsGraph) -> _Merge:
-    merge = _Merge()
-    for n in head.nodes:
-        merge.add((0, n.id))
-    for n in arg.nodes:
-        merge.add((1, n.id))
-    shared = head.source_names() & arg.source_names()
-    for name in shared:
-        merge.union((0, head.source_node(name).id), (1, arg.source_node(name).id))
-    return merge
+    marks = {find(node): (name, req) for name, (node, req) in sources[0].items()}
+    ids: dict[int, str] = {}
+    nodes = []
+    for x in range(len(parent)):
+        r = find(x)
+        if r not in ids:
+            ids[r] = f"n{len(ids)}"
+            name, req = marks.get(r, (None, None))
+            nodes.append(GraphNode(ids[r], label[r], name, req))
+    return AsGraph(
+        tuple(nodes),
+        frozenset((ids[find(a)], lbl, ids[find(b)]) for a, lbl, b in edges),
+        ids[find(roots[0])],
+    )
 
 
 def graph_apply(head: AsGraph, source: str, arg: AsGraph) -> AsGraph:
@@ -251,24 +228,12 @@ def graph_apply(head: AsGraph, source: str, arg: AsGraph) -> AsGraph:
     label); this raises GraphError when the slot is missing or the merge is
     inconsistent.
     """
-    try:
-        slot = head.source_node(source)
-    except KeyError as exc:
-        raise GraphError(str(exc)) from exc
-    merge = _seed_merge(head, arg)
-    merge.union((1, arg.root), (0, slot.id))
-    return _rebuild(head, arg, merge, drop_source=(0, source), root_key=(0, head.root))
+    return combine((head, arg), [("app", 0, source, 1)])
 
 
 def graph_modify(head: AsGraph, source: str, mod: AsGraph) -> AsGraph:
     """Plug head's root into mod's source slot; the root stays head's."""
-    try:
-        slot = mod.source_node(source)
-    except KeyError as exc:
-        raise GraphError(str(exc)) from exc
-    merge = _seed_merge(head, mod)
-    merge.union((0, head.root), (1, slot.id))
-    return _rebuild(head, mod, merge, drop_source=(1, source), root_key=(0, head.root))
+    return combine((head, mod), [("mod", 0, source, 1)])
 
 
 # --- isomorphism -----------------------------------------------------------

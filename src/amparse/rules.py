@@ -56,19 +56,14 @@ def skip_cost(costs: SentenceCosts, j: int) -> float:
 
 
 def skip(costs: SentenceCosts, items: Mapping[Sig, ParseItem], sigs: Sequence[Sig],
-         j: int, emit: Emit, stepwise: bool = False) -> None:
-    """Skip: extend each item of sigs over the adjacent token j.
-
-    The consequence costs the item plus skip_cost(costs, j), or with
-    stepwise, plus the BOT tag and then the ignore edge: the last bit can
-    differ, and decode_golden.txt pins the chart's sum and A*'s steps.
-    """
-    tag, ignore = costs.tag(j, BOTTOM), costs.edge(0, j, IGNORE)
-    delta = tag + ignore
+         j: int, emit: Emit) -> None:
+    """Skip: extend each item of sigs over the adjacent token j, at the
+    item's cost plus skip_cost(costs, j)."""
+    delta = skip_cost(costs, j)
     for sig in sigs:
         i, k, head, typ = sig
-        cost = items[sig].cost + tag + ignore if stepwise else items[sig].cost + delta
-        emit((j, k, head, typ) if j < i else (i, j + 1, head, typ), cost, delta, ("skip", sig))
+        emit((j, k, head, typ) if j < i else (i, j + 1, head, typ), items[sig].cost + delta,
+             delta, ("skip", sig))
 
 
 def arcs(costs: SentenceCosts, table: TypeTable, items: Mapping[Sig, ParseItem],

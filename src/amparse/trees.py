@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphs import AsGraph, graph_apply, graph_modify, graph_type
+from .graphs import AsGraph, combine, graph_type
+from .graphs import graph_apply, graph_modify  # noqa: F401  (unused; perfbench/spans.py wraps them)
 from .types import EMPTY_TYPE, Type, request, type_combine
 
 BOTTOM = "BOT"
@@ -123,15 +124,19 @@ class AmDepTree:
         for i, e in enumerate(self.entries, start=1):
             if e.head != 0 and self.entries[e.head - 1].label == IGNORE:
                 raise TreeError(f"token {i}: head {e.head} is an ignored token")
-        # acyclicity: walking heads from any token must reach 0
+        # acyclicity: walk heads from each token in turn, up to 0 or a token
+        # already known to reach it; meeting the current walk is a cycle
+        state = [0] * (n + 1)  # 0 unseen, 1 on the current walk, 2 reaches 0
         for i in range(1, n + 1):
-            seen = set()
-            j = i
-            while j != 0:
-                if j in seen:
-                    raise TreeError(f"head cycle through token {i}")
-                seen.add(j)
+            walk, j = [], i
+            while j != 0 and state[j] == 0:
+                state[j] = 1
+                walk.append(j)
                 j = self.entries[j - 1].head
+            if j != 0 and state[j] == 1:
+                raise TreeError(f"head cycle through token {i}")
+            for j in walk:
+                state[j] = 2
 
     @property
     def n(self) -> int:
@@ -259,14 +264,21 @@ def evaluate_tree(t: AmDepTree, lexicon) -> AsGraph:
         token, why = report.failure
         raise TreeError(f"tree is not well-typed at token {token}: {why}")
 
-    built: dict[int, AsGraph] = {}
-    for i, plan in plans.items():  # children before their head
-        g = lexicon.constants[t.token(i).constant]
-        for c in plan.mod_children:
-            g = graph_modify(g, t.token(c).label.source, built.pop(c))
-        for c in plan.app_children:
-            g = graph_apply(g, t.token(c).label.source, built.pop(c))
-        built[i] = g
-    result = built[t.root_token()]
+    # fragments in pre-order, each token before its children's subtrees in
+    # plan order, which numbers nodes as nested apply/modify calls would
+    index: dict[int, int] = {}
+    graphs = []
+    todo = [t.root_token()]
+    while todo:
+        i = todo.pop()
+        index[i] = len(graphs)
+        graphs.append(lexicon.constants[t.token(i).constant])
+        todo.extend(reversed(plans[i].mod_children + plans[i].app_children))
+    steps = [
+        (t.token(c).label.kind, index[i], t.token(c).label.source, index[c])
+        for i, plan in plans.items()  # children before their head
+        for c in plan.mod_children + plan.app_children
+    ]
+    result = combine(graphs, steps)
     assert graph_type(result) == EMPTY_TYPE
     return result

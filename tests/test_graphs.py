@@ -69,6 +69,24 @@ def test_modify_keeps_head_root(lex):
     assert any(lbl == "manner" for _, lbl, _ in out.edges)
 
 
+def test_modify_leaves_the_heads_own_slot_open(lex):
+    # the head keeps m on a non-root node: soundly's m slot fuses with the
+    # head's root only, and the head's m slot stays a separate open source
+    head = make_graph(
+        [("v0", "sleep"), ("v1", None, "s"), ("v2", None, "m")],
+        [("v0", "ARG0", "v1"), ("v0", "time", "v2")],
+        root="v0",
+    )
+    out = graph_modify(head, "m", lex.constants["soundly"])
+    expected = make_graph(
+        [("a", "sleep"), ("b", None, "s"), ("c", None, "m"), ("d", "sound")],
+        [("a", "ARG0", "b"), ("a", "time", "c"), ("a", "manner", "d")],
+        root="a",
+    )
+    assert graphs_isomorphic(out, expected)
+    assert graph_type(out) == graph_type(head)
+
+
 def test_isomorphism_ignores_node_ids(expected_graph):
     renamed = make_graph(
         [("x0", "want"), ("x1", "writer"), ("x2", "sleep"), ("x3", "sound")],

@@ -5,7 +5,10 @@ import sys
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amparse.lexicon import augment_closure
 from amparse.oracles import (
     complete_config,
     complete_step,
@@ -29,6 +32,8 @@ from amparse.trees import (
     evaluate_tree,
     mod,
 )
+
+from test_lexicon import small_lexicons
 
 
 GOLD_LTF = [
@@ -168,6 +173,20 @@ def test_fuzz_episodes_reach_well_typed_goals(closed_lex, system):
         assert ep.goal
         assert ep.tree is not None
         assert check_well_typed(ep.tree, closed_lex).ok
+
+
+@given(small_lexicons().map(augment_closure), st.integers(1, 6), st.integers(0, 12),
+       st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_goals_round_trip_through_both_oracles(lx, n, steps, seed):
+    """On random closed lexicons, fuzzing never dead-ends, and each oracle
+    rebuilds the goal tree exactly."""
+    for system in ("ltf", "ltl"):
+        ep = fuzz_episode(seed, system, lx, n=n, steps=steps)
+        assert ep.goal
+        for oracle in ("ltf", "ltl"):
+            final = replay(ep.tree, oracle_sequence(ep.tree, lx, oracle), lx, oracle)
+            assert config_to_tree(final) == ep.tree
 
 
 def test_fuzz_steps_zero_is_pure_completion(closed_lex):

@@ -1,8 +1,17 @@
 """Tree validation, well-typedness folding, and graph evaluation."""
 
-import pytest
+import random
+import time
 
-from amparse.graphs import graphs_isomorphic
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from amparse.chart import chart_parse
+from amparse.costs import gen_synthetic
+from amparse.graphs import graph_type, graphs_isomorphic, make_graph
+from amparse.lexicon import augment_closure
+from amparse.transitions import config_to_tree, is_goal, random_walk
 from amparse.trees import (
     BOTTOM,
     IGNORE,
@@ -17,6 +26,10 @@ from amparse.trees import (
     parse_edge_label,
 )
 from amparse.types import EMPTY_TYPE, parse_type
+
+from test_lexicon import small_lexicons
+
+closed_lexicons = small_lexicons().map(augment_closure)
 
 
 def entry(form, constant, head, label):
@@ -61,6 +74,17 @@ def test_tree_rejects_head_cycle():
             entry("a", "writer", 2, app("s")),
             entry("b", "writer", 1, app("s")),
             entry("c", "writer", 0, ROOT),
+        ))
+
+
+def test_tree_cycle_names_first_token_that_reaches_it():
+    # token 1 reaches the 3 <-> 4 cycle without being on it
+    with pytest.raises(TreeError, match="head cycle through token 1$"):
+        AmDepTree((
+            entry("a", "writer", 3, app("s")),
+            entry("b", "writer", 0, ROOT),
+            entry("c", "writer", 4, app("s")),
+            entry("d", "writer", 3, app("s")),
         ))
 
 
@@ -141,3 +165,53 @@ def test_mod_source_missing_in_modifier_fails(lex):
     report = check_well_typed(t, lex)
     assert not report.ok
     assert report.failure[0] == 1
+
+
+def test_mod_on_head_that_keeps_the_source_evaluates(closed_lex):
+    # _synth_1 is [m, s]: soundly's m slot fuses with _synth_1's root only,
+    # and _synth_1's own m slot stays open for the second writer
+    t = AmDepTree((
+        entry("w1", "writer", 2, app("s")),
+        entry("w2", "_synth_1", 0, ROOT),
+        entry("w3", "soundly", 2, mod("m")),
+        entry("w4", "writer", 2, app("m")),
+    ))
+    assert check_well_typed(t, closed_lex).ok
+    expected = make_graph(
+        [("r", "_synth"), ("m", "writer"), ("s", "writer"), ("x", "sound")],
+        [("r", "op1", "m"), ("r", "op2", "s"), ("r", "manner", "x")],
+        root="r",
+    )
+    assert graphs_isomorphic(evaluate_tree(t, closed_lex), expected)
+
+
+def test_long_mod_chain_is_linear(closed_lex):
+    """writer as ROOT, then 4,999 soundly tokens, each MOD_m of the one
+    before: construction, typing and evaluation take a fraction of a second."""
+    n = 5000
+    start = time.perf_counter()
+    t = AmDepTree((entry("w1", "writer", 0, ROOT),) + tuple(
+        entry(f"w{k}", "soundly", k - 1, mod("m")) for k in range(2, n + 1)
+    ))
+    assert check_well_typed(t, closed_lex).ok
+    g = evaluate_tree(t, closed_lex)
+    assert len(g.nodes) == n and len(g.edges) == n - 1
+    assert time.perf_counter() - start < 5.0
+
+
+@given(closed_lexicons, st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_well_typed_trees_evaluate(lx, n, seed):
+    """Chart optima and ltf/ltl random-walk goals that type-check evaluate to
+    a graph of empty type."""
+    trees = []
+    res = chart_parse(gen_synthetic(seed, n, lx), lx)
+    if res.ok:
+        trees.append(res.tree)
+    for system in ("ltf", "ltl"):
+        cfg, _ = random_walk(lx, system, n, random.Random(seed))
+        if is_goal(cfg):
+            trees.append(config_to_tree(cfg))
+    for t in trees:
+        if check_well_typed(t, lx).ok:
+            assert graph_type(evaluate_tree(t, lx)) == EMPTY_TYPE
