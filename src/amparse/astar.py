@@ -42,7 +42,7 @@ from . import rules
 from .costs import SentenceCosts, top_k_tags
 from .lexicon import Lexicon
 from .rules import GOAL_SIG, INF, ParseItem, Sig
-from .trees import BOTTOM, ROOT, AmDepTree
+from .trees import BOTTOM, AmDepTree
 from .types import type_combine  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
 HEURISTICS = ("trivial", "supertag", "edge", "ignore-aware")
@@ -99,17 +99,22 @@ def build_heuristic(kind: str, costs: SentenceCosts, lexicon: Lexicon) -> Heuris
     if kind == "supertag":
         return HeuristicTables(kind, tuple(best_tag_any[1:]), zero)
 
+    # Edge keys are (label id * m + origin) * m + target (see amparse.costs):
+    # the target is key % m, ROOT edges are keyed by their target alone, and
+    # apply/modify labels, ids from 2 on, hold the keys from 2 * m * m on.
+    m = n + 1
+    first_arc = 2 * m * m
     best_in_any = [INF] * (n + 1)    # any origin, any label
     best_in_attach = [INF] * (n + 1)  # apply/modify edges only
-    for (o, j, lbl), c in costs.edge_cost.items():
+    for key, c in costs.edge_table.items():
+        j = key % m
         if c < best_in_any[j]:
             best_in_any[j] = c
-        if lbl.kind in ("app", "mod") and c < best_in_attach[j]:
+        if key >= first_arc and c < best_in_attach[j]:
             best_in_attach[j] = c
 
-    floor = tuple(
-        min(best_in_attach[j], costs.edge(0, j, ROOT)) for j in range(1, n + 1)
-    )
+    root = costs.edge_table.get
+    floor = tuple(min(best_in_attach[j], root(j, INF)) for j in range(1, n + 1))
     if kind == "edge":
         per = tuple(best_tag_any[j] + best_in_any[j] for j in range(1, n + 1))
     else:
@@ -117,7 +122,7 @@ def build_heuristic(kind: str, costs: SentenceCosts, lexicon: Lexicon) -> Heuris
             min(
                 rules.skip_cost(costs, j),
                 best_tag_real[j] + best_in_attach[j],
-                best_tag_real[j] + costs.edge(0, j, ROOT),
+                best_tag_real[j] + root(j, INF),
             )
             for j in range(1, n + 1)
         )

@@ -25,7 +25,7 @@ from .costs import INF, CostParams, SentenceCosts, gen_synthetic
 from .lexicon import Lexicon, augment_closure, validate_closure
 from .oracles import complete_config, fuzz_episode, oracle_sequence
 from .transitions import SYSTEMS, config_to_tree, decode, is_goal, random_walk, render_trace
-from .trees import BOTTOM, check_well_typed, evaluate_tree
+from .trees import BOTTOM, LABELS, check_well_typed, evaluate_tree
 
 EXIT_OK, EXIT_INPUT, EXIT_NOPARSE, EXIT_LIMIT = 0, 1, 2, 3
 
@@ -60,17 +60,22 @@ def _load_lexicon(path: str) -> Lexicon:
 
 
 def _validate_costs(sentences: list[SentenceCosts], lexicon: Lexicon) -> None:
+    # Each interned app/mod label (ids from 2 on) is checked once; edge keys
+    # are scanned only when some label is foreign to the lexicon.
+    foreign = {lid for lid in range(2, len(LABELS)) if LABELS[lid] not in lexicon.labels}
     for c in sentences:
         for i, g in c.tag_cost:
             if g != BOTTOM and g not in lexicon.constants:
                 raise ValueError(
                     f"sentence {c.sid}: tag for unknown constant {g!r}"
                 )
-        for _, _, lbl in c.edge_cost:
-            if lbl.kind in ("app", "mod") and lbl not in lexicon.labels:
-                raise ValueError(
-                    f"sentence {c.sid}: edge label {lbl} not in the lexicon"
-                )
+        if foreign:
+            mm = (c.n + 1) ** 2  # an edge key's label id is key // mm
+            for key in c.edge_table:
+                if key // mm in foreign:
+                    raise ValueError(
+                        f"sentence {c.sid}: edge label {LABELS[key // mm]} not in the lexicon"
+                    )
 
 
 def _nearest_rank_ms(walls: list[float], p: int) -> Optional[float]:

@@ -5,47 +5,140 @@ Every decoder minimizes the same additive objective: a tag cost per token
 and IGNORE edges originate at the virtual token 0).  Costs are nonnegative
 finite floats; missing entries are treated as +inf, which is how sparse
 cost tables prune the search space.
+
+Tag costs are a plain dict, tag_cost[(token, constant)].  Edge costs are
+stored as one insertion-ordered dict[int, float] per sentence, edge_table,
+keyed (label id * m + origin) * m + target with m = n + 1 and the label's
+process-wide id from amparse.trees.label_id (ROOT 0, IGNORE 1, app and mod
+labels from 2 on).  Int keys are not tracked by the garbage collector and
+hash without a method call; the cost reader writes them directly, and the
+rule kernel and the A* estimates compute them inline.  The constructor
+takes an {(origin, target, EdgeLabel): cost} dict, and edge_cost is a
+read-only Mapping view of the table with those keys, in insertion order.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .lexicon import Lexicon
-from .trees import AmDepTree, BOTTOM, EdgeLabel, IGNORE, ROOT
+from .trees import LABEL_IDS, LABELS, AmDepTree, BOTTOM, EdgeLabel, IGNORE, ROOT, label_id
 
 INF = math.inf
 
 
+def _table_key(n: int, origin: int, target: int, label: EdgeLabel) -> Optional[int]:
+    """The edge_table key of an edge; None, which no table holds, if the
+    label was never interned or an end is out of range."""
+    lid = LABEL_IDS.get(label)
+    if lid is None or not (0 <= origin <= n and 1 <= target <= n):
+        return None
+    m = n + 1
+    return (lid * m + origin) * m + target
+
+
+class EdgeCostView(Mapping):
+    """Read-only {(origin, target, EdgeLabel): cost} view of an edge table."""
+
+    __slots__ = ("_table", "_n")
+
+    def __init__(self, table: dict[int, float], n: int):
+        self._table, self._n = table, n
+
+    def __getitem__(self, key):
+        try:
+            o, j, label = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        c = self._table.get(_table_key(self._n, o, j, label))
+        if c is None:
+            raise KeyError(key)
+        return c
+
+    def __iter__(self):
+        m = self._n + 1
+        mm = m * m
+        for key in self._table:
+            yield key // m % m, key % m, LABELS[key // mm]
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def items(self):
+        return _EdgeItems(self)
+
+    def values(self):
+        return self._table.values()
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _EdgeItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._table.values())
+
+
 @dataclass
 class SentenceCosts:
+    """One sentence's tag and edge costs; the module docstring gives the
+    edge_table layout.  Construction validates every entry."""
+
     n: int
     forms: tuple[str, ...]
     tag_cost: dict[tuple[int, str], float] = field(default_factory=dict)
-    edge_cost: dict[tuple[int, int, EdgeLabel], float] = field(default_factory=dict)
+    edge_cost: Mapping[tuple[int, int, EdgeLabel], float] = field(default_factory=dict)
     sid: str = "0"
+    edge_table: dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("a sentence has at least one token")
-        if len(self.forms) != self.n:
-            raise ValueError("one form per token")
         n = self.n
-        # Inline tests; _check runs only to raise for the first offender.
+        m = n + 1
+        self.edge_table = table = {}
+        for (o, j, label), c in self.edge_cost.items():
+            if not (0 <= o <= n and 1 <= j <= n):
+                # No key holds this edge: report it unless an earlier entry
+                # (tags first) is at fault.
+                self._validate()
+                self._edge_fault(o, j, label, c)
+            table[(label_id(label) * m + o) * m + j] = c
+        self._validate()
+        self.edge_cost = EdgeCostView(table, n)
+
+    @classmethod
+    def from_table(cls, n: int, forms: tuple[str, ...], tag_cost: dict,
+                   edge_table: dict[int, float], sid: str = "0") -> SentenceCosts:
+        """Costs over an edge table already keyed as edge_table is, each key's
+        target in 1..n and origin in 0..n; validated as the constructor does."""
+        self = cls.__new__(cls)
+        self.n, self.forms, self.tag_cost, self.edge_table, self.sid = (
+            n, forms, tag_cost, edge_table, sid)
+        self._validate()
+        self.edge_cost = EdgeCostView(edge_table, n)
+        return self
+
+    def _validate(self) -> None:
+        """Raise ValueError for the first offender, tags before edges."""
+        n = self.n
+        if n < 1:
+            raise ValueError("a sentence has at least one token")
+        if len(self.forms) != n:
+            raise ValueError("one form per token")
+        # Inline tests; _check and _edge_fault run only to raise for the
+        # first offender.
         for (i, g), c in self.tag_cost.items():
             if not (1 <= i <= n and 0 <= c < INF):
                 self._check(i, c)
-        for (o, j, label), c in self.edge_cost.items():
-            if not (1 <= j <= n and 0 <= c < INF):
-                self._check(j, c)
-            if label.kind in ("root", "ignore"):
-                if o != 0:
-                    raise ValueError(f"{label} edges originate at 0, got {o}")
-            elif not 1 <= o <= n or o == j:
-                raise ValueError(f"bad edge origin {o} for {label} into {j}")
+        m = n + 1
+        first_arc = 2 * m * m  # keys of app and mod labels start here
+        for key, c in self.edge_table.items():
+            o = key // m % m
+            if not (0 <= c < INF and (o != 0 and o != key % m if key >= first_arc else o == 0)):
+                self._edge_fault(o, key % m, LABELS[key // (m * m)], c)
 
     def _check(self, i: int, c: float) -> None:
         if not 1 <= i <= self.n:
@@ -53,11 +146,19 @@ class SentenceCosts:
         if not 0 <= c < INF:
             raise ValueError(f"costs are nonnegative finite, got {c}")
 
+    def _edge_fault(self, o: int, j: int, label: EdgeLabel, c: float) -> NoReturn:
+        """Raise for an edge known to be at fault: target, then cost, then origin."""
+        self._check(j, c)
+        if label.kind in ("root", "ignore"):
+            raise ValueError(f"{label} edges originate at 0, got {o}")
+        raise ValueError(f"bad edge origin {o} for {label} into {j}")
+
     def tag(self, i: int, constant: str) -> float:
         return self.tag_cost.get((i, constant), INF)
 
     def edge(self, origin: int, target: int, label: EdgeLabel) -> float:
-        return self.edge_cost.get((origin, target, label), INF)
+        """The edge's cost; INF if unpriced, also for a never-interned label."""
+        return self.edge_table.get(_table_key(self.n, origin, target, label), INF)
 
 
 def tree_cost(t: AmDepTree, c: SentenceCosts) -> float:

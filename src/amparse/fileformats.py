@@ -44,7 +44,7 @@ from typing import Optional, Union
 from .costs import SentenceCosts
 from .graphs import AsGraph, GraphError, GraphNode
 from .lexicon import Lexicon
-from .trees import AmDepTree, EdgeLabel, TreeEntry, mod, parse_edge_label
+from .trees import LABELS, AmDepTree, EdgeLabel, TreeEntry, label_id, mod, parse_edge_label
 from .types import EMPTY_TYPE, Type, TypeSyntaxError, parse_type, serialize_type
 
 
@@ -210,7 +210,7 @@ def parse_graph_text(text: str) -> AsGraph:
 
 def parse_cost_text(text: str) -> list[SentenceCosts]:
     out: list[SentenceCosts] = []
-    labels: dict[str, EdgeLabel] = {}  # label text -> its one parsed label
+    label_ids: dict[str, int] = {}  # label text -> its process-wide id
     tags: Optional[dict] = None  # None outside a sentence block
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split("#", 1)[0].split()
@@ -232,16 +232,16 @@ def parse_cost_text(text: str) -> list[SentenceCosts]:
                 o, c = -1, None
             if not (0 <= o <= n and 1 <= j <= n):
                 o, j = _int_in(o_text, 0, n, lineno), _int_in(j_text, 1, n, lineno)
-            lbl = labels.get(label_text)
-            if lbl is None:
+            lid = label_ids.get(label_text)
+            if lid is None:
                 try:
-                    lbl = labels[label_text] = parse_edge_label(label_text)
+                    lid = label_ids[label_text] = label_id(parse_edge_label(label_text))
                 except ValueError as e:
                     raise FormatError(lineno, str(e)) from e
             size = len(edges)
-            edges[o, j, lbl] = c
+            edges[(lid * m + o) * m + j] = c  # SentenceCosts.edge_table's key
             if len(edges) == size:
-                raise FormatError(lineno, f"duplicate edge entry {(o, j, lbl)}")
+                raise FormatError(lineno, f"duplicate edge entry {(o, j, LABELS[lid])}")
             if c is None:
                 raise FormatError(lineno, f"expected a cost, got {cost_text!r}")
         elif kw == "tag":
@@ -269,7 +269,7 @@ def parse_cost_text(text: str) -> list[SentenceCosts]:
                 n = int(parts[2])
             except ValueError:
                 raise FormatError(lineno, "n must be an integer") from None
-            sid, start, forms, tags, edges = parts[1], lineno, {}, {}, {}
+            sid, start, forms, tags, edges, m = parts[1], lineno, {}, {}, {}, n + 1
         elif kw == "form":
             if len(parts) < 3:
                 raise FormatError(lineno, "expected: form <i> <string>")
@@ -280,7 +280,7 @@ def parse_cost_text(text: str) -> list[SentenceCosts]:
         elif kw == "end":
             try:
                 forms = tuple([forms.get(i, f"w{i}") for i in range(1, n + 1)])
-                out.append(SentenceCosts(n, forms, tags, edges, sid=sid))
+                out.append(SentenceCosts.from_table(n, forms, tags, edges, sid=sid))
             except ValueError as e:
                 raise FormatError(lineno, str(e)) from e
             tags = None

@@ -6,6 +6,9 @@ an adjacent ignored token; Arc joins two adjacent spans with an apply or
 modify edge between their heads, reading the type table's precomputed
 combinations instead of calling type_combine per label and direction.  A
 full-span item of empty type is accepted with a root edge into its head.
+Edge costs are read from costs.edge_table by the integer key that
+amparse.costs documents, computed inline from the label ids the table's
+keyed rows carry.
 
 Each rule hands a consequence to the decoder's own callback, emit(sig,
 inside cost, rule cost, back-pointer); decoders store ParseItem(cost, back).
@@ -52,7 +55,8 @@ def init(costs: SentenceCosts, lexicon: Lexicon, j: int,
 
 def skip_cost(costs: SentenceCosts, j: int) -> float:
     """Cost of leaving token j out of the analysis: BOT tag plus ignore edge."""
-    return costs.tag(j, BOTTOM) + costs.edge(0, j, IGNORE)
+    m = costs.n + 1  # IGNORE's id is 1, so its edge into j is keyed m * m + j
+    return costs.tag(j, BOTTOM) + costs.edge_table.get(m * m + j, INF)
 
 
 def skip(costs: SentenceCosts, items: Mapping[Sig, ParseItem], sigs: Sequence[Sig],
@@ -70,14 +74,16 @@ def arcs(costs: SentenceCosts, table: TypeTable, items: Mapping[Sig, ParseItem],
          lefts: Sequence[Sig], rights: Sequence[Sig], emit: Emit) -> None:
     """Arc: every successful edge between an item of lefts and an adjacent
     item of rights, pairs in order, labels in the table's order."""
+    price = costs.edge_table.get
+    m = costs.n + 1
     for lsig in lefts:
         li, _, lhead, ltyp = lsig
         lcost = items[lsig].cost
-        row = table.combine[ltyp]
+        row = table.keyed[ltyp]
         for rsig in rights:
-            for lbl, typ, head_is_left in row[rsig[3]]:
+            for lbl, lid, typ, head_is_left in row[rsig[3]]:
                 hd, dep = (lhead, rsig[2]) if head_is_left else (rsig[2], lhead)
-                delta = costs.edge(hd, dep, lbl)
+                delta = price((lid * m + hd) * m + dep, INF)
                 emit((li, rsig[1], hd, typ), lcost + items[rsig].cost + delta, delta,
                      ("arc", lsig, rsig, lbl))
 
@@ -87,7 +93,7 @@ def root_cost(costs: SentenceCosts, table: TypeTable, sig: Sig) -> float:
     spans the sentence with the empty type."""
     i, k, head, typ = sig
     if i == 1 and k == costs.n + 1 and typ == table.empty_id:
-        return costs.edge(0, head, ROOT)
+        return costs.edge_table.get(head, INF)  # ROOT's id is 0: keyed by the target alone
     return INF
 
 

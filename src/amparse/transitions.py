@@ -475,14 +475,16 @@ def static_scorer(costs: SentenceCosts) -> Callable[[Configuration, Transition],
     """Scores each transition by the cost-file entry of the decision it
     takes: root edge for Init, edge for Apply/Modify, supertag for
     Choose/Finish, nothing for Pop."""
+    labels: dict[tuple[str, str], EdgeLabel] = {}  # (kind, source) -> its label, built once
 
     def score(cfg: Configuration, tr: Transition) -> float:
         if tr.kind == "init":
             return costs.edge(0, tr.token, ROOT)
-        if tr.kind == "apply":
-            return costs.edge(cfg.active, tr.token, app(tr.source))
-        if tr.kind == "modify":
-            return costs.edge(cfg.active, tr.token, mod(tr.source))
+        if tr.kind in ("apply", "modify"):
+            lbl = labels.get((tr.kind, tr.source))
+            if lbl is None:
+                lbl = labels[tr.kind, tr.source] = (app if tr.kind == "apply" else mod)(tr.source)
+            return costs.edge(cfg.active, tr.token, lbl)
         if tr.kind in ("choose", "finish"):
             return costs.tag(cfg.active, tr.constant)
         return 0.0

@@ -340,12 +340,15 @@ class TypeTable:
     id lt and an adjacent right item of type id rt, as (label, result id,
     head_is_left) triples: labels in str order, and for each label the
     left-headed arc (type_combine(label, left, right)) before the
-    right-headed one.
+    right-headed one.  keyed[lt][rt] lists the same arcs as (label, label
+    id, result id, head_is_left), the id being amparse.trees.label_id's, so
+    the rule kernel can key edge costs without hashing the label.
     """
 
     types: tuple[Type, ...]
     ids: dict[Type, int]
     combine: tuple[tuple[tuple[tuple, ...], ...], ...]
+    keyed: tuple[tuple[tuple[tuple, ...], ...], ...]
 
     @property
     def empty_id(self) -> int:
@@ -384,4 +387,10 @@ def build_type_table(lexical: Iterable[Type], labels: Iterable) -> TypeTable:
         return tuple(out)
 
     combine = tuple(tuple(arcs(lt, rt) for rt in types) for lt in types)
-    return TypeTable(types, ids, combine)
+    from .trees import label_id  # amparse.trees imports this module
+
+    keyed = tuple(
+        tuple(tuple((lbl, label_id(lbl), r, h) for lbl, r, h in cell) for cell in row)
+        for row in combine
+    )
+    return TypeTable(types, ids, combine, keyed)

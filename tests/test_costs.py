@@ -3,7 +3,8 @@
 import pytest
 
 from amparse.costs import INF, CostParams, SentenceCosts, gen_synthetic, top_k_tags, tree_cost
-from amparse.trees import BOTTOM, IGNORE, ROOT, app
+from amparse.fileformats import parse_cost_text, write_cost_text
+from amparse.trees import BOTTOM, IGNORE, LABEL_IDS, LABELS, ROOT, app, mod
 
 
 def test_missing_decisions_price_infinite():
@@ -94,3 +95,59 @@ def test_gen_synthetic_prices_every_decision(lex):
     assert all(0.25 <= v <= 0.75 for v in c.tag_cost.values())
     # app/mod edges priced in both directions between distinct tokens
     assert (1, 2, app("s")) in c.edge_cost and (2, 1, app("s")) in c.edge_cost
+
+
+# --- the read-only edge_cost view over the integer-keyed edge table ---------
+
+EDGES = {(0, 2, IGNORE): 0.5, (2, 1, mod("m")): 0.25, (0, 1, ROOT): 1.0, (1, 2, app("s")): 0.0}
+
+
+def test_edge_cost_view_is_an_ordered_read_only_mapping():
+    c = SentenceCosts(2, ("a", "b"), {}, EDGES)
+    view = c.edge_cost
+    assert view == EDGES and EDGES == view and dict(view) == EDGES
+    assert list(view) == list(EDGES)
+    assert list(view.items()) == list(EDGES.items())
+    assert list(view.values()) == list(EDGES.values())
+    assert len(view) == 4 and view[(2, 1, mod("m"))] == 0.25
+    assert (1, 2, app("s")) in view and (2, 1, app("s")) not in view
+    for missing in [(3, 1, mod("m")), (0, 0, ROOT), (1, 2), "x", (1, 2, "APP_s")]:
+        assert missing not in view
+        assert view.get(missing) is None
+    with pytest.raises(TypeError):
+        view[(1, 2, app("s"))] = 1.0
+    with pytest.raises(TypeError):
+        del view[(1, 2, app("s"))]
+    assert not hasattr(view, "update") and not hasattr(view, "pop")
+
+
+def test_edge_cost_view_round_trips_through_the_constructor(lex):
+    c = gen_synthetic(7, 4, lex)
+    back = SentenceCosts(c.n, c.forms, c.tag_cost, dict(c.edge_cost), sid=c.sid)
+    assert back == c
+    assert list(back.edge_cost.items()) == list(c.edge_cost.items())
+    assert list(back.edge_table.items()) == list(c.edge_table.items())
+
+
+def test_edge_lookup_of_a_never_seen_label_does_not_intern_it():
+    c = SentenceCosts(2, ("a", "b"), {}, EDGES)
+    stranger = app("never_seen_by_any_cost_table")
+    before = len(LABELS)
+    assert c.edge(1, 2, stranger) == INF
+    assert stranger not in c.edge_cost
+    assert len(LABELS) == before and stranger not in LABEL_IDS
+
+
+def test_dict_built_and_parsed_costs_agree_on_every_lookup(lex):
+    built = [gen_synthetic(s, 2 + s % 4, lex, sid=f"s{s}") for s in range(5)]
+    parsed = parse_cost_text(write_cost_text(built))
+    names = lex.constant_names() + [BOTTOM, "nosuch"]
+    labels = [ROOT, IGNORE, *lex.arc_labels, mod("s")]
+    for a, b in zip(built, parsed):
+        n = a.n
+        for i in range(0, n + 2):
+            assert [a.tag(i, g) for g in names] == [b.tag(i, g) for g in names]
+        for o in range(-1, n + 2):
+            for j in range(-1, n + 2):
+                assert [a.edge(o, j, lbl) for lbl in labels] == [b.edge(o, j, lbl) for lbl in labels]
+        assert a.edge_cost == b.edge_cost and a.tag_cost == b.tag_cost

@@ -1,5 +1,9 @@
 """Text formats: canonical writers, parsers, round-trips, error reporting."""
 
+import hashlib
+import importlib
+from pathlib import Path
+
 import pytest
 
 from amparse import fileformats as ff
@@ -8,6 +12,8 @@ from amparse.graphs import graphs_isomorphic
 from amparse.lexicon import augment_closure
 from amparse.trees import IGNORE, ROOT, app, mod
 from amparse.types import parse_type
+
+ROOT_DIR = Path(__file__).resolve().parent.parent
 
 
 def test_lexicon_round_trip(lex):
@@ -247,3 +253,42 @@ def test_cost_accepted_table(text, expected):
           for sid, n, forms, tags, edges in expected]
     for c in got:
         assert all(type(v) is float for v in (*c.tag_cost.values(), *c.edge_cost.values()))
+
+
+def _cost_digest(sentences) -> str:
+    """sid, n, forms, then every tag and edge item in insertion order, with
+    float reprs: two reads that agree here agree on every lookup and order."""
+    h = hashlib.sha256()
+    for c in sentences:
+        h.update(f"{c.sid!r} {c.n} {c.forms!r}\n".encode())
+        for (i, g), v in c.tag_cost.items():
+            h.update(f"tag {i} {g} {v!r}\n".encode())
+        for (o, j, lbl), v in c.edge_cost.items():
+            h.update(f"edge {o} {j} {lbl} {v!r}\n".encode())
+    return h.hexdigest()
+
+
+# sha256 digests of parse_cost_text on the benchmark's input texts, taken
+# with the (o, j, EdgeLabel)-keyed reader that preceded the integer-keyed one.
+COST_PARITY = {
+    ("chart-uniform", 3): "a2b9542be776dbe5a944e50047009eb1e95c46e30415ac2140f4ca3e16163e13",
+    ("chart-uniform", 5): "be7118d8eb258c8a3e8ef03ca25a0c6ef445755639a4992598f59382e049211c",
+    ("astar-peaked", 3): "64f726137b936c7063cd81c07c06090435efcbeebaa23451c904098a485c2be4",
+    ("astar-peaked", 5): "afac07da7a42c292f1ea9bf814d98401f172c635f81fe000fbbafd793469346a",
+    ("transition-peaked", 3): "a8f0268b6567c236b118fd33cce5811a011e3dab4dc42b4a6d8bf8edc6e25774",
+    ("transition-peaked", 5): "58e97bcf774590b83f6bcbde60c7365c297d81c01553897859a912e5fa831d12",
+}
+
+
+def test_cost_reader_parity_on_benchmark_inputs(monkeypatch):
+    bench = ROOT_DIR / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    lexicon = augment_closure(
+        ff.parse_lexicon_text((bench / "demo.lexicon").read_text(encoding="utf-8"), name="demo")
+    )
+    got = {}
+    for name, seed in COST_PARITY:
+        wl = workloads.WORKLOADS[name]
+        got[name, seed] = _cost_digest(ff.parse_cost_text(wl.input_text(wl.make(seed, lexicon))))
+    assert got == COST_PARITY
