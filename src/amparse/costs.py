@@ -12,9 +12,10 @@ keyed (label id * m + origin) * m + target with m = n + 1 and the label's
 process-wide id from amparse.trees.label_id (ROOT 0, IGNORE 1, app and mod
 labels from 2 on).  Int keys are not tracked by the garbage collector and
 hash without a method call; the cost reader writes them directly, and the
-rule kernel and the A* estimates compute them inline.  The constructor
-takes an {(origin, target, EdgeLabel): cost} dict, and edge_cost is a
-read-only Mapping view of the table with those keys, in insertion order.
+rule kernel, the A* estimates and the transition scorer compute them
+inline.  The constructor takes an {(origin, target, EdgeLabel): cost}
+dict, and edge_cost is a read-only Mapping view of the table with those
+keys, in insertion order.
 """
 
 from __future__ import annotations

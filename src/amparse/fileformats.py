@@ -44,7 +44,7 @@ from typing import Optional, Union
 from .costs import SentenceCosts
 from .graphs import AsGraph, GraphError, GraphNode
 from .lexicon import Lexicon
-from .trees import LABELS, AmDepTree, EdgeLabel, TreeEntry, label_id, mod, parse_edge_label
+from .trees import LABELS, AmDepTree, TreeEntry, app, label_id, mod, parse_edge_label
 from .types import EMPTY_TYPE, Type, TypeSyntaxError, parse_type, serialize_type
 
 
@@ -158,7 +158,7 @@ def parse_lexicon_text(text: str, name: str = "lexicon") -> Lexicon:
     for t in omega:
         source_names |= t.nodes
     labels = {mod(b) for b in mod_sources}
-    labels |= {EdgeLabel("app", a) for a in source_names}
+    labels |= {app(a) for a in source_names}
     return Lexicon(constants, frozenset(omega), frozenset(labels), name=name)
 
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .costs import INF, SentenceCosts, tree_cost
 from .lexicon import Lexicon
-from .trees import BOTTOM, IGNORE, ROOT, AmDepTree, EdgeLabel, TreeEntry, app, mod
+from .trees import BOTTOM, IGNORE, LABEL_IDS, ROOT, AmDepTree, EdgeLabel, TreeEntry, app, mod
 from .types import EMPTY_TYPE, Type, apply_set, request, serialize_type, type_combine
 
 SYSTEMS = ("ltf", "ltl")
@@ -45,7 +46,10 @@ class Configuration:
 
     terms, applied and graphs hold T(i), A(i) and G(i) at position i, for
     tokens 0..n; position 0 is the virtual root and stays undefined.  None
-    marks an undefined annotation.  Build configurations with initial_config.
+    marks an undefined annotation.  Build configurations with initial_config
+    and apply_transition, which keep the running owed total O: a finite sum
+    and a count of tokens owing INF, so that adding and removing INF terms
+    never makes it nan.  Equality, hashing and digest() ignore it.
     """
 
     n: int
@@ -54,6 +58,13 @@ class Configuration:
     terms: tuple[Optional[frozenset[Type]], ...] = ()
     applied: tuple[Optional[frozenset[str]], ...] = ()
     graphs: tuple[Optional[str], ...] = ()
+    owed_finite: float = field(default=0.0, compare=False, repr=False)
+    owed_infinite: int = field(default=0, compare=False, repr=False)
+
+    @property
+    def owed_total(self) -> float:
+        """O, equal to total_owed(self, lexicon) without touching every token."""
+        return INF if self.owed_infinite else self.owed_finite
 
     def term_set(self, i: int) -> Optional[frozenset[Type]]:
         return self.terms[i]
@@ -184,11 +195,14 @@ def owed(cfg: Configuration, i: int, lexicon: Lexicon) -> float:
     when nothing qualifies, which poisons every budget guard downstream
     rather than crashing.
     """
-    ts = cfg.term_set(i)
-    done = cfg.applied_set(i)
+    return _owed(cfg.terms[i], cfg.applied[i], cfg.graphs[i], lexicon)
+
+
+def _owed(ts: Optional[frozenset[Type]], done: Optional[frozenset[str]],
+          g: Optional[str], lexicon: Lexicon) -> float:
+    """owed from a token's T, A and G."""
     if ts is None or done is None:
         return 0.0
-    g = cfg.constant(i)
     if g is not None:
         lam_candidates: Iterable[Type] = (lexicon.type_of(g),)
     else:
@@ -203,6 +217,7 @@ def owed(cfg: Configuration, i: int, lexicon: Lexicon) -> float:
 
 
 def total_owed(cfg: Configuration, lexicon: Lexicon) -> float:
+    """O recomputed over every token: the reference for cfg.owed_total."""
     return sum(owed(cfg, i, lexicon) for i in range(1, cfg.n + 1))
 
 
@@ -256,7 +271,7 @@ def _legal_ltf(cfg: Configuration, lexicon: Lexicon) -> list[Transition]:
     i = cfg.active
     out: list[Transition] = []
     if cfg.constant(i) is None:
-        budget = cfg.free_tokens() - total_owed(cfg, lexicon)
+        budget = cfg.free_tokens() - cfg.owed_total
         for t in sorted(cfg.term_set(i), key=serialize_type):
             allowed = poss_lex(lexicon.omega, t, frozenset(), budget)
             for g in sorted(lexicon.constants):
@@ -272,7 +287,7 @@ def _legal_ltf(cfg: Configuration, lexicon: Lexicon) -> list[Transition]:
     for alpha in sorted(consumed - done):
         if app(alpha) in lexicon.labels:
             out.extend(Transition("apply", token=j, source=alpha) for j in free)
-    if cfg.free_tokens() - total_owed(cfg, lexicon) >= 1:
+    if cfg.free_tokens() - cfg.owed_total >= 1:
         for beta in sorted(lexicon.mod_sources()):
             if _mod_term_types(lexicon, beta, lex_type):
                 out.extend(Transition("modify", token=j, source=beta) for j in free)
@@ -299,7 +314,7 @@ def _legal_ltl(
             continue
         out.extend(Transition("apply", token=j, source=alpha) for j in free)
     mods_ok = True
-    if type_checked and w - total_owed(cfg, lexicon) < 1:
+    if type_checked and w - cfg.owed_total < 1:
         mods_ok = False
     if mods_ok:
         for beta in sorted(lexicon.mod_sources()):
@@ -348,73 +363,78 @@ def apply_transition(
     if check and tr not in legal_transitions(cfg, lexicon, system, type_checked):
         raise TransitionError(f"illegal transition {tr} in {cfg}")
 
-    if tr.kind == "init":
-        new = replace(
-            cfg,
-            edges=((0, tr.token, ROOT),),
-            stack=(tr.token,),
-            terms=_put(cfg.terms, tr.token, frozenset([EMPTY_TYPE])),
-        )
+    n, edges, stack = cfg.n, cfg.edges, cfg.stack
+    terms, applied, graphs = cfg.terms, cfg.applied, cfg.graphs
+    kind = tr.kind
+    if kind == "pop":
+        return Configuration(n, edges, stack[:-1], terms, applied, graphs,
+                             cfg.owed_finite, cfg.owed_infinite)
+    if kind == "init":
+        i = tr.token
+        touched: Iterable[int] = (i,)
+        edges, stack = ((0, i, ROOT),), (i,)
+        terms = _put(terms, i, frozenset([EMPTY_TYPE]))
         if system == "ltl":
-            new = replace(new, applied=_put(cfg.applied, tr.token, frozenset()))
-        return new
-
-    i = cfg.active
-    if tr.kind == "choose":
-        return replace(
-            cfg,
-            terms=_put(cfg.terms, i, frozenset([tr.term_type])),
-            applied=_put(cfg.applied, i, frozenset()),
-            graphs=_put(cfg.graphs, i, tr.constant),
-        )
-    if tr.kind == "apply":
-        edges = cfg.edges + ((i, tr.token, app(tr.source)),)
-        done = cfg.applied_set(i) or frozenset()
-        new = replace(cfg, edges=edges, applied=_put(cfg.applied, i, done | {tr.source}))
+            applied = _put(applied, i, frozenset())
+    elif kind == "choose":
+        i = cfg.active
+        touched = (i,)
+        terms = _put(terms, i, frozenset([tr.term_type]))
+        applied = _put(applied, i, frozenset())
+        graphs = _put(graphs, i, tr.constant)
+    elif kind == "apply" or kind == "modify":
+        i, j = cfg.active, tr.token
+        if kind == "apply":
+            touched = (i, j)  # A(i) grows; in ltf so does T(j)
+            edges += ((i, j, app(tr.source)),)
+            applied = _put(applied, i, (applied[i] or frozenset()) | {tr.source})
+        else:
+            touched = (j,)  # a Modify leaves i's annotations as they are
+            edges += ((i, j, mod(tr.source)),)
         if system == "ltf":
-            lex_type = lexicon.type_of(cfg.constant(i))
-            new = replace(
-                new,
-                terms=_put(cfg.terms, tr.token, frozenset([request(lex_type, tr.source)])),
-                stack=cfg.stack + (tr.token,),
-            )
-        return new
-    if tr.kind == "modify":
-        edges = cfg.edges + ((i, tr.token, mod(tr.source)),)
-        new = replace(cfg, edges=edges)
-        if system == "ltf":
-            lex_type = lexicon.type_of(cfg.constant(i))
-            new = replace(
-                new,
-                terms=_put(cfg.terms, tr.token, _mod_term_types(lexicon, tr.source, lex_type)),
-                stack=cfg.stack + (tr.token,),
-            )
-        return new
-    if tr.kind == "pop":
-        return replace(cfg, stack=cfg.stack[:-1])
-    if tr.kind == "finish":
+            lex_type = lexicon.type_of(graphs[i])
+            if kind == "apply":
+                term_set = frozenset([request(lex_type, tr.source)])
+            else:
+                term_set = _mod_term_types(lexicon, tr.source, lex_type)
+            terms = _put(terms, j, term_set)
+            stack += (j,)
+    elif kind == "finish":
+        i = cfg.active
         lex_type = lexicon.type_of(tr.constant)
-        witness = _finish_witness(lex_type, cfg.term_set(i), cfg.applied_set(i))
-        terms, applied = list(cfg.terms), list(cfg.applied)
+        witness = _finish_witness(lex_type, terms[i], applied[i])
+        new_terms, new_applied = list(terms), list(applied)
         if witness is not None:
-            terms[i] = frozenset([witness])
+            new_terms[i] = frozenset([witness])
         children = cfg.children(i)
         for j, lbl in children:
             if lbl.kind == "mod":
-                terms[j] = _mod_term_types(lexicon, lbl.source, lex_type)
+                new_terms[j] = _mod_term_types(lexicon, lbl.source, lex_type)
             elif lbl.source in lex_type.nodes:
-                terms[j] = frozenset([request(lex_type, lbl.source)])
+                new_terms[j] = frozenset([request(lex_type, lbl.source)])
             else:
-                terms[j] = frozenset()
-            applied[j] = frozenset()
-        return replace(
-            cfg,
-            stack=cfg.stack[:-1] + tuple(j for j, _ in reversed(children)),
-            terms=tuple(terms),
-            applied=tuple(applied),
-            graphs=_put(cfg.graphs, i, tr.constant),
-        )
-    raise TransitionError(f"unknown transition kind {tr.kind!r}")
+                new_terms[j] = frozenset()
+            new_applied[j] = frozenset()
+        touched = [i] + [j for j, _ in children]
+        stack = stack[:-1] + tuple(j for j, _ in reversed(children))
+        terms, applied = tuple(new_terms), tuple(new_applied)
+        graphs = _put(graphs, i, tr.constant)
+    else:
+        raise TransitionError(f"unknown transition kind {kind!r}")
+
+    finite, infinite = cfg.owed_finite, cfg.owed_infinite
+    for p in set(touched):  # an unchecked self-edge names a token twice
+        before = _owed(cfg.terms[p], cfg.applied[p], cfg.graphs[p], lexicon)
+        after = _owed(terms[p], applied[p], graphs[p], lexicon)
+        if before == INF:
+            infinite -= 1
+        else:
+            finite -= before
+        if after == INF:
+            infinite += 1
+        else:
+            finite += after
+    return Configuration(n, edges, stack, terms, applied, graphs, finite, infinite)
 
 
 def is_goal(cfg: Configuration) -> bool:
@@ -474,19 +494,33 @@ class DecodeResult:
 def static_scorer(costs: SentenceCosts) -> Callable[[Configuration, Transition], float]:
     """Scores each transition by the cost-file entry of the decision it
     takes: root edge for Init, edge for Apply/Modify, supertag for
-    Choose/Finish, nothing for Pop."""
-    labels: dict[tuple[str, str], EdgeLabel] = {}  # (kind, source) -> its label, built once
+    Choose/Finish, nothing for Pop.
+
+    Edges are read from costs.edge_table by the integer key amparse.costs
+    documents, computed inline as the rule kernel does; tags from
+    costs.tag_cost.  A label that was never interned has no entry and
+    scores INF, and scoring interns nothing.
+    """
+    edge = costs.edge_table.get
+    tag = costs.tag_cost.get
+    m = costs.n + 1
+    ids: dict[tuple[str, str], Optional[int]] = {}  # (kind, source) -> label id
 
     def score(cfg: Configuration, tr: Transition) -> float:
-        if tr.kind == "init":
-            return costs.edge(0, tr.token, ROOT)
-        if tr.kind in ("apply", "modify"):
-            lbl = labels.get((tr.kind, tr.source))
-            if lbl is None:
-                lbl = labels[tr.kind, tr.source] = (app if tr.kind == "apply" else mod)(tr.source)
-            return costs.edge(cfg.active, tr.token, lbl)
-        if tr.kind in ("choose", "finish"):
-            return costs.tag(cfg.active, tr.constant)
+        kind = tr.kind
+        if kind == "init":
+            return edge(tr.token, INF)  # ROOT's id is 0: keyed by the target alone
+        if kind == "apply" or kind == "modify":
+            key = (kind, tr.source)
+            if key in ids:
+                lid = ids[key]
+            else:
+                lid = ids[key] = LABEL_IDS.get((app if kind == "apply" else mod)(tr.source))
+            if lid is None:
+                return INF
+            return edge((lid * m + cfg.stack[-1]) * m + tr.token, INF)
+        if kind == "choose" or kind == "finish":
+            return tag((cfg.stack[-1], tr.constant), INF)
         return 0.0
 
     return score
@@ -504,38 +538,47 @@ def decode(
     beam=1 is greedy: at each configuration take the cheapest legal
     transition, sort order breaking ties.  beam>1 keeps that many partial
     sequences by summed score; finished sequences stay in the beam and
-    compete unchanged.  The returned cost is the tree cost of the result
-    under the cost file, not the summed transition score.
+    compete unchanged.  Every legal transition is scored against its
+    parent configuration, but only the ones the beam keeps are applied.
+    The returned cost is the tree cost of the result under the cost file,
+    not the summed transition score.
     """
     if costs.n < 1:
         raise TransitionError("empty sentence")
     score = static_scorer(costs)
-    # (summed score, insertion order, cfg, transitions)
+    # (summed score, insertion order, cfg, transitions), in beam order
     beams: list[tuple[float, int, Configuration, list[Transition]]] = [
         (0.0, 0, initial_config(costs.n), [])
     ]
     counter = 1
     while True:
-        grown: list[tuple[float, int, Configuration, list[Transition]]] = []
+        # (summed score, insertion order, parent cfg, its transitions, the
+        # transition to apply, or None for a finished hypothesis)
+        grown: list[tuple[float, int, Configuration, list[Transition], Optional[Transition]]] = []
         any_open = False
         for total, tie, cfg, trs in beams:
             legal = legal_transitions(cfg, lexicon, system, type_checked)
             if not legal:
-                grown.append((total, tie, cfg, trs))
+                grown.append((total, tie, cfg, trs, None))
                 continue
             any_open = True
+            scored = [(score(cfg, tr), tr) for tr in legal]
             if beam == 1:
-                legal = [min(legal, key=lambda t: (score(cfg, t), t.sort_key()))]
-            for tr in legal:
-                nxt = apply_transition(cfg, tr, lexicon, system, check=False)
-                grown.append((total + score(cfg, tr), counter, nxt, trs + [tr]))
+                # legal is in canonical order and min keeps the first minimum
+                scored = [min(scored, key=itemgetter(0))]
+            for cost, tr in scored:
+                grown.append((total + cost, counter, cfg, trs, tr))
                 counter += 1
         if not any_open:
             break
-        grown.sort(key=lambda b: (b[0], b[1]))
-        beams = grown[:beam]
+        grown.sort(key=itemgetter(0, 1))
+        beams = [
+            (total, tie, cfg, trs) if tr is None else
+            (total, tie, apply_transition(cfg, tr, lexicon, system, check=False), trs + [tr])
+            for total, tie, cfg, trs, tr in grown[:beam]
+        ]
 
-    best_total, _, best_cfg, best_trs = min(beams, key=lambda b: (b[0], b[1]))
+    best_total, _, best_cfg, best_trs = beams[0]  # beams are in (score, order) order
     if not is_goal(best_cfg):
         return DecodeResult(None, INF, best_trs, best_total)
     tree = config_to_tree(best_cfg, costs.forms)

@@ -75,12 +75,24 @@ def label_id(label: EdgeLabel) -> int:
     return lid
 
 
+# One shared label per (kind, source): trees and configurations holding many
+# edges of a label hold one object for it.
+_APP: dict[str, EdgeLabel] = {}
+_MOD: dict[str, EdgeLabel] = {}
+
+
 def app(source: str) -> EdgeLabel:
-    return EdgeLabel("app", source)
+    lbl = _APP.get(source)
+    if lbl is None:
+        lbl = _APP[source] = EdgeLabel("app", source)  # raises before caching a bad source
+    return lbl
 
 
 def mod(source: str) -> EdgeLabel:
-    return EdgeLabel("mod", source)
+    lbl = _MOD.get(source)
+    if lbl is None:
+        lbl = _MOD[source] = EdgeLabel("mod", source)
+    return lbl
 
 
 def parse_edge_label(text: str) -> EdgeLabel:
@@ -95,7 +107,7 @@ def parse_edge_label(text: str) -> EdgeLabel:
     raise ValueError(f"bad edge label {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeEntry:
     form: str
     constant: str  # a lexicon constant name, or BOTTOM

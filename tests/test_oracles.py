@@ -2,12 +2,14 @@
 
 import random
 import sys
+import time
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amparse import transitions
 from amparse.lexicon import augment_closure
 from amparse.oracles import (
     complete_config,
@@ -209,6 +211,37 @@ def recursion_headroom(frames):
         yield
     finally:
         sys.setrecursionlimit(saved)
+
+
+def test_checked_replay_of_a_long_chain_is_fast(closed_lex, monkeypatch):
+    """writer as ROOT, then 1,199 soundly tokens, each MOD_m of the one
+    before: checked ltf and ltl oracle round trips read the running owed
+    total, not every token's owed slots, at each step.  A step recomputes
+    owed slots before and after for at most the two tokens it touches."""
+    n = 1200
+    entries = [TreeEntry("w1", "writer", 0, ROOT)] + [
+        TreeEntry(f"w{k}", "soundly", k - 1, mod("m")) for k in range(2, n + 1)
+    ]
+    tree = AmDepTree(tuple(entries))
+    forms = tuple(e.form for e in entries)
+    calls = 0
+    owed_at = transitions._owed
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return owed_at(*args)
+
+    monkeypatch.setattr(transitions, "_owed", counted)
+    steps = 0
+    start = time.perf_counter()
+    for system in ("ltf", "ltl"):
+        seq = oracle_sequence(tree, closed_lex, system)
+        final = replay(tree, seq, closed_lex, system)
+        assert config_to_tree(final, forms) == tree
+        steps += len(seq)
+    assert time.perf_counter() - start < 8.0
+    assert calls <= 4 * steps
 
 
 def test_deep_chain_does_not_recurse(closed_lex):

@@ -1,8 +1,11 @@
 """Transition systems: legality, effects, determinism, dead-end freedom."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amparse.transitions import (
     Configuration,
@@ -20,10 +23,14 @@ from amparse.transitions import (
     poss_lex,
     random_walk,
     render_trace,
+    static_scorer,
     total_owed,
 )
-from amparse.trees import check_well_typed
+from amparse.lexicon import augment_closure
+from amparse.trees import ROOT, app, check_well_typed
 from amparse.types import parse_type
+
+from test_lexicon import small_lexicons
 
 
 GOLD_LTF = [
@@ -220,3 +227,152 @@ def test_digest_is_stable_and_distinct(closed_lex):
     )
     assert a.digest() == initial_config(4).digest()
     assert a.digest() != b.digest()
+
+
+# --- decoding does only the work that survives -------------------------------
+
+
+def reference_decode(costs, lexicon, system, beam=1, type_checked=True):
+    """decode as an expand-all beam: every legal transition is applied and
+    scored by its cost-file entry looked up by label, then the beam is cut."""
+    from amparse.costs import INF, tree_cost
+    from amparse.transitions import DecodeResult
+    from amparse.trees import ROOT, app, mod
+
+    def score(cfg, tr):
+        if tr.kind == "init":
+            return costs.edge(0, tr.token, ROOT)
+        if tr.kind in ("apply", "modify"):
+            lbl = (app if tr.kind == "apply" else mod)(tr.source)
+            return costs.edge(cfg.active, tr.token, lbl)
+        if tr.kind in ("choose", "finish"):
+            return costs.tag(cfg.active, tr.constant)
+        return 0.0
+
+    beams = [(0.0, 0, initial_config(costs.n), [])]
+    counter = 1
+    while True:
+        grown = []
+        any_open = False
+        for total, tie, cfg, trs in beams:
+            legal = legal_transitions(cfg, lexicon, system, type_checked)
+            if not legal:
+                grown.append((total, tie, cfg, trs))
+                continue
+            any_open = True
+            if beam == 1:
+                legal = [min(legal, key=lambda t: (score(cfg, t), t.sort_key()))]
+            for tr in legal:
+                nxt = apply_transition(cfg, tr, lexicon, system, check=False)
+                grown.append((total + score(cfg, tr), counter, nxt, trs + [tr]))
+                counter += 1
+        if not any_open:
+            break
+        grown.sort(key=lambda b: (b[0], b[1]))
+        beams = grown[:beam]
+    best_total, _, best_cfg, best_trs = min(beams, key=lambda b: (b[0], b[1]))
+    if not is_goal(best_cfg):
+        return DecodeResult(None, INF, best_trs, best_total)
+    tree = config_to_tree(best_cfg, costs.forms)
+    return DecodeResult(tree, tree_cost(tree, costs), best_trs, best_total)
+
+
+DECODE_SETTINGS = [("ltf", True), ("ltl", True), ("ltl", False)]
+
+
+def assert_decodes_like_reference(costs, lexicon):
+    for system, type_checked in DECODE_SETTINGS:
+        for beam in (1, 2, 4, 8):
+            got = decode(costs, lexicon, system, beam=beam, type_checked=type_checked)
+            want = reference_decode(costs, lexicon, system, beam, type_checked)
+            assert got == want, (system, type_checked, beam)
+
+
+def test_decode_matches_expand_all_reference(closed_lex):
+    from amparse.costs import gen_synthetic
+
+    for seed in range(6):
+        assert_decodes_like_reference(gen_synthetic(seed, 3 + seed % 3, closed_lex), closed_lex)
+
+
+@given(small_lexicons().map(augment_closure), st.integers(1, 4), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_decode_matches_reference_on_random_lexicons(lx, n, seed):
+    from amparse.costs import gen_synthetic
+
+    assert_decodes_like_reference(gen_synthetic(seed, n, lx), lx)
+
+
+def owed_walk(lexicon, system, n, rng, type_checked=True, wild=0.0):
+    """A random walk that checks the running owed total against total_owed
+    at every configuration.  With probability wild a Choose or Finish is
+    swapped for one with a random constant and applied unchecked, which can
+    leave a token owing INF (an unchecked ltf Choose is followed by an
+    unchecked Pop, since ltf legality needs the active token's constant to
+    fit).  Returns whether some configuration owed INF."""
+    constants = sorted(lexicon.constants)
+    cfg = initial_config(n)
+    saw_inf = False
+    for _ in range(4 * n + 4):
+        total = cfg.owed_total
+        assert not math.isnan(total)
+        assert total == total_owed(cfg, lexicon)
+        # the split too: one INF-owing token masks another in the total
+        each = [owed(cfg, i, lexicon) for i in range(1, n + 1)]
+        assert cfg.owed_infinite == each.count(math.inf)
+        assert cfg.owed_finite == sum(x for x in each if x != math.inf)
+        saw_inf = saw_inf or total == math.inf
+        legal = legal_transitions(cfg, lexicon, system, type_checked)
+        if not legal:
+            break
+        tr = rng.choice(legal)
+        if tr.kind in ("choose", "finish") and rng.random() < wild:
+            tr = Transition(tr.kind, term_type=tr.term_type, constant=rng.choice(constants))
+            if system == "ltf":
+                cfg = apply_transition(cfg, tr, lexicon, system, check=False)
+                assert cfg.owed_total == total_owed(cfg, lexicon)
+                tr = Transition("pop")
+        cfg = apply_transition(cfg, tr, lexicon, system, check=False)
+    return saw_inf
+
+
+@pytest.mark.parametrize("system,type_checked", DECODE_SETTINGS)
+def test_running_owed_total_matches_total_owed(closed_lex, system, type_checked):
+    saw_inf = False
+    for seed in range(60):
+        rng = random.Random(seed)
+        wild = 0.0 if seed < 20 else 0.5
+        saw_inf |= owed_walk(closed_lex, system, rng.randint(1, 7), rng, type_checked, wild)
+    assert saw_inf  # the walks reached tokens owing INF, and the total stayed exact
+
+
+@given(small_lexicons().map(augment_closure), st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_running_owed_total_on_random_lexicons(lx, n, seed):
+    for system, type_checked in DECODE_SETTINGS:
+        owed_walk(lx, system, n, random.Random(seed), type_checked, wild=0.3)
+
+
+def test_running_owed_total_is_ignored_by_equality(closed_lex):
+    a = drive(["Init(3)", "Choose([], want)"], closed_lex, "ltf")
+    b = Configuration(a.n, a.edges, a.stack, a.terms, a.applied, a.graphs)
+    assert a.owed_total == 2 and b.owed_total == 0
+    assert a == b and hash(a) == hash(b) and a.digest() == b.digest()
+
+
+def test_scorer_prices_never_interned_labels_at_inf(closed_lex):
+    from amparse.costs import gen_synthetic
+    from amparse.trees import LABEL_IDS, LABELS
+
+    c = gen_synthetic(0, 3, closed_lex)
+    score = static_scorer(c)
+    cfg = drive(["Init(1)"], closed_lex, "ltl", n=3)
+    labels = len(LABELS)
+    for kind in ("apply", "modify"):
+        tr = Transition(kind, token=2, source="never_interned_source")
+        assert score(cfg, tr) == math.inf
+    assert len(LABELS) == len(LABEL_IDS) == labels
+    # known labels still score their entries
+    assert score(cfg, parse_transition("Apply(s, 2)")) == c.edge(1, 2, app("s"))
+    assert score(cfg, parse_transition("Finish(want)")) == c.tag(1, "want")
+    assert score(initial_config(3), parse_transition("Init(2)")) == c.edge(0, 2, ROOT)

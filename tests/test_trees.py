@@ -43,6 +43,33 @@ def test_label_round_trip():
         parse_edge_label("APPs")
 
 
+def test_labels_are_shared_per_kind_and_source():
+    from amparse import trees
+
+    assert app("s") is app("s") and mod("m") is mod("m")
+    assert parse_edge_label("MOD_s") is mod("s")
+    assert parse_edge_label("APP_o") is app("o")
+    assert app("s") != mod("s")
+    for make in (app, mod):
+        with pytest.raises(ValueError):
+            make("")
+    assert "" not in trees._APP and "" not in trees._MOD
+
+
+def test_tree_entry_is_slotted_and_pickles():
+    import pickle
+
+    e = TreeEntry("w2", "writer", 3, app("s"))
+    assert not hasattr(e, "__dict__")
+    with pytest.raises(AttributeError):
+        e.head = 1
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(e, protocol))
+        assert back == e and hash(back) == hash(e)
+    t = AmDepTree((entry("w1", "writer", 0, ROOT),))
+    assert pickle.loads(pickle.dumps(t)) == t
+
+
 def test_label_validation():
     with pytest.raises(ValueError):
         app("")
