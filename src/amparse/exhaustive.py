@@ -62,7 +62,7 @@ def enumerate_analyses(
             for j in range(i + 1, k):
                 for hl, tl, dl in spans(i, j):
                     for hr, tr, dr in spans(j, k):
-                        for lbl, t, head_is_left in table.combine[tl][tr]:
+                        for lbl, _, t, head_is_left in table.combine[tl][tr]:
                             h, dep = (hl, hr) if head_is_left else (hr, hl)
                             if costs.edge(h, dep, lbl) < INF:
                                 out.add((h, t, dl | dr | {("edge", h, dep, lbl)}))

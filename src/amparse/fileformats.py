@@ -324,6 +324,7 @@ def write_cost_text(sentences: list[SentenceCosts]) -> str:
 def parse_trees_text(text: str) -> list[AmDepTree]:
     trees: list[AmDepTree] = []
     block: list[tuple[int, str]] = []
+    texts: dict[str, str] = {}  # one str per distinct form or constant text
 
     def flush(end_line: int):
         if not block:
@@ -338,7 +339,8 @@ def parse_trees_text(text: str) -> list[AmDepTree]:
                 raise FormatError(lineno, f"expected index {pos}, got {idx!r}")
             try:
                 entries.append(TreeEntry(
-                    form, constant, int(head), parse_edge_label(label)
+                    texts.setdefault(form, form), texts.setdefault(constant, constant),
+                    int(head), parse_edge_label(label),
                 ))
             except ValueError as e:
                 raise FormatError(lineno, str(e)) from e

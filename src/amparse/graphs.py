@@ -22,7 +22,7 @@ class GraphError(ValueError):
     """Malformed graph or an undefined graph combination."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphNode:
     id: str
     label: Optional[str] = None

@@ -8,7 +8,7 @@ combinations instead of calling type_combine per label and direction.  A
 full-span item of empty type is accepted with a root edge into its head.
 Edge costs are read from costs.edge_table by the integer key that
 amparse.costs documents, computed inline from the label ids the table's
-keyed rows carry.
+combine rows carry.
 
 Each rule hands a consequence to the decoder's own callback, emit(sig,
 inside cost, rule cost, back-pointer); decoders store ParseItem(cost, back).
@@ -79,7 +79,7 @@ def arcs(costs: SentenceCosts, table: TypeTable, items: Mapping[Sig, ParseItem],
     for lsig in lefts:
         li, _, lhead, ltyp = lsig
         lcost = items[lsig].cost
-        row = table.keyed[ltyp]
+        row = table.combine[ltyp]
         for rsig in rights:
             for lbl, lid, typ, head_is_left in row[rsig[3]]:
                 hd, dep = (lhead, rsig[2]) if head_is_left else (rsig[2], lhead)

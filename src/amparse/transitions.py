@@ -23,12 +23,12 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .costs import INF, SentenceCosts, tree_cost
 from .lexicon import Lexicon
 from .trees import BOTTOM, IGNORE, LABEL_IDS, ROOT, AmDepTree, EdgeLabel, TreeEntry, app, mod
-from .types import EMPTY_TYPE, Type, apply_set, request, serialize_type, type_combine
+from .types import EMPTY_TYPE, Type, apply_set, parse_type, request, serialize_type, type_combine
 
 SYSTEMS = ("ltf", "ltl")
 
@@ -75,14 +75,8 @@ class Configuration:
     def constant(self, i: int) -> Optional[str]:
         return self.graphs[i]
 
-    def head_of(self, j: int) -> Optional[tuple[int, EdgeLabel]]:
-        for h, d, lbl in self.edges:
-            if d == j:
-                return h, lbl
-        return None
-
     def headless(self, j: int) -> bool:
-        return self.head_of(j) is None
+        return j not in map(itemgetter(1), self.edges)
 
     @property
     def active(self) -> Optional[int]:
@@ -162,8 +156,6 @@ class Transition:
 
 def parse_transition(text: str) -> Transition:
     """Inverse of str(); types inside Choose are re-parsed."""
-    from .types import parse_type
-
     text = text.strip()
     if text == "Pop":
         return Transition("pop")
@@ -237,29 +229,45 @@ def poss_lex(
 # --- legality ---------------------------------------------------------------
 
 
-def legal_transitions(
-    cfg: Configuration,
-    lexicon: Lexicon,
-    system: str,
-    type_checked: bool = True,
-) -> list[Transition]:
-    """All transitions applicable in cfg, sorted by the canonical order
-    (Init < Apply < Modify < Choose/Finish < Pop, then token, source, type,
-    constant).  type_checked=False drops every type guard (ltl only)."""
+# A configuration's move set: its guards, evaluated once.  Apply(alpha, j) is
+# legal for every alpha in apply and every headless token j, Modify(beta, j)
+# likewise for modify, and rest holds the legal Init, Choose, Finish and Pop
+# transitions in canonical order.  No guard reads the target, so the targets
+# stay out: legal_transitions lists them, and a checked apply_transition
+# tests the one token it is given.
+class Moves(NamedTuple):
+    apply: tuple[str, ...] = ()  # sorted
+    modify: tuple[str, ...] = ()  # sorted
+    rest: tuple[Transition, ...] = ()
+
+
+def legal_transitions(cfg: Configuration, lexicon: Lexicon, system: str,
+                      type_checked: bool = True) -> list[Transition]:
+    """All transitions applicable in cfg, in the canonical order of
+    Transition.sort_key (Init < Apply < Modify < Choose/Finish < Pop, then
+    token, source, type, constant).  type_checked=False drops every type
+    guard (ltl only)."""
+    apply, modify, rest = _moves(cfg, lexicon, system, type_checked)
+    free = _headless_tokens(cfg) if apply or modify else ()
+    return (
+        [Transition("apply", token=j, source=alpha) for j in free for alpha in apply]
+        + [Transition("modify", token=j, source=beta) for j in free for beta in modify]
+        + list(rest)
+    )
+
+
+def _moves(cfg: Configuration, lexicon: Lexicon, system: str, type_checked: bool) -> Moves:
     if system not in SYSTEMS:
         raise TransitionError(f"unknown system {system!r}")
     if not type_checked and system != "ltl":
         raise TransitionError("the unchecked ablation is defined for ltl only")
     if cfg.is_initial:
-        return [Transition("init", token=i) for i in range(1, cfg.n + 1)]
+        return Moves(rest=tuple(Transition("init", token=i) for i in range(1, cfg.n + 1)))
     if not cfg.stack:
-        return []
-    out = (
-        _legal_ltf(cfg, lexicon)
-        if system == "ltf"
-        else _legal_ltl(cfg, lexicon, type_checked)
-    )
-    return sorted(out, key=Transition.sort_key)
+        return Moves()
+    if system == "ltf":
+        return _legal_ltf(cfg, lexicon)
+    return _legal_ltl(cfg, lexicon, type_checked)
 
 
 def _headless_tokens(cfg: Configuration) -> list[int]:
@@ -267,63 +275,47 @@ def _headless_tokens(cfg: Configuration) -> list[int]:
     return [j for j in range(1, cfg.n + 1) if j not in headed]
 
 
-def _legal_ltf(cfg: Configuration, lexicon: Lexicon) -> list[Transition]:
+def _legal_ltf(cfg: Configuration, lexicon: Lexicon) -> Moves:
     i = cfg.active
-    out: list[Transition] = []
     if cfg.constant(i) is None:
         budget = cfg.free_tokens() - cfg.owed_total
+        chooses = []
         for t in sorted(cfg.term_set(i), key=serialize_type):
             allowed = poss_lex(lexicon.omega, t, frozenset(), budget)
             for g in sorted(lexicon.constants):
                 if lexicon.type_of(g) in allowed:
-                    out.append(Transition("choose", term_type=t, constant=g))
-        return out
+                    chooses.append(Transition("choose", term_type=t, constant=g))
+        return Moves(rest=tuple(chooses))
 
     lex_type = lexicon.type_of(cfg.constant(i))
     (term,) = cfg.term_set(i)
     consumed = apply_set(lex_type, term)
     done = cfg.applied_set(i)
-    free = _headless_tokens(cfg)
-    for alpha in sorted(consumed - done):
-        if app(alpha) in lexicon.labels:
-            out.extend(Transition("apply", token=j, source=alpha) for j in free)
-    if cfg.free_tokens() - cfg.owed_total >= 1:
-        for beta in sorted(lexicon.mod_sources()):
-            if _mod_term_types(lexicon, beta, lex_type):
-                out.extend(Transition("modify", token=j, source=beta) for j in free)
-    if done == consumed:
-        out.append(Transition("pop"))
-    return out
+    apply = tuple(alpha for alpha in sorted(consumed - done) if app(alpha) in lexicon.labels)
+    budget_ok = cfg.free_tokens() - cfg.owed_total >= 1
+    modify = tuple(beta for beta in sorted(lexicon.mod_sources())
+                   if budget_ok and _mod_term_types(lexicon, beta, lex_type))
+    return Moves(apply, modify, (Transition("pop"),) if done == consumed else ())
 
 
-def _legal_ltl(
-    cfg: Configuration, lexicon: Lexicon, type_checked: bool
-) -> list[Transition]:
+def _legal_ltl(cfg: Configuration, lexicon: Lexicon, type_checked: bool) -> Moves:
     i = cfg.active
-    out: list[Transition] = []
     done = cfg.applied_set(i)
     terms = cfg.term_set(i)
-    free = _headless_tokens(cfg)
     w = cfg.free_tokens()
-    for alpha in sorted(lexicon.app_sources()):
-        if alpha in done:
-            continue
-        if type_checked and not any(
+    apply = tuple(
+        alpha for alpha in sorted(lexicon.app_sources())
+        if alpha not in done and (not type_checked or any(
             poss_lex(lexicon.omega, t, done | {alpha}, w - 1) for t in terms
-        ):
-            continue
-        out.extend(Transition("apply", token=j, source=alpha) for j in free)
-    mods_ok = True
-    if type_checked and w - cfg.owed_total < 1:
-        mods_ok = False
-    if mods_ok:
-        for beta in sorted(lexicon.mod_sources()):
-            out.extend(Transition("modify", token=j, source=beta) for j in free)
-    for g in sorted(lexicon.constants):
-        if type_checked and _finish_witness(lexicon.type_of(g), terms, done) is None:
-            continue
-        out.append(Transition("finish", constant=g))
-    return out
+        ))
+    )
+    mods_ok = not type_checked or w - cfg.owed_total >= 1
+    modify = tuple(sorted(lexicon.mod_sources())) if mods_ok else ()
+    finishes = tuple(
+        Transition("finish", constant=g) for g in sorted(lexicon.constants)
+        if not type_checked or _finish_witness(lexicon.type_of(g), terms, done) is not None
+    )
+    return Moves(apply, modify, finishes)
 
 
 def _finish_witness(
@@ -358,14 +350,23 @@ def apply_transition(
     check: bool = True,
     type_checked: bool = True,
 ) -> Configuration:
-    """The successor configuration; raises TransitionError on illegal tr
-    (membership in legal_transitions) unless check=False."""
-    if check and tr not in legal_transitions(cfg, lexicon, system, type_checked):
-        raise TransitionError(f"illegal transition {tr} in {cfg}")
+    """The successor configuration.  Unless check=False, raises
+    TransitionError when tr is not in legal_transitions(cfg, ...), which it
+    tests against cfg's move set without listing the transitions."""
+    kind = tr.kind
+    if check:
+        apply, modify, rest = _moves(cfg, lexicon, system, type_checked)
+        if kind == "apply" or kind == "modify":
+            legal = (tr.source in (apply if kind == "apply" else modify)
+                     and tr.term_type is None and tr.constant == ""
+                     and tr.token in range(1, cfg.n + 1) and cfg.headless(tr.token))
+        else:
+            legal = tr in rest
+        if not legal:
+            raise TransitionError(f"illegal transition {tr} in {cfg}")
 
     n, edges, stack = cfg.n, cfg.edges, cfg.stack
     terms, applied, graphs = cfg.terms, cfg.applied, cfg.graphs
-    kind = tr.kind
     if kind == "pop":
         return Configuration(n, edges, stack[:-1], terms, applied, graphs,
                              cfg.owed_finite, cfg.owed_infinite)
@@ -447,17 +448,15 @@ def check_goal_config(cfg: Configuration, lexicon: Lexicon) -> bool:
     token is either ignored (headless, unannotated) or fully finished."""
     if cfg.stack or not any(cfg.graphs):
         return False
+    headed = {d for _, d, _ in cfg.edges}
     for i in range(1, cfg.n + 1):
-        if cfg.headless(i):
-            if cfg.term_set(i) is not None or cfg.constant(i) is not None:
+        g, ts = cfg.graphs[i], cfg.terms[i]
+        if i not in headed:
+            if ts is not None or g is not None:
                 return False
-            continue
-        g = cfg.constant(i)
-        ts = cfg.term_set(i)
-        if g is None or ts is None or len(ts) != 1:
+        elif g is None or ts is None or len(ts) != 1:
             return False
-        (t,) = ts
-        if apply_set(lexicon.type_of(g), t) != cfg.applied_set(i):
+        elif apply_set(lexicon.type_of(g), next(iter(ts))) != cfg.applied[i]:
             return False
     return True
 
@@ -465,15 +464,12 @@ def check_goal_config(cfg: Configuration, lexicon: Lexicon) -> bool:
 def config_to_tree(cfg: Configuration, forms: Optional[tuple[str, ...]] = None) -> AmDepTree:
     if forms is None:
         forms = tuple(f"w{i}" for i in range(1, cfg.n + 1))
-    entries = []
-    for i in range(1, cfg.n + 1):
-        head = cfg.head_of(i)
-        if head is None:
-            entries.append(TreeEntry(forms[i - 1], BOTTOM, 0, IGNORE))
-        else:
-            h, lbl = head
-            entries.append(TreeEntry(forms[i - 1], cfg.constant(i) or BOTTOM, h, lbl))
-    return AmDepTree(tuple(entries))
+    heads = {d: (h, lbl) for h, d, lbl in reversed(cfg.edges)}  # a token's first edge wins
+    return AmDepTree(tuple(
+        TreeEntry(forms[i - 1], cfg.graphs[i] or BOTTOM, *heads[i]) if i in heads
+        else TreeEntry(forms[i - 1], BOTTOM, 0, IGNORE)
+        for i in range(1, cfg.n + 1)
+    ))
 
 
 # --- greedy and beam decoding ----------------------------------------------
@@ -545,6 +541,8 @@ def decode(
     """
     if costs.n < 1:
         raise TransitionError("empty sentence")
+    if beam < 1:
+        raise TransitionError(f"beam must be at least 1, got {beam}")
     score = static_scorer(costs)
     # (summed score, insertion order, cfg, transitions), in beam order
     beams: list[tuple[float, int, Configuration, list[Transition]]] = [

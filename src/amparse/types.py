@@ -337,18 +337,16 @@ class TypeTable:
     maps back.
 
     combine[lt][rt] lists the successful arcs between a left item of type
-    id lt and an adjacent right item of type id rt, as (label, result id,
-    head_is_left) triples: labels in str order, and for each label the
+    id lt and an adjacent right item of type id rt, as (label, label id,
+    result id, head_is_left): labels in str order, and for each label the
     left-headed arc (type_combine(label, left, right)) before the
-    right-headed one.  keyed[lt][rt] lists the same arcs as (label, label
-    id, result id, head_is_left), the id being amparse.trees.label_id's, so
-    the rule kernel can key edge costs without hashing the label.
+    right-headed one.  The label id is amparse.trees.label_id's, so the
+    rule kernel can key edge costs without hashing the label.
     """
 
     types: tuple[Type, ...]
     ids: dict[Type, int]
     combine: tuple[tuple[tuple[tuple, ...], ...], ...]
-    keyed: tuple[tuple[tuple[tuple, ...], ...], ...]
 
     @property
     def empty_id(self) -> int:
@@ -375,6 +373,8 @@ def build_type_table(lexical: Iterable[Type], labels: Iterable) -> TypeTable:
     types = tuple(sorted(closed, key=serialize_type))
     ids = {t: i for i, t in enumerate(types)}
 
+    from .trees import label_id  # amparse.trees imports this module
+
     def arcs(left: Type, right: Type) -> tuple:
         out = []
         for lbl in labels:
@@ -383,14 +383,8 @@ def build_type_table(lexical: Iterable[Type], labels: Iterable) -> TypeTable:
                 (type_combine(lbl, right, left), False),
             ):
                 if result is not None:
-                    out.append((lbl, ids[result], head_is_left))
+                    out.append((lbl, label_id(lbl), ids[result], head_is_left))
         return tuple(out)
 
     combine = tuple(tuple(arcs(lt, rt) for rt in types) for lt in types)
-    from .trees import label_id  # amparse.trees imports this module
-
-    keyed = tuple(
-        tuple(tuple((lbl, label_id(lbl), r, h) for lbl, r, h in cell) for cell in row)
-        for row in combine
-    )
-    return TypeTable(types, ids, combine, keyed)
+    return TypeTable(types, ids, combine)

@@ -206,5 +206,21 @@ def test_bench_table_and_report(files, tmp_path, capsys):
     assert {r["decoder"] for r in rows} == {"chart", "ltl"}
 
 
+@pytest.mark.parametrize("beam", ["0", "-1"])
+def test_beam_below_one_is_input_error(files, capsys, beam):
+    rc = main([
+        "parse", str(files["costs"]), "--lexicon", str(files["lex"]),
+        "--decoder", "ltf", "--augment", "--beam", beam, "-o", str(files["tmp"] / "b.trees"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: beam must be at least 1")
+    rc = main([
+        "bench", str(files["costs"]), "--lexicon", str(files["lex"]),
+        "--repeat", "1", "--decoders", "ltl", "--beam", beam,
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: beam must be at least 1")
+
+
 def test_missing_input_file_is_input_error(files, capsys):
     assert main(["parse", "/nonexistent.costs", "--lexicon", str(files["lex"])]) == 1

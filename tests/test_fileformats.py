@@ -70,6 +70,18 @@ def test_trees_round_trip_with_markers(gold):
     assert back == [gold, gold]
 
 
+def test_trees_reader_shares_equal_texts(gold):
+    # multi-character texts: CPython shares one-character strings anyway
+    chain = "1\tword\twriter\t0\tROOT\n2\tword\tsoundly\t1\tMOD_m\n3\tword\tsoundly\t2\tMOD_m\n"
+    text = ff.write_trees_text([gold]) + "\n" + chain + "\n" + chain
+    trees = ff.parse_trees_text(text)
+    assert ff.write_trees_text(trees) == text and trees[0] == gold
+    entries = [e for tree in trees[1:] for e in tree.entries]
+    assert len({id(e.form) for e in entries}) == 1
+    assert len({id(e.constant) for e in entries if e.constant == "soundly"}) == 1
+    assert trees[1].entries[0].constant is trees[2].entries[0].constant
+
+
 def test_lexicon_error_carries_line_number():
     bad = "constant x\nnode a lbl\nroot a\nfrobnicate y\nend\n"
     with pytest.raises(ff.FormatError) as exc:

@@ -4,6 +4,7 @@ import pytest
 
 from amparse.graphs import (
     GraphError,
+    GraphNode,
     graph_apply,
     graph_modify,
     graph_type,
@@ -20,6 +21,17 @@ def test_make_graph_basic():
         root="a",
     )
     assert graph_type(g) == parse_type("[s]")
+
+
+def test_graph_node_is_slotted_and_pickles():
+    import pickle
+
+    node = GraphNode("n0", None, "s", parse_type("[]"))
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(AttributeError):
+        node.label = "pred"
+    back = pickle.loads(pickle.dumps(node))
+    assert back == node and hash(back) == hash(node)
 
 
 def test_make_graph_rejects_unknown_root():

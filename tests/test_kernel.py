@@ -10,6 +10,7 @@ from amparse.chart import chart_parse
 from amparse.costs import INF, gen_synthetic
 from amparse.exhaustive import best_analysis_cost
 from amparse.lexicon import augment_closure
+from amparse.trees import app, label_id
 from amparse.types import EMPTY_TYPE, parse_type, serialize_type, type_combine
 
 from test_lexicon import small_lexicons
@@ -23,7 +24,9 @@ def test_demo_table(closed_lex):
     assert table.empty_id == table.ids[EMPTY_TYPE] == 0
     # sleep takes its subject from the left: [] on the left, [s] heads on the right
     sleep, writer = table.ids[parse_type("[s]")], table.ids[parse_type("[]")]
-    assert [(str(l), r, h) for l, r, h in table.combine[writer][sleep]] == [("APP_s", 0, False)]
+    assert [(str(l), i, r, h) for l, i, r, h in table.combine[writer][sleep]] == [
+        ("APP_s", label_id(app("s")), 0, False)
+    ]
     assert closed_lex.type_table is table
 
 
@@ -41,7 +44,7 @@ def test_combine_agrees_with_type_combine(lx):
                     result = type_combine(lbl, head, arg)
                     if result is not None:
                         assert result in table.ids, "table not closed under combination"
-                        want.append((lbl, table.ids[result], head_is_left))
+                        want.append((lbl, label_id(lbl), table.ids[result], head_is_left))
             assert table.combine[lt][rt] == tuple(want)
 
 

@@ -214,11 +214,12 @@ def recursion_headroom(frames):
 
 
 def test_checked_replay_of_a_long_chain_is_fast(closed_lex, monkeypatch):
-    """writer as ROOT, then 1,199 soundly tokens, each MOD_m of the one
+    """writer as ROOT, then 4,999 soundly tokens, each MOD_m of the one
     before: checked ltf and ltl oracle round trips read the running owed
     total, not every token's owed slots, at each step.  A step recomputes
-    owed slots before and after for at most the two tokens it touches."""
-    n = 1200
+    owed slots before and after for at most the two tokens it touches, and
+    tests its transition against the move set without listing it."""
+    n = 5000
     entries = [TreeEntry("w1", "writer", 0, ROOT)] + [
         TreeEntry(f"w{k}", "soundly", k - 1, mod("m")) for k in range(2, n + 1)
     ]
@@ -232,7 +233,11 @@ def test_checked_replay_of_a_long_chain_is_fast(closed_lex, monkeypatch):
         calls += 1
         return owed_at(*args)
 
+    def unlisted(*args):
+        raise AssertionError("a checked step built the legal list")
+
     monkeypatch.setattr(transitions, "_owed", counted)
+    monkeypatch.setattr(transitions, "legal_transitions", unlisted)
     steps = 0
     start = time.perf_counter()
     for system in ("ltf", "ltl"):

@@ -212,6 +212,15 @@ def test_decode_beam_never_worse_than_greedy(closed_lex):
             assert wide.score <= greedy.score + 1e-9
 
 
+@pytest.mark.parametrize("beam", [0, -1])
+def test_decode_rejects_beam_below_one(closed_lex, beam):
+    from amparse.costs import gen_synthetic
+
+    for system in ("ltf", "ltl"):
+        with pytest.raises(TransitionError, match="beam must be at least 1"):
+            decode(gen_synthetic(0, 3, closed_lex), closed_lex, system, beam=beam)
+
+
 def test_render_trace_shape(closed_lex):
     seq = [parse_transition(t) for t in GOLD_LTL]
     lines = render_trace(seq, closed_lex, "ltl", 6)
@@ -351,6 +360,64 @@ def test_running_owed_total_matches_total_owed(closed_lex, system, type_checked)
 def test_running_owed_total_on_random_lexicons(lx, n, seed):
     for system, type_checked in DECODE_SETTINGS:
         owed_walk(lx, system, n, random.Random(seed), type_checked, wild=0.3)
+
+
+# --- one move set: legal_transitions lists it, a checked step tests it -------
+
+
+def near_misses(cfg, lexicon, legal):
+    """Transitions a step away from the legal ones: every kind aimed at every
+    token (headed ones and out-of-range ones included), every source for
+    Apply and Modify, every constant for Choose and Finish, and Pop."""
+    sources = sorted({*lexicon.app_sources(), *lexicon.mod_sources()}) + ["zz"]
+    constants = sorted(lexicon.constants) + ["zz"]
+    out = [Transition("pop")]
+    for j in range(0, cfg.n + 2):
+        out.append(Transition("init", token=j))
+        out += [Transition(k, token=j, source=src) for k in ("apply", "modify") for src in sources]
+    for tr in legal:
+        if tr.kind in ("choose", "finish"):
+            out += [Transition(tr.kind, term_type=tr.term_type, constant=g) for g in constants]
+        if tr.kind in ("apply", "modify"):
+            out.append(Transition(tr.kind, token=tr.token, source=tr.source, constant="zz"))
+    return out
+
+
+def move_set_walk(lexicon, system, n, rng, type_checked=True):
+    """A random legal walk that, at every configuration, checks the legal
+    list's order against Transition.sort_key, applies every listed
+    transition checked and unchecked, and tests every near miss."""
+    cfg = initial_config(n)
+    for _ in range(4 * n + 4):
+        legal = legal_transitions(cfg, lexicon, system, type_checked)
+        assert legal == sorted(legal, key=Transition.sort_key)
+        assert len(set(legal)) == len(legal)
+        for tr in legal:
+            checked = apply_transition(cfg, tr, lexicon, system, True, type_checked)
+            unchecked = apply_transition(cfg, tr, lexicon, system, False, type_checked)
+            assert checked == unchecked
+            assert checked.owed_total == unchecked.owed_total
+        for tr in near_misses(cfg, lexicon, legal):
+            if tr not in legal:
+                with pytest.raises(TransitionError, match="illegal transition"):
+                    apply_transition(cfg, tr, lexicon, system, True, type_checked)
+        if not legal:
+            return
+        cfg = apply_transition(cfg, rng.choice(legal), lexicon, system, False, type_checked)
+
+
+@given(small_lexicons().map(augment_closure), st.integers(1, 5), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_checked_step_accepts_exactly_the_legal_list(lx, n, seed):
+    for system, type_checked in DECODE_SETTINGS:
+        move_set_walk(lx, system, n, random.Random(seed), type_checked)
+
+
+@pytest.mark.parametrize("system,type_checked", DECODE_SETTINGS)
+def test_checked_step_accepts_exactly_the_legal_list_on_the_demo(closed_lex, system, type_checked):
+    for seed in range(10):
+        rng = random.Random(seed)
+        move_set_walk(closed_lex, system, rng.randint(1, 6), rng, type_checked)
 
 
 def test_running_owed_total_is_ignored_by_equality(closed_lex):
