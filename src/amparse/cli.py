@@ -318,6 +318,8 @@ def cmd_gen_costs(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     lexicon = _load_lexicon(args.lexicon)
     sentences = ff.parse_cost_text(_read(args.costs))
     _validate_costs(sentences, lexicon)

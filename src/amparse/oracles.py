@@ -29,7 +29,8 @@ from .transitions import (
     owed,
     random_walk,
 )
-from .trees import AmDepTree, check_well_typed
+from .trees import AmDepTree, _analyze
+from .trees import check_well_typed  # noqa: F401  (unused; perfbench/spans.py wraps it)
 from .types import EMPTY_TYPE, Type, apply_set, request, serialize_type
 
 
@@ -42,8 +43,9 @@ def oracle_sequence(tree: AmDepTree, lexicon: Lexicon, system: str) -> list[Tran
     Children are visited apply-edges first, then modify-edges, each in
     ascending token position; ltf descends as it attaches (depth-first),
     ltl finishes a token before descending, matching its stack order.
+    The children come from the fold plans that type-check the tree.
     """
-    report = check_well_typed(tree, lexicon)
+    report, plans = _analyze(tree, lexicon)
     if not report.ok:
         raise TransitionError(f"tree is not well-typed: {report.failure}")
     if system not in SYSTEMS:
@@ -52,12 +54,13 @@ def oracle_sequence(tree: AmDepTree, lexicon: Lexicon, system: str) -> list[Tran
     seq: list[Transition] = [Transition("init", token=root)]
 
     def arcs(i: int) -> list[Transition]:
-        kids = [(j, tree.token(j).label) for j in tree.children(i)]
+        plan = plans[i]
         return [
-            Transition("apply" if lbl.kind == "app" else "modify", token=j, source=lbl.source)
-            for kind in ("app", "mod")
-            for j, lbl in kids
-            if lbl.kind == kind
+            Transition("apply", token=j, source=tree.token(j).label.source)
+            for j in sorted(plan.app_children)
+        ] + [
+            Transition("modify", token=j, source=tree.token(j).label.source)
+            for j in plan.mod_children
         ]
 
     # work stack, not recursion, so deep trees fit: an int is a token still
@@ -133,17 +136,17 @@ def _complete_step_ltf(cfg: Configuration, lexicon: Lexicon) -> list[Transition]
     if not cfg.stack:
         return []
     i = cfg.active
-    if cfg.constant(i) is None:
-        t = _realized_term(lexicon, cfg.term_set(i))
+    if cfg.graphs[i] is None:
+        t = _realized_term(lexicon, cfg.terms[i])
         return [
             Transition("choose", term_type=t, constant=_cheapest_constant(lexicon, t)),
             Transition("pop"),
         ]
     if owed(cfg, i, lexicon) == 0:
         return [Transition("pop")]
-    lex_type = lexicon.type_of(cfg.constant(i))
-    (term,) = cfg.term_set(i)
-    missing = sorted(apply_set(lex_type, term) - cfg.applied_set(i))
+    lex_type = lexicon.type_of(cfg.graphs[i])
+    (term,) = cfg.terms[i]
+    missing = sorted(apply_set(lex_type, term) - cfg.applied[i])
     targets = _headless_tokens(cfg)[: len(missing)]
     if len(targets) < len(missing):
         raise TransitionError("owed slots exceed free tokens; configuration unreachable")
@@ -167,10 +170,10 @@ def _complete_step_ltl(cfg: Configuration, lexicon: Lexicon) -> list[Transition]
     if not cfg.stack:
         return []
     i = cfg.active
-    done = cfg.applied_set(i)
+    done = cfg.applied[i]
     best: Optional[tuple[int, str, str, Type, Type]] = None
     for lam in lexicon.omega:
-        for t in cfg.term_set(i):
+        for t in cfg.terms[i]:
             consumed = apply_set(lam, t)
             if consumed is None or not done <= consumed:
                 continue

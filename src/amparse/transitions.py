@@ -66,15 +66,6 @@ class Configuration:
         """O, equal to total_owed(self, lexicon) without touching every token."""
         return INF if self.owed_infinite else self.owed_finite
 
-    def term_set(self, i: int) -> Optional[frozenset[Type]]:
-        return self.terms[i]
-
-    def applied_set(self, i: int) -> Optional[frozenset[str]]:
-        return self.applied[i]
-
-    def constant(self, i: int) -> Optional[str]:
-        return self.graphs[i]
-
     def headless(self, j: int) -> bool:
         return j not in map(itemgetter(1), self.edges)
 
@@ -277,40 +268,40 @@ def _headless_tokens(cfg: Configuration) -> list[int]:
 
 def _legal_ltf(cfg: Configuration, lexicon: Lexicon) -> Moves:
     i = cfg.active
-    if cfg.constant(i) is None:
+    if cfg.graphs[i] is None:
         budget = cfg.free_tokens() - cfg.owed_total
         chooses = []
-        for t in sorted(cfg.term_set(i), key=serialize_type):
+        for t in sorted(cfg.terms[i], key=serialize_type):
             allowed = poss_lex(lexicon.omega, t, frozenset(), budget)
             for g in sorted(lexicon.constants):
                 if lexicon.type_of(g) in allowed:
                     chooses.append(Transition("choose", term_type=t, constant=g))
         return Moves(rest=tuple(chooses))
 
-    lex_type = lexicon.type_of(cfg.constant(i))
-    (term,) = cfg.term_set(i)
+    lex_type = lexicon.type_of(cfg.graphs[i])
+    (term,) = cfg.terms[i]
     consumed = apply_set(lex_type, term)
-    done = cfg.applied_set(i)
+    done = cfg.applied[i]
     apply = tuple(alpha for alpha in sorted(consumed - done) if app(alpha) in lexicon.labels)
     budget_ok = cfg.free_tokens() - cfg.owed_total >= 1
-    modify = tuple(beta for beta in sorted(lexicon.mod_sources())
+    modify = tuple(beta for beta in lexicon.mod_sources()
                    if budget_ok and _mod_term_types(lexicon, beta, lex_type))
     return Moves(apply, modify, (Transition("pop"),) if done == consumed else ())
 
 
 def _legal_ltl(cfg: Configuration, lexicon: Lexicon, type_checked: bool) -> Moves:
     i = cfg.active
-    done = cfg.applied_set(i)
-    terms = cfg.term_set(i)
+    done = cfg.applied[i]
+    terms = cfg.terms[i]
     w = cfg.free_tokens()
     apply = tuple(
-        alpha for alpha in sorted(lexicon.app_sources())
+        alpha for alpha in lexicon.app_sources()
         if alpha not in done and (not type_checked or any(
             poss_lex(lexicon.omega, t, done | {alpha}, w - 1) for t in terms
         ))
     )
     mods_ok = not type_checked or w - cfg.owed_total >= 1
-    modify = tuple(sorted(lexicon.mod_sources())) if mods_ok else ()
+    modify = tuple(lexicon.mod_sources()) if mods_ok else ()
     finishes = tuple(
         Transition("finish", constant=g) for g in sorted(lexicon.constants)
         if not type_checked or _finish_witness(lexicon.type_of(g), terms, done) is not None
@@ -326,7 +317,7 @@ def _finish_witness(
     At most one exists: the consumed set pins down t's node set, and t must
     be an induced sub-dag of the lexical type.
     """
-    for t in sorted(terms, key=serialize_type):
+    for t in terms:
         if apply_set(lex_type, t) == done:
             return t
     return None

@@ -179,12 +179,6 @@ class AmDepTree:
                 return i
         raise AssertionError("validated tree always has a root")
 
-    def children(self, i: int) -> list[int]:
-        return [j for j in range(1, self.n + 1) if self.entries[j - 1].head == i]
-
-    def attached_tokens(self) -> list[int]:
-        return [i for i, e in enumerate(self.entries, start=1) if e.label != IGNORE]
-
 
 @dataclass
 class TypingReport:

@@ -317,10 +317,6 @@ def apply_set(lex: Type, term: Type) -> Optional[frozenset[str]]:
     return frozenset(removed)
 
 
-def apply_reachable(lex: Type, term: Type) -> bool:
-    return apply_set(lex, term) is not None
-
-
 # --- compiled type table ---------------------------------------------------
 
 

@@ -34,7 +34,7 @@ from amparse.transitions import (
     legal_transitions,
     total_owed,
 )
-from amparse.trees import check_well_typed, evaluate_tree
+from amparse.trees import IGNORE, check_well_typed, evaluate_tree
 from amparse.types import EMPTY_TYPE, parse_type
 
 RAW = demo_lexicon()
@@ -261,7 +261,7 @@ def test_criterion_09_work_bounds(capsys):
         c = gen_synthetic(seed, n, CLOSED)
         for system in ("ltf", "ltl"):
             res = decode(c, CLOSED, system)
-            attached = len(res.tree.attached_tokens())
+            attached = sum(e.label != IGNORE for e in res.tree.entries)
             pops = sum(1 for t in res.transitions if t.kind == "pop")
             non_pop = len(res.transitions) - pops
             if non_pop != 2 * attached or non_pop > 2 * n + 1:

@@ -222,5 +222,17 @@ def test_beam_below_one_is_input_error(files, capsys, beam):
     assert capsys.readouterr().err.startswith("error: beam must be at least 1")
 
 
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_bench_repeat_below_one_is_input_error(files, tmp_path, capsys, repeat):
+    rep = tmp_path / "bench.json"
+    rc = main([
+        "bench", str(files["costs"]), "--lexicon", str(files["lex"]),
+        "--repeat", repeat, "--decoders", "ltl", "--report", str(rep),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --repeat must be at least 1, got {repeat}\n"
+    assert not rep.exists()
+
+
 def test_missing_input_file_is_input_error(files, capsys):
     assert main(["parse", "/nonexistent.costs", "--lexicon", str(files["lex"])]) == 1

@@ -28,7 +28,7 @@ from amparse.transitions import (
 )
 from amparse.lexicon import augment_closure
 from amparse.trees import ROOT, app, check_well_typed
-from amparse.types import parse_type
+from amparse.types import apply_set, parse_type
 
 from test_lexicon import small_lexicons
 
@@ -188,7 +188,7 @@ def test_ltl_applied_matches_app_edges(closed_lex):
         cfg = initial_config(rng.randint(2, 6))
         while True:
             for i in range(1, cfg.n + 1):
-                done = cfg.applied_set(i)
+                done = cfg.applied[i]
                 if done is None:
                     continue
                 from_edges = {
@@ -360,6 +360,19 @@ def test_running_owed_total_matches_total_owed(closed_lex, system, type_checked)
 def test_running_owed_total_on_random_lexicons(lx, n, seed):
     for system, type_checked in DECODE_SETTINGS:
         owed_walk(lx, system, n, random.Random(seed), type_checked, wild=0.3)
+
+
+@given(small_lexicons().map(augment_closure))
+@settings(max_examples=60, deadline=None)
+def test_apply_set_picks_out_at_most_one_term_type(lx):
+    """The uniqueness that lets Finish take the first witness it meets:
+    for each lexical type, no two term types consume the same sources."""
+    for lam in lx.omega:
+        seen = {}
+        for t in lx.omega:
+            consumed = apply_set(lam, t)
+            if consumed is not None:
+                assert seen.setdefault(consumed, t) == t
 
 
 # --- one move set: legal_transitions lists it, a checked step tests it -------

@@ -10,7 +10,6 @@ from amparse.types import (
     InvalidType,
     Type,
     TypeSyntaxError,
-    apply_reachable,
     apply_set,
     make_type,
     parse_type,
@@ -223,4 +222,3 @@ def test_apply_set_examples():
     assert apply_set(lex, EMPTY_TYPE) == frozenset({"o", "s"})
     # keeping o but dropping s breaks o's request edge
     assert apply_set(lex, parse_type("[o]")) is None
-    assert not apply_reachable(lex, parse_type("[o]"))
