@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -133,7 +132,6 @@ def build_heuristic(kind: str, costs: SentenceCosts, lexicon: Lexicon) -> Heuris
 class SearchStats:
     dequeued: int = 0
     pushed: int = 0
-    elapsed: float = 0.0
     limit_hit: bool = False
 
 
@@ -164,7 +162,6 @@ def astar_parse(
     goal pop is not an item.  Aborts with stats.limit_hit once dequeued
     reaches dequeue_limit while work remains.
     """
-    t0 = time.perf_counter()
     n = costs.n
     tables = build_heuristic(heuristic, costs, lexicon)
     stats = SearchStats()
@@ -221,5 +218,4 @@ def astar_parse(
         rules.arcs(costs, table, settled, by_right.get(i, ()), one, push)
         rules.arcs(costs, table, settled, one, by_left.get(k, ()), push)
 
-    stats.elapsed = time.perf_counter() - t0
     return AStarResult(tree, goal_cost, stats, settled)

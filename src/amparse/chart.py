@@ -11,7 +11,6 @@ heuristic-admissibility tests compare against.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,7 +26,6 @@ from .types import type_combine  # noqa: F401  (unused; perfbench/spans.py wraps
 class ChartStats:
     n_items: int = 0
     arcs_checked: int = 0
-    elapsed: float = 0.0
 
 
 @dataclass
@@ -58,7 +56,6 @@ def chart_parse(
     fixed rule order (Init by token, then spans by increasing length;
     within a span Skip before Arc, split points left to right).
     """
-    t0 = time.perf_counter()
     n = costs.n
     stats = ChartStats()
     best: dict[Sig, ParseItem] = {}
@@ -106,7 +103,6 @@ def chart_parse(
 
     stats.n_items = len(best)
     tree = rules.extract_tree(costs, best, goal_sig) if goal_sig is not None else None
-    stats.elapsed = time.perf_counter() - t0
     return ChartResult(tree, goal_cost, stats, best, hyper if record_hyperedges else None)
 
 

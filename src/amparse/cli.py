@@ -15,6 +15,7 @@ import random
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +24,7 @@ from .astar import HEURISTICS, astar_parse
 from .chart import chart_parse
 from .costs import INF, CostParams, SentenceCosts, gen_synthetic
 from .lexicon import Lexicon, augment_closure, validate_closure
-from .oracles import complete_config, fuzz_episode, oracle_sequence
+from .oracles import complete_config, fuzz_episode, oracle_sequence, replay
 from .transitions import SYSTEMS, config_to_tree, decode, is_goal, random_walk, render_trace
 from .trees import BOTTOM, LABELS, check_well_typed, evaluate_tree
 
@@ -31,24 +32,25 @@ EXIT_OK, EXIT_INPUT, EXIT_NOPARSE, EXIT_LIMIT = 0, 1, 2, 3
 
 DECODERS = ("chart", "astar", "ltf", "ltl")
 
+# per decoder: the stats key bench sums into its work column, and its name there
+WORK = {"chart": ("items", "chart items"), "astar": ("dequeued", "dequeued items"),
+        "ltf": ("transitions", "transitions"), "ltl": ("transitions", "transitions")}
+
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write(path: Optional[str], text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _emit_report(lines: list[dict], path: Optional[str], fallback) -> None:
-    text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+def _write(path: Optional[str], text: str, fallback=None) -> None:
+    """Write text to path, or to fallback (default: the current stdout) if None."""
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     else:
-        fallback.write(text)
+        (fallback or sys.stdout).write(text)
+
+
+def _json_lines(lines: list[dict]) -> str:
+    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
 
 def _finite(x: float):
@@ -59,16 +61,17 @@ def _load_lexicon(path: str) -> Lexicon:
     return ff.parse_lexicon_text(_read(path), name=Path(path).stem)
 
 
-def _validate_costs(sentences: list[SentenceCosts], lexicon: Lexicon) -> None:
+def _load_costs(args) -> tuple[Lexicon, list[SentenceCosts]]:
+    """The lexicon and the cost file's sentences, checked against each other."""
+    lexicon = _load_lexicon(args.lexicon)
+    sentences = ff.parse_cost_text(_read(args.costs))
     # Each interned app/mod label (ids from 2 on) is checked once; edge keys
     # are scanned only when some label is foreign to the lexicon.
     foreign = {lid for lid in range(2, len(LABELS)) if LABELS[lid] not in lexicon.labels}
     for c in sentences:
         for i, g in c.tag_cost:
             if g != BOTTOM and g not in lexicon.constants:
-                raise ValueError(
-                    f"sentence {c.sid}: tag for unknown constant {g!r}"
-                )
+                raise ValueError(f"sentence {c.sid}: tag for unknown constant {g!r}")
         if foreign:
             mm = (c.n + 1) ** 2  # an edge key's label id is key // mm
             for key in c.edge_table:
@@ -76,6 +79,26 @@ def _validate_costs(sentences: list[SentenceCosts], lexicon: Lexicon) -> None:
                     raise ValueError(
                         f"sentence {c.sid}: edge label {LABELS[key // mm]} not in the lexicon"
                     )
+    return lexicon, sentences
+
+
+def _decode(c: SentenceCosts, lexicon: Lexicon, decoder: str, heuristic: Optional[str],
+            args, type_checked: bool = True):
+    """One sentence through one decoder, as parse and bench both run it: (result,
+    the work counters parse reports as stats, outcome limit, no-parse or ok)."""
+    if decoder == "chart":
+        res = chart_parse(c, lexicon, k_tags=args.k_supertags)
+        stats = {"items": res.stats.n_items, "arcs": res.stats.arcs_checked}
+    elif decoder == "astar":
+        res = astar_parse(c, lexicon, heuristic=heuristic, k_tags=args.k_supertags,
+                          dequeue_limit=args.dequeue_limit)
+        stats = {"dequeued": res.stats.dequeued, "pushed": res.stats.pushed}
+        if res.stats.limit_hit:
+            return res, stats, "limit"
+    else:
+        res = decode(c, lexicon, decoder, beam=args.beam, type_checked=type_checked)
+        stats = {"transitions": len(res.transitions)}
+    return res, stats, "ok" if res.tree is not None else "no-parse"
 
 
 def _nearest_rank_ms(walls: list[float], p: int) -> Optional[float]:
@@ -109,8 +132,7 @@ def cmd_evaluate(args) -> int:
         if not report.ok:
             failures.append({"index": idx, "failure": list(report.failure)})
     if failures:
-        for f in failures:
-            sys.stderr.write(json.dumps(f, sort_keys=True) + "\n")
+        sys.stderr.write(_json_lines(failures))
         return EXIT_INPUT
     blocks = [
         ff.write_graph_text(evaluate_tree(tree, lexicon), name=f"g{idx}")
@@ -122,59 +144,33 @@ def cmd_evaluate(args) -> int:
 
 def cmd_parse(args) -> int:
     start = time.perf_counter()
-    lexicon = _load_lexicon(args.lexicon)
-    sentences = ff.parse_cost_text(_read(args.costs))
-    _validate_costs(sentences, lexicon)
+    lexicon, sentences = _load_costs(args)
     read_s = round(time.perf_counter() - start, 6)
-    if args.decoder in ("ltf", "ltl"):
+    if args.decoder in SYSTEMS:
         lexicon = _closed_lexicon(lexicon, args.augment)
     if args.no_type_check and args.decoder != "ltl":
         raise ValueError("--no-type-check applies to --decoder ltl only")
 
     def work(c: SentenceCosts) -> dict:
         t0 = time.perf_counter()
+        res, stats, outcome = _decode(
+            c, lexicon, args.decoder, args.heuristic, args, type_checked=not args.no_type_check
+        )
         rec: dict = {
-            "sid": c.sid, "n": c.n, "decoder": args.decoder, "outcome": "ok",
+            "sid": c.sid, "n": c.n, "decoder": args.decoder, "outcome": outcome,
+            "cost": _finite(res.cost), "stats": stats,
         }
-        tree = None
-        if args.decoder == "chart":
-            res = chart_parse(c, lexicon, k_tags=args.k_supertags)
-            tree = res.tree
-            rec["cost"] = _finite(res.cost)
-            rec["stats"] = {"items": res.stats.n_items, "arcs": res.stats.arcs_checked}
-            if tree is None:
-                rec["outcome"] = "no-parse"
-        elif args.decoder == "astar":
-            res = astar_parse(
-                c, lexicon, heuristic=args.heuristic,
-                k_tags=args.k_supertags, dequeue_limit=args.dequeue_limit,
-            )
-            tree = res.tree
+        if args.decoder == "astar":
             rec["heuristic"] = args.heuristic
-            rec["cost"] = _finite(res.cost)
-            rec["stats"] = {"dequeued": res.stats.dequeued, "pushed": res.stats.pushed}
-            if res.stats.limit_hit:
-                rec["outcome"] = "limit"
-            elif tree is None:
-                rec["outcome"] = "no-parse"
-        else:
-            res = decode(
-                c, lexicon, args.decoder, beam=args.beam,
-                type_checked=not args.no_type_check,
-            )
-            tree = res.tree
+        elif args.decoder in SYSTEMS:
             rec["mode"] = "no-type-check" if args.no_type_check else "typed"
             rec["beam"] = args.beam
-            rec["cost"] = _finite(res.cost)
-            rec["stats"] = {"transitions": len(res.transitions)}
             if args.trace:
                 lines = render_trace(res.transitions, lexicon, args.decoder, c.n)
                 sys.stderr.write(f"# sentence {c.sid}\n" + "\n".join(lines) + "\n")
-            if tree is None:
-                rec["outcome"] = "no-parse"
-        rec["well_typed"] = bool(tree) and check_well_typed(tree, lexicon).ok
+        rec["well_typed"] = res.tree is not None and check_well_typed(res.tree, lexicon).ok
         rec["wall_s"] = round(time.perf_counter() - t0, 6)
-        rec["tree"] = tree
+        rec["tree"] = res.tree
         return rec
 
     records = [work(c) for c in sentences]
@@ -187,9 +183,7 @@ def cmd_parse(args) -> int:
         items.append(tree if tree is not None else f"{rec['sid']} {rec['outcome'].upper()}")
     _write(args.output, ff.write_trees_text(items))
 
-    outcomes: dict[str, int] = {}
-    for rec in records:
-        outcomes[rec["outcome"]] = outcomes.get(rec["outcome"], 0) + 1
+    outcomes = Counter(rec["outcome"] for rec in records)
     total_tokens = sum(rec["n"] for rec in records)
     total_wall = sum(rec["wall_s"] for rec in records)
     walls = sorted(rec["wall_s"] for rec in records)
@@ -207,11 +201,11 @@ def cmd_parse(args) -> int:
         "latency_max_ms": _nearest_rank_ms(walls, 100),
     }
     fallback = sys.stderr if args.output is None else sys.stdout
-    _emit_report(records + [aggregate], args.report, fallback)
+    _write(args.report, _json_lines(records + [aggregate]), fallback)
 
-    if outcomes.get("limit"):
+    if outcomes["limit"]:
         return EXIT_LIMIT
-    if outcomes.get("no-parse"):
+    if outcomes["no-parse"]:
         return EXIT_NOPARSE
     return EXIT_OK
 
@@ -219,8 +213,6 @@ def cmd_parse(args) -> int:
 def cmd_oracle(args) -> int:
     lexicon = _closed_lexicon(_load_lexicon(args.lexicon), args.augment)
     trees = ff.parse_trees_text(_read(args.trees))
-    from .oracles import replay
-
     for idx, tree in enumerate(trees):
         seq = oracle_sequence(tree, lexicon, args.system)
         final = replay(tree, seq, lexicon, args.system)
@@ -320,9 +312,7 @@ def cmd_gen_costs(args) -> int:
 def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
-    lexicon = _load_lexicon(args.lexicon)
-    sentences = ff.parse_cost_text(_read(args.costs))
-    _validate_costs(sentences, lexicon)
+    lexicon, sentences = _load_costs(args)
     decoders = args.decoders.split(",") if args.decoders else list(DECODERS)
     heuristics = args.heuristics.split(",") if args.heuristics else list(HEURISTICS)
     for d in decoders:
@@ -336,25 +326,16 @@ def cmd_bench(args) -> int:
 
     rows = []
     for decoder in decoders:
-        modes = heuristics if decoder == "astar" else [None]
-        for h in modes:
-            walls, cost_total, work_total, n_inf = [], 0.0, 0, 0
+        lex = closed if decoder in SYSTEMS else lexicon
+        key = WORK[decoder][0]
+        for h in heuristics if decoder == "astar" else [None]:
+            walls = []
             for _ in range(args.repeat):
                 t0 = time.perf_counter()
                 cost_total, work_total, n_inf = 0.0, 0, 0
                 for c in sentences:
-                    if decoder == "chart":
-                        res = chart_parse(c, lexicon, k_tags=args.k_supertags)
-                        work_total += res.stats.n_items
-                    elif decoder == "astar":
-                        res = astar_parse(
-                            c, lexicon, heuristic=h,
-                            k_tags=args.k_supertags, dequeue_limit=args.dequeue_limit,
-                        )
-                        work_total += res.stats.dequeued
-                    else:
-                        res = decode(c, closed, decoder, beam=args.beam)
-                        work_total += len(res.transitions)
+                    res, stats, _ = _decode(c, lex, decoder, h, args)
+                    work_total += stats[key]
                     if res.cost < INF:
                         cost_total += res.cost
                     else:
@@ -372,8 +353,6 @@ def cmd_bench(args) -> int:
                 "work": work_total,
             })
 
-    work_name = {"chart": "chart items", "astar": "dequeued items",
-                 "ltf": "transitions", "ltl": "transitions"}
     header = (
         f"{'decoder':8} {'heuristic':13} {'median_s':>10} {'tok/s':>10} "
         f"{'cost':>10} {'inf':>4} {'work':>8}"
@@ -387,11 +366,11 @@ def cmd_bench(args) -> int:
         )
     table.append(
         "# cost sums finite trees only; inf counts failed or unpriced trees; "
-        "work is " + ", ".join(f"{d}: {work_name[d]}" for d in decoders)
+        "work is " + ", ".join(f"{d}: {WORK[d][1]}" for d in decoders)
     )
     sys.stdout.write("\n".join(table) + "\n")
     if args.report:
-        _emit_report(rows, args.report, sys.stderr)
+        _write(args.report, _json_lines(rows))
     return EXIT_OK
 
 
@@ -408,6 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--augment", action="store_true",
                             help="synthesize constants to close the lexicon")
 
+    def add_search(sp):
+        sp.add_argument("--k-supertags", type=int, default=6)
+        sp.add_argument("--dequeue-limit", type=int, default=1_000_000)
+        sp.add_argument("--beam", type=int, default=1)
+
     sp = sub.add_parser("evaluate", help="evaluate trees to graphs")
     sp.add_argument("trees")
     add_lexicon(sp, augment=False)
@@ -419,9 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_lexicon(sp)
     sp.add_argument("--decoder", choices=DECODERS, default="astar")
     sp.add_argument("--heuristic", choices=HEURISTICS, default="ignore-aware")
-    sp.add_argument("--k-supertags", type=int, default=6)
-    sp.add_argument("--dequeue-limit", type=int, default=1_000_000)
-    sp.add_argument("--beam", type=int, default=1)
+    add_search(sp)
     sp.add_argument("--no-type-check", action="store_true")
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("-o", "--output")
@@ -480,9 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--decoders", help="comma list (default: all)")
     sp.add_argument("--heuristics", help="comma list for astar (default: all)")
     sp.add_argument("--repeat", type=int, default=3)
-    sp.add_argument("--k-supertags", type=int, default=6)
-    sp.add_argument("--dequeue-limit", type=int, default=1_000_000)
-    sp.add_argument("--beam", type=int, default=1)
+    add_search(sp)
     sp.add_argument("--report")
     sp.set_defaults(fn=cmd_bench)
 

@@ -29,8 +29,7 @@ from .transitions import (
     owed,
     random_walk,
 )
-from .trees import AmDepTree, _analyze
-from .trees import check_well_typed  # noqa: F401  (unused; perfbench/spans.py wraps it)
+from .trees import AmDepTree, check_well_typed
 from .types import EMPTY_TYPE, Type, apply_set, request, serialize_type
 
 
@@ -45,7 +44,7 @@ def oracle_sequence(tree: AmDepTree, lexicon: Lexicon, system: str) -> list[Tran
     ltl finishes a token before descending, matching its stack order.
     The children come from the fold plans that type-check the tree.
     """
-    report, plans = _analyze(tree, lexicon)
+    report = check_well_typed(tree, lexicon)
     if not report.ok:
         raise TransitionError(f"tree is not well-typed: {report.failure}")
     if system not in SYSTEMS:
@@ -54,7 +53,7 @@ def oracle_sequence(tree: AmDepTree, lexicon: Lexicon, system: str) -> list[Tran
     seq: list[Transition] = [Transition("init", token=root)]
 
     def arcs(i: int) -> list[Transition]:
-        plan = plans[i]
+        plan = report.plans[i]
         return [
             Transition("apply", token=j, source=tree.token(j).label.source)
             for j in sorted(plan.app_children)

@@ -185,6 +185,8 @@ class TypingReport:
     ok: bool
     term_types: dict[int, Type] = field(default_factory=dict)
     failure: Optional[tuple[int, str]] = None
+    # token -> its fold plan, children before their heads
+    plans: dict[int, _FoldPlan] = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -195,11 +197,15 @@ class _FoldPlan:
     app_children: list[int] = field(default_factory=list)  # legal apply order
 
 
-def _analyze(t: AmDepTree, lexicon) -> tuple[TypingReport, dict[int, _FoldPlan]]:
-    """Fold the root's subtree bottom-up, each token after its children and
-    siblings in ascending position.  plans lists the tokens in that order."""
+def check_well_typed(t: AmDepTree, lexicon) -> TypingReport:
+    """Fold types bottom-up; ok iff every step is defined and the root's term
+    type is empty.  term_types carries whatever was successfully computed.
+
+    The fold takes the root's subtree bottom-up, each token after its
+    children and siblings in ascending position; plans lists the tokens in
+    that order."""
     report = TypingReport(ok=True)
-    plans: dict[int, _FoldPlan] = {}
+    plans = report.plans
     children: dict[int, list[int]] = {}  # ascending position
     for j, e in enumerate(t.entries, start=1):
         children.setdefault(e.head, []).append(j)
@@ -269,22 +275,16 @@ def _analyze(t: AmDepTree, lexicon) -> tuple[TypingReport, dict[int, _FoldPlan]]
     root_type = folded[root]
     if report.ok and root_type is not None and not root_type.is_empty():
         fail(root, f"root term type {root_type} is not empty")
-    return report, plans
-
-
-def check_well_typed(t: AmDepTree, lexicon) -> TypingReport:
-    """Fold types bottom-up; ok iff every step is defined and the root's term
-    type is empty.  term_types carries whatever was successfully computed."""
-    report, _ = _analyze(t, lexicon)
     return report
 
 
 def evaluate_tree(t: AmDepTree, lexicon) -> AsGraph:
     """Evaluate a well-typed tree to its graph.  Raises TreeError otherwise."""
-    report, plans = _analyze(t, lexicon)
+    report = check_well_typed(t, lexicon)
     if not report.ok:
         token, why = report.failure
         raise TreeError(f"tree is not well-typed at token {token}: {why}")
+    plans = report.plans
 
     # fragments in pre-order, each token before its children's subtrees in
     # plan order, which numbers nodes as nested apply/modify calls would

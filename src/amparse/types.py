@@ -35,6 +35,9 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 NAME_PATTERN = re.compile(r"[a-z][a-z0-9_]*")
+# parse_type recurses twice per bracket level and serialize_type once per level
+# of what it returns; this bound keeps both well inside Python's recursion limit
+MAX_TYPE_DEPTH = 100
 
 
 class InvalidType(ValueError):
@@ -179,20 +182,22 @@ def parse_type(text: str) -> Type:
     Each mention of a name inside another name's brackets contributes one
     requester -> requested edge.  All mentions of one name must carry the
     same direct successors; listing a name with no brackets declares an
-    empty request at that mention.
+    empty request at that mention.  Brackets nest at most MAX_TYPE_DEPTH deep.
     """
     toks = _Tokens(text)
     children: dict[str, frozenset[str]] = {}
     names: set[str] = set()
 
-    def entry_list() -> frozenset[str]:
+    def entry_list(depth: int) -> frozenset[str]:
+        if depth > MAX_TYPE_DEPTH:
+            raise TypeSyntaxError(f"brackets nest deeper than {MAX_TYPE_DEPTH} at offset {toks.pos}")
         toks.expect("[")
         here: list[str] = []
         if toks.peek() == "]":
             toks.pos += 1
             return frozenset()
         while True:
-            here.append(entry())
+            here.append(entry(depth))
             ch = toks.peek()
             if ch == ",":
                 toks.pos += 1
@@ -200,10 +205,10 @@ def parse_type(text: str) -> Type:
             toks.expect("]")
             return frozenset(here)
 
-    def entry() -> str:
+    def entry(depth: int) -> str:
         name = toks.take_name()
         names.add(name)
-        kids = entry_list() if toks.peek() == "[" else frozenset()
+        kids = entry_list(depth + 1) if toks.peek() == "[" else frozenset()
         if name in children and children[name] != kids:
             raise TypeSyntaxError(
                 f"inconsistent requests for {name!r}: "
@@ -212,7 +217,7 @@ def parse_type(text: str) -> Type:
         children[name] = kids
         return name
 
-    entry_list()
+    entry_list(1)
     if toks.peek():
         raise TypeSyntaxError(f"trailing text at offset {toks.pos} in {text!r}")
     edges = frozenset((a, b) for a, kids in children.items() for b in kids)

@@ -35,6 +35,15 @@ def test_validate_lexicon_exit_codes(files, capsys):
     assert main(["validate-lexicon", "--lexicon", str(files["closed"])]) == 0
 
 
+def test_deeply_nested_type_is_input_error(files, capsys):
+    lex = files["tmp"] / "deep.lexicon"
+    lex.write_text("omega " + "".join(f"[a{i}" for i in range(600)) + "]" * 600 + "\n")
+    assert main(["validate-lexicon", "--lexicon", str(lex)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "deeper than" in err
+
+
 def test_augment_lexicon_writes_closed_file(files, capsys):
     out = files["tmp"] / "aug.lexicon"
     assert main(["augment-lexicon", "--lexicon", str(files["lex"]), "-o", str(out)]) == 0
@@ -236,3 +245,72 @@ def test_bench_repeat_below_one_is_input_error(files, tmp_path, capsys, repeat):
 
 def test_missing_input_file_is_input_error(files, capsys):
     assert main(["parse", "/nonexistent.costs", "--lexicon", str(files["lex"])]) == 1
+
+
+RECORD_KEYS = {"sid", "n", "decoder", "outcome", "cost", "stats", "well_typed", "wall_s"}
+DECODER_KEYS = {
+    "chart": (set(), {"items", "arcs"}),
+    "astar": ({"heuristic"}, {"dequeued", "pushed"}),
+    "ltf": ({"mode", "beam"}, {"transitions"}),
+    "ltl": ({"mode", "beam"}, {"transitions"}),
+}
+
+
+@pytest.mark.parametrize("decoder", ["chart", "astar", "ltf", "ltl"])
+def test_parse_record_and_stats_keys(files, decoder):
+    rep = files["tmp"] / "keys.json"
+    assert main([
+        "parse", str(files["costs"]), "--lexicon", str(files["lex"]), "--decoder", decoder,
+        "--augment", "-o", str(files["tmp"] / "keys.trees"), "--report", str(rep),
+    ]) == 0
+    rec = json.loads(rep.read_text().splitlines()[0])
+    extra, stats = DECODER_KEYS[decoder]
+    assert set(rec) == RECORD_KEYS | extra
+    assert set(rec["stats"]) == stats
+
+
+BENCH_WORK = {"chart": "items", "astar": "dequeued", "ltf": "transitions", "ltl": "transitions"}
+
+
+@pytest.mark.parametrize("extra", [[], ["--k-supertags", "1", "--beam", "2"]])
+def test_bench_rows_sum_parse_records(files, tmp_path, capsys, extra):
+    corpus = tmp_path / "gen.costs"
+    assert main([
+        "gen-costs", "--lexicon", str(files["closed"]), "--sentences", "6",
+        "--seed", "3", "--n-min", "2", "--n-max", "5", "-o", str(corpus),
+    ]) == 0
+    lex = ["--lexicon", str(files["closed"])]
+    bench = tmp_path / "bench.json"
+    assert main(["bench", str(corpus), *lex, "--repeat", "1", "--report", str(bench), *extra]) == 0
+    rows = [json.loads(line) for line in bench.read_text().splitlines()]
+    assert [(r["decoder"], r["heuristic"]) for r in rows] == [
+        ("chart", None), ("astar", "trivial"), ("astar", "supertag"), ("astar", "edge"),
+        ("astar", "ignore-aware"), ("ltf", None), ("ltl", None),
+    ]
+    failed = 0
+    for row in rows:
+        rep = tmp_path / "parse.json"
+        heuristic = ["--heuristic", row["heuristic"]] if row["heuristic"] else []
+        main(["parse", str(corpus), *lex, "--decoder", row["decoder"], *heuristic, *extra,
+              "-o", str(tmp_path / "p.trees"), "--report", str(rep)])
+        recs = [json.loads(line) for line in rep.read_text().splitlines()][:-1]
+        costs = [rec["cost"] for rec in recs]
+        assert row["work"] == sum(rec["stats"][BENCH_WORK[row["decoder"]]] for rec in recs)
+        assert row["total_cost"] == round(sum(c for c in costs if c is not None), 9)
+        assert row["unpriced_or_failed"] == costs.count(None)
+        failed += row["unpriced_or_failed"]
+    assert failed or not extra  # one k = 1 decoder leaves a sentence unparsed
+
+
+def test_bench_footer_names_each_decoders_work(files, capsys):
+    assert main(["bench", str(files["costs"]), "--lexicon", str(files["lex"]), "--repeat", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "# cost sums finite trees only; inf counts failed or unpriced trees; work is "
+        "chart: chart items, astar: dequeued items, ltf: transitions, ltl: transitions"
+    )
+    assert main(["bench", str(files["costs"]), "--lexicon", str(files["lex"]), "--repeat", "1",
+                 "--decoders", "ltl,astar"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "# cost sums finite trees only; inf counts failed or unpriced trees; work is "
+        "ltl: transitions, astar: dequeued items"
+    )

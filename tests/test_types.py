@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from amparse.trees import app, mod
 from amparse.types import (
     EMPTY_TYPE,
+    MAX_TYPE_DEPTH,
     InvalidType,
     Type,
     TypeSyntaxError,
@@ -89,6 +90,23 @@ def test_parse_rejects_trailing_garbage():
 def test_parse_rejects_cycle_text():
     with pytest.raises(TypeSyntaxError):
         parse_type("[a[b[a]]]")
+
+
+def _nested(depth: int) -> str:
+    """The chain a0 -> a1 -> ... written as depth nested bracket levels."""
+    return "".join(f"[a{i}" for i in range(depth)) + "]" * depth
+
+
+def test_parse_accepts_nesting_up_to_the_bound():
+    t = parse_type(_nested(MAX_TYPE_DEPTH))
+    assert len(t.nodes) == MAX_TYPE_DEPTH and len(t.edges) == MAX_TYPE_DEPTH - 1
+    assert parse_type(serialize_type(t)) == t
+
+
+@pytest.mark.parametrize("depth", [MAX_TYPE_DEPTH + 1, 600, 5000])
+def test_parse_rejects_nesting_beyond_the_bound(depth):
+    with pytest.raises(TypeSyntaxError, match=f"deeper than {MAX_TYPE_DEPTH}"):
+        parse_type(_nested(depth))
 
 
 @st.composite
