@@ -23,6 +23,7 @@ import hashlib
 import random
 import sys
 from pathlib import Path
+from typing import Optional
 
 from amparse import fileformats as ff
 from amparse.astar import HEURISTICS, astar_parse
@@ -40,6 +41,7 @@ GOLDEN_LENGTHS = range(2, 9)
 CHART_K_TAGS = (None, 2)
 ASTAR_K_TAGS = (None, 2, 6)
 TRANSITION_LENGTHS = range(2, 11)
+USAGE = __doc__[__doc__.index("Usage:"):].split("\n\n")[0]
 
 
 def tie_heavy(c: SentenceCosts, seed: int) -> SentenceCosts:
@@ -131,10 +133,20 @@ def transition_golden_text() -> str:
     return "".join(blocks)
 
 
-def main() -> int:
-    args = sys.argv[1:]
-    if args and args[0] == "--golden":
-        outdir = Path(args[1]) if len(args) > 1 else GOLDEN_DIR
+def main(argv: Optional[list[str]] = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if "-h" in args or "--help" in args:
+        print(__doc__.strip())
+        return 0
+    golden = args[:1] == ["--golden"]
+    if golden:
+        args = args[1:]
+    unknown = [arg for arg in args if arg.startswith("-")]
+    if unknown:
+        sys.stderr.write(f"{USAGE}\nerror: unknown option {unknown[0]!r}\n")
+        return 2
+    if golden:
+        outdir = Path(args[0]) if args else GOLDEN_DIR
         outdir.mkdir(parents=True, exist_ok=True)
         for path, text in ((GOLDEN_PATH, decode_golden_text()),
                            (TRANSITION_GOLDEN_PATH, transition_golden_text())):

@@ -61,10 +61,9 @@ def _load_lexicon(path: str) -> Lexicon:
     return ff.parse_lexicon_text(_read(path), name=Path(path).stem)
 
 
-def _load_costs(args) -> tuple[Lexicon, list[SentenceCosts]]:
-    """The lexicon and the cost file's sentences, checked against each other."""
-    lexicon = _load_lexicon(args.lexicon)
-    sentences = ff.parse_cost_text(_read(args.costs))
+def _load_costs(path: str, lexicon: Lexicon) -> list[SentenceCosts]:
+    """The cost file's sentences, checked against the lexicon they are decoded on."""
+    sentences = ff.parse_cost_text(_read(path))
     # Each interned app/mod label (ids from 2 on) is checked once; edge keys
     # are scanned only when some label is foreign to the lexicon.
     foreign = {lid for lid in range(2, len(LABELS)) if LABELS[lid] not in lexicon.labels}
@@ -79,7 +78,7 @@ def _load_costs(args) -> tuple[Lexicon, list[SentenceCosts]]:
                     raise ValueError(
                         f"sentence {c.sid}: edge label {LABELS[key // mm]} not in the lexicon"
                     )
-    return lexicon, sentences
+    return sentences
 
 
 def _decode(c: SentenceCosts, lexicon: Lexicon, decoder: str, heuristic: Optional[str],
@@ -144,10 +143,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_parse(args) -> int:
     start = time.perf_counter()
-    lexicon, sentences = _load_costs(args)
-    read_s = round(time.perf_counter() - start, 6)
+    lexicon = _load_lexicon(args.lexicon)
     if args.decoder in SYSTEMS:
         lexicon = _closed_lexicon(lexicon, args.augment)
+    sentences = _load_costs(args.costs, lexicon)
+    read_s = round(time.perf_counter() - start, 6)
     if args.no_type_check and args.decoder != "ltl":
         raise ValueError("--no-type-check applies to --decoder ltl only")
 
@@ -312,7 +312,7 @@ def cmd_gen_costs(args) -> int:
 def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
-    lexicon, sentences = _load_costs(args)
+    lexicon = _load_lexicon(args.lexicon)
     decoders = args.decoders.split(",") if args.decoders else list(DECODERS)
     heuristics = args.heuristics.split(",") if args.heuristics else list(HEURISTICS)
     for d in decoders:
@@ -322,6 +322,8 @@ def cmd_bench(args) -> int:
         if h not in HEURISTICS:
             raise ValueError(f"unknown heuristic {h!r}")
     closed = _closed_lexicon(lexicon, augment=True)
+    # chart and A* decode on the lexicon as read, the transition systems on its closure
+    sentences = _load_costs(args.costs, closed if set(decoders) <= set(SYSTEMS) else lexicon)
     tokens = sum(c.n for c in sentences)
 
     rows = []

@@ -23,7 +23,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .costs import INF, SentenceCosts, tree_cost
 from .lexicon import Lexicon
@@ -224,8 +224,8 @@ def poss_lex(
 # legal for every alpha in apply and every headless token j, Modify(beta, j)
 # likewise for modify, and rest holds the legal Init, Choose, Finish and Pop
 # transitions in canonical order.  No guard reads the target, so the targets
-# stay out: legal_transitions lists them, and a checked apply_transition
-# tests the one token it is given.
+# stay out: legal_transitions lists them, decode prices them, and a checked
+# apply_transition tests the one token it is given.
 class Moves(NamedTuple):
     apply: tuple[str, ...] = ()  # sorted
     modify: tuple[str, ...] = ()  # sorted
@@ -238,13 +238,10 @@ def legal_transitions(cfg: Configuration, lexicon: Lexicon, system: str,
     Transition.sort_key (Init < Apply < Modify < Choose/Finish < Pop, then
     token, source, type, constant).  type_checked=False drops every type
     guard (ltl only)."""
-    apply, modify, rest = _moves(cfg, lexicon, system, type_checked)
-    free = _headless_tokens(cfg) if apply or modify else ()
-    return (
-        [Transition("apply", token=j, source=alpha) for j in free for alpha in apply]
-        + [Transition("modify", token=j, source=beta) for j in free for beta in modify]
-        + list(rest)
-    )
+    moves = _moves(cfg, lexicon, system, type_checked)
+    free = _headless_tokens(cfg) if moves.apply or moves.modify else ()
+    count = len(free) * (len(moves.apply) + len(moves.modify)) + len(moves.rest)
+    return [_move_at(moves, free, p) for p in range(count)]
 
 
 def _moves(cfg: Configuration, lexicon: Lexicon, system: str, type_checked: bool) -> Moves:
@@ -478,39 +475,43 @@ class DecodeResult:
         return self.tree is not None
 
 
-def static_scorer(costs: SentenceCosts) -> Callable[[Configuration, Transition], float]:
-    """Scores each transition by the cost-file entry of the decision it
-    takes: root edge for Init, edge for Apply/Modify, supertag for
-    Choose/Finish, nothing for Pop.
-
-    Edges are read from costs.edge_table by the integer key amparse.costs
-    documents, computed inline as the rule kernel does; tags from
-    costs.tag_cost.  A label that was never interned has no entry and
-    scores INF, and scoring interns nothing.
-    """
+def static_scorer(costs: SentenceCosts, lexicon: Lexicon) -> Callable[..., list[float]]:
+    """price(cfg, moves, free): the cost of each transition legal_transitions
+    lists for moves and the headless tokens free, in that order.  That is
+    the cost-file entry of its decision: root edge for Init, edge for
+    Apply/Modify (by the edge_table key, each source's label id resolved
+    once), supertag for Choose/Finish, nothing for Pop.  A never-interned
+    label gets id -1, which makes its keys negative: it prices INF, and
+    pricing interns nothing."""
     edge = costs.edge_table.get
     tag = costs.tag_cost.get
     m = costs.n + 1
-    ids: dict[tuple[str, str], Optional[int]] = {}  # (kind, source) -> label id
+    app_ids = {s: LABEL_IDS.get(app(s), -1) for s in lexicon.app_sources()}
+    mod_ids = {s: LABEL_IDS.get(mod(s), -1) for s in lexicon.mod_sources()}
 
-    def score(cfg: Configuration, tr: Transition) -> float:
-        kind = tr.kind
-        if kind == "init":
-            return edge(tr.token, INF)  # ROOT's id is 0: keyed by the target alone
-        if kind == "apply" or kind == "modify":
-            key = (kind, tr.source)
-            if key in ids:
-                lid = ids[key]
-            else:
-                lid = ids[key] = LABEL_IDS.get((app if kind == "apply" else mod)(tr.source))
-            if lid is None:
-                return INF
-            return edge((lid * m + cfg.stack[-1]) * m + tr.token, INF)
-        if kind == "choose" or kind == "finish":
-            return tag((cfg.stack[-1], tr.constant), INF)
-        return 0.0
+    def price(cfg: Configuration, moves: Moves, free: Sequence[int]) -> list[float]:
+        i = cfg.stack[-1] if cfg.stack else 0
+        out = []
+        for ids, sources in ((app_ids, moves.apply), (mod_ids, moves.modify)):
+            bases = [(ids[s] * m + i) * m for s in sources]
+            out += [edge(base + j, INF) for j in free for base in bases]
+        return out + [  # ROOT's id is 0, so Init is keyed by its target alone
+            edge(tr.token, INF) if tr.kind == "init" else
+            0.0 if tr.kind == "pop" else tag((i, tr.constant), INF)
+            for tr in moves.rest
+        ]
 
-    return score
+    return price
+
+
+def _move_at(moves: Moves, free: Sequence[int], p: int) -> Transition:
+    """Entry p of the list legal_transitions makes of moves and free."""
+    for kind, sources in (("apply", moves.apply), ("modify", moves.modify)):
+        if p < len(free) * len(sources):
+            j, s = divmod(p, len(sources))
+            return Transition(kind, token=free[j], source=sources[s])
+        p -= len(free) * len(sources)
+    return moves.rest[p]
 
 
 def decode(
@@ -523,49 +524,48 @@ def decode(
     """Transition decoding with a static cost scorer.
 
     beam=1 is greedy: at each configuration take the cheapest legal
-    transition, sort order breaking ties.  beam>1 keeps that many partial
-    sequences by summed score; finished sequences stay in the beam and
-    compete unchanged.  Every legal transition is scored against its
-    parent configuration, but only the ones the beam keeps are applied.
-    The returned cost is the tree cost of the result under the cost file,
-    not the summed transition score.
+    transition, canonical order breaking ties.  beam>1 keeps that many
+    partial sequences by summed score, ties going to the earlier parent,
+    then the earlier transition; finished sequences stay in the beam and
+    compete unchanged.  Move sets are priced without building transitions;
+    only the beam's survivors are built and applied.  The returned cost is
+    the tree cost of the result under the cost file, not the summed score.
     """
     if costs.n < 1:
         raise TransitionError("empty sentence")
     if beam < 1:
         raise TransitionError(f"beam must be at least 1, got {beam}")
-    score = static_scorer(costs)
+    price = static_scorer(costs, lexicon)
     # (summed score, insertion order, cfg, transitions), in beam order
-    beams: list[tuple[float, int, Configuration, list[Transition]]] = [
-        (0.0, 0, initial_config(costs.n), [])
-    ]
+    beams = [(0.0, 0, initial_config(costs.n), [])]
     counter = 1
     while True:
-        # (summed score, insertion order, parent cfg, its transitions, the
-        # transition to apply, or None for a finished hypothesis)
-        grown: list[tuple[float, int, Configuration, list[Transition], Optional[Transition]]] = []
-        any_open = False
+        # (summed score, insertion order, parent cfg, its transitions, and the
+        # parent's (moves, headless tokens, kept position), or None if finished)
+        grown = []
         for total, tie, cfg, trs in beams:
-            legal = legal_transitions(cfg, lexicon, system, type_checked)
-            if not legal:
+            moves = _moves(cfg, lexicon, system, type_checked)
+            free = _headless_tokens(cfg) if moves.apply or moves.modify else ()
+            prices = price(cfg, moves, free)
+            if not prices:
                 grown.append((total, tie, cfg, trs, None))
                 continue
-            any_open = True
-            scored = [(score(cfg, tr), tr) for tr in legal]
-            if beam == 1:
-                # legal is in canonical order and min keeps the first minimum
-                scored = [min(scored, key=itemgetter(0))]
-            for cost, tr in scored:
-                grown.append((total + cost, counter, cfg, trs, tr))
-                counter += 1
-        if not any_open:
+            if beam == 1:  # min keeps the first minimum, sorted equal keys' order
+                keep = [min(range(len(prices)), key=prices.__getitem__)]
+            else:
+                keep = sorted(range(len(prices)), key=lambda p: total + prices[p])[:beam]
+            for p in keep:
+                grown.append((total + prices[p], counter + p, cfg, trs, (moves, free, p)))
+            counter += len(prices)
+        if all(move is None for *_, move in grown):
             break
         grown.sort(key=itemgetter(0, 1))
-        beams = [
-            (total, tie, cfg, trs) if tr is None else
-            (total, tie, apply_transition(cfg, tr, lexicon, system, check=False), trs + [tr])
-            for total, tie, cfg, trs, tr in grown[:beam]
-        ]
+        beams = []
+        for total, tie, cfg, trs, move in grown[:beam]:
+            if move is not None:
+                tr = _move_at(*move)
+                cfg, trs = apply_transition(cfg, tr, lexicon, system, check=False), trs + [tr]
+            beams.append((total, tie, cfg, trs))
 
     best_total, _, best_cfg, best_trs = beams[0]  # beams are in (score, order) order
     if not is_goal(best_cfg):

@@ -91,6 +91,26 @@ def test_parse_rejects_foreign_costs(files, tmp_path):
     assert rc == 1
 
 
+def test_costs_are_checked_against_the_lexicon_each_decoder_runs_on(files, tmp_path, capsys):
+    """A cost file priced over the closed lexicon is accepted where the
+    decoder runs on the closure (parse --augment, bench's transition
+    systems), and rejected where chart or A* would run on the unclosed one."""
+    costs = tmp_path / "closed.costs"
+    assert main(["gen-costs", "--lexicon", str(files["closed"]), "-o", str(costs)]) == 0
+    assert "_synth_" in costs.read_text()  # it prices the synthesized constants
+    lex = ["--lexicon", str(files["lex"])]
+    out = ["-o", str(tmp_path / "p.trees"), "--report", str(tmp_path / "p.json")]
+    assert main(["parse", str(costs), *lex, "--decoder", "ltl", "--augment", *out]) == 0
+    assert main(["bench", str(costs), *lex, "--decoders", "ltf,ltl", "--repeat", "1"]) == 0
+    capsys.readouterr()
+    for argv in (["parse", str(costs), *lex, "--decoder", "chart", *out],
+                 ["parse", str(costs), *lex, "--decoder", "astar", "--augment", *out],
+                 ["bench", str(costs), *lex, "--decoders", "ltl,astar", "--repeat", "1"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sentence s0: tag for unknown constant '_synth_"), argv
+
+
 def test_parse_trace_goes_to_stderr(files, capsys):
     out = files["tmp"] / "t.trees"
     rc = main([

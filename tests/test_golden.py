@@ -35,6 +35,21 @@ def test_transition_golden_reproduced():
     _assert_reproduced(mf.TRANSITION_GOLDEN_PATH, mf.transition_golden_text())
 
 
+def test_make_fixtures_help_and_unknown_options(tmp_path, monkeypatch, capsys):
+    """-h/--help prints the docstring; any other option but a leading
+    --golden is a usage error, and neither writes a file."""
+    mf = _make_fixtures()
+    monkeypatch.chdir(tmp_path)
+    for argv in (["-h"], ["--help"], ["out", "--help"]):
+        assert mf.main(argv) == 0
+        assert capsys.readouterr().out == mf.__doc__.strip() + "\n"
+    for argv, bad in ((["-x"], "-x"), (["--golden", "--verbose"], "--verbose"),
+                      (["out", "--golden"], "--golden"), (["--out", "d"], "--out")):
+        assert mf.main(argv) == 2
+        assert capsys.readouterr().err == f"{mf.USAGE}\nerror: unknown option {bad!r}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_perfbench_wrapped_attributes_resolve():
     """perfbench/spans.py replaces these module attributes in its traced run."""
     spans = _load(ROOT / "perfbench" / "spans.py")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from amparse.transitions import (
     Configuration,
+    Moves,
     Transition,
     TransitionError,
     apply_transition,
@@ -26,8 +27,8 @@ from amparse.transitions import (
     static_scorer,
     total_owed,
 )
-from amparse.lexicon import augment_closure
-from amparse.trees import ROOT, app, check_well_typed
+from amparse.lexicon import Lexicon, augment_closure
+from amparse.trees import ROOT, app, check_well_typed, mod
 from amparse.types import apply_set, parse_type
 
 from test_lexicon import small_lexicons
@@ -445,14 +446,73 @@ def test_scorer_prices_never_interned_labels_at_inf(closed_lex):
     from amparse.trees import LABEL_IDS, LABELS
 
     c = gen_synthetic(0, 3, closed_lex)
-    score = static_scorer(c)
-    cfg = drive(["Init(1)"], closed_lex, "ltl", n=3)
     labels = len(LABELS)
-    for kind in ("apply", "modify"):
-        tr = Transition(kind, token=2, source="never_interned_source")
-        assert score(cfg, tr) == math.inf
+    never = {app("never_interned_source"), mod("never_interned_source")}
+    lx = Lexicon(closed_lex.constants, closed_lex.omega, closed_lex.labels | never)
+    price = static_scorer(c, lx)
+    cfg = drive(["Init(1)"], closed_lex, "ltl", n=3)
+    unknown = Moves(apply=("never_interned_source",), modify=("never_interned_source",))
+    assert price(cfg, unknown, [2, 3]) == [math.inf] * 4
     assert len(LABELS) == len(LABEL_IDS) == labels
-    # known labels still score their entries
-    assert score(cfg, parse_transition("Apply(s, 2)")) == c.edge(1, 2, app("s"))
-    assert score(cfg, parse_transition("Finish(want)")) == c.tag(1, "want")
-    assert score(initial_config(3), parse_transition("Init(2)")) == c.edge(0, 2, ROOT)
+    # known labels still price their entries, in legal_transitions' order
+    moves = Moves(apply=("o", "s"), rest=(parse_transition("Finish(want)"),))
+    assert price(cfg, moves, [2, 3]) == [
+        c.edge(1, 2, app("o")), c.edge(1, 2, app("s")),
+        c.edge(1, 3, app("o")), c.edge(1, 3, app("s")), c.tag(1, "want"),
+    ]
+    init = Moves(rest=(parse_transition("Init(2)"),))
+    assert price(initial_config(3), init, ()) == [c.edge(0, 2, ROOT)]
+
+
+def decode_cases(lexicon):
+    from amparse.costs import gen_synthetic
+
+    return [(gen_synthetic(seed, 3 + seed, lexicon), system, type_checked, beam)
+            for seed in range(3) for system, type_checked in DECODE_SETTINGS for beam in (1, 4)]
+
+
+def test_decode_never_lists_the_legal_transitions(closed_lex, monkeypatch):
+    """decode prices each move set itself, with the same results."""
+    from amparse import transitions
+
+    cases = decode_cases(closed_lex)
+    want = [decode(c, closed_lex, s, beam=b, type_checked=tc) for c, s, tc, b in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decode called legal_transitions")
+
+    monkeypatch.setattr(transitions, "legal_transitions", refuse)
+    assert [decode(c, closed_lex, s, beam=b, type_checked=tc) for c, s, tc, b in cases] == want
+
+
+def test_decode_builds_only_the_apply_and_modify_transitions_it_applies(closed_lex, monkeypatch):
+    """Every Apply or Modify decode builds is one it applies, and a step
+    applies at most beam transitions, so it builds at most beam of them."""
+    from amparse import transitions
+
+    built, applied = [], []
+    real_transition, real_apply = transitions.Transition, transitions.apply_transition
+
+    def counting_transition(kind, *args, **kwargs):
+        tr = real_transition(kind, *args, **kwargs)
+        if kind in ("apply", "modify"):
+            built.append(tr)
+        return tr
+
+    def counting_apply(cfg, tr, *args, **kwargs):
+        if tr.kind in ("apply", "modify"):
+            applied.append(tr)
+        return real_apply(cfg, tr, *args, **kwargs)
+
+    monkeypatch.setattr(transitions, "Transition", counting_transition)
+    monkeypatch.setattr(transitions, "apply_transition", counting_apply)
+    attached = 0
+    for c, system, type_checked, beam in decode_cases(closed_lex):
+        built.clear()
+        applied.clear()
+        res = decode(c, closed_lex, system, beam=beam, type_checked=type_checked)
+        assert built == applied, (system, type_checked, beam)
+        if beam == 1:
+            assert built == [tr for tr in res.transitions if tr.kind in ("apply", "modify")]
+        attached += len(built)
+    assert attached  # the decodes did attach tokens
