@@ -310,8 +310,6 @@ def cmd_gen_costs(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeat < 1:
-        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     lexicon = _load_lexicon(args.lexicon)
     decoders = args.decoders.split(",") if args.decoders else list(DECODERS)
     heuristics = args.heuristics.split(",") if args.heuristics else list(HEURISTICS)
@@ -471,9 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_numbers(args) -> None:
+    """Reject an out-of-range numeric option before any work, naming its flag."""
+    for name in ("k_supertags", "dequeue_limit", "repeat"):
+        value = getattr(args, name, 1)
+        if value < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    bias = getattr(args, "bias_apply", 1.0)
+    if not 0 < bias < INF:
+        raise ValueError(f"--bias-apply must be positive and finite, got {bias}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         return args.fn(args)
     except (ValueError, KeyError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")

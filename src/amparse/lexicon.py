@@ -55,6 +55,10 @@ class Lexicon:
         # omega always covers the realized types
         self.omega = frozenset(self.omega) | frozenset(self._types.values())
         self.labels = frozenset(self.labels) | {ROOT, IGNORE}
+        # the sorted inventories the guards read at every step, built once
+        self._names = sorted(self.constants)
+        self._sources = {kind: sorted(l.source for l in self.labels if l.kind == kind)
+                         for kind in ("app", "mod")}
 
     def type_of(self, constant: str) -> Type:
         return self._types[constant]
@@ -71,7 +75,8 @@ class Lexicon:
         return build_type_table(self._types.values(), self.arc_labels)
 
     def constant_names(self) -> list[str]:
-        return sorted(self.constants)
+        """Sorted constant names; the list is shared, so callers copy before changing it."""
+        return self._names
 
     def sources(self) -> frozenset[str]:
         """All source names occurring in the constants (markings and their
@@ -82,10 +87,12 @@ class Lexicon:
         return frozenset(out)
 
     def app_sources(self) -> list[str]:
-        return sorted(l.source for l in self.labels if l.kind == "app")
+        """Sorted app-label sources; shared like constant_names."""
+        return self._sources["app"]
 
     def mod_sources(self) -> list[str]:
-        return sorted(l.source for l in self.labels if l.kind == "mod")
+        """Sorted mod-label sources; shared like constant_names."""
+        return self._sources["mod"]
 
 
 def constants_of_type(lexicon: Lexicon, t: Type) -> list[str]:

@@ -22,11 +22,11 @@ from .transitions import (
     Transition,
     TransitionError,
     _headless_tokens,
+    _options,
     apply_transition,
     config_to_tree,
     initial_config,
     is_goal,
-    owed,
     random_walk,
 )
 from .trees import AmDepTree, check_well_typed
@@ -124,6 +124,15 @@ def _realized_term(lexicon: Lexicon, terms) -> Type:
     raise TransitionError("no realizable term type; lexicon is not closed")
 
 
+def _fill(cfg: Configuration, missing: frozenset[str]) -> list[tuple[str, int]]:
+    """The missing sources in sorted order, each paired with one of the first
+    headless tokens."""
+    targets = _headless_tokens(cfg)[: len(missing)]
+    if len(targets) < len(missing):
+        raise TransitionError("owed slots exceed free tokens; configuration unreachable")
+    return list(zip(sorted(missing), targets))
+
+
 def _complete_step_ltf(cfg: Configuration, lexicon: Lexicon) -> list[Transition]:
     if cfg.is_initial:
         g = _cheapest_constant(lexicon, EMPTY_TYPE)
@@ -141,23 +150,15 @@ def _complete_step_ltf(cfg: Configuration, lexicon: Lexicon) -> list[Transition]
             Transition("choose", term_type=t, constant=_cheapest_constant(lexicon, t)),
             Transition("pop"),
         ]
-    if owed(cfg, i, lexicon) == 0:
-        return [Transition("pop")]
     lex_type = lexicon.type_of(cfg.graphs[i])
     (term,) = cfg.terms[i]
-    missing = sorted(apply_set(lex_type, term) - cfg.applied[i])
-    targets = _headless_tokens(cfg)[: len(missing)]
-    if len(targets) < len(missing):
-        raise TransitionError("owed slots exceed free tokens; configuration unreachable")
     out: list[Transition] = []
-    for alpha, j in zip(missing, targets):
+    for alpha, j in _fill(cfg, apply_set(lex_type, term) - cfg.applied[i]):
         rho = request(lex_type, alpha)
-        out.append(Transition("apply", token=j, source=alpha))
-        out.append(Transition("choose", term_type=rho,
-                              constant=_cheapest_constant(lexicon, rho)))
-        out.append(Transition("pop"))
-    out.append(Transition("pop"))
-    return out
+        out += [Transition("apply", token=j, source=alpha),
+                Transition("choose", term_type=rho, constant=_cheapest_constant(lexicon, rho)),
+                Transition("pop")]
+    return out + [Transition("pop")]
 
 
 def _complete_step_ltl(cfg: Configuration, lexicon: Lexicon) -> list[Transition]:
@@ -170,29 +171,17 @@ def _complete_step_ltl(cfg: Configuration, lexicon: Lexicon) -> list[Transition]
         return []
     i = cfg.active
     done = cfg.applied[i]
-    best: Optional[tuple[int, str, str, Type, Type]] = None
-    for lam in lexicon.omega:
-        for t in cfg.terms[i]:
-            consumed = apply_set(lam, t)
-            if consumed is None or not done <= consumed:
-                continue
-            key = (len(consumed - done), serialize_type(lam), serialize_type(t))
-            if best is None or key < best[:3]:
-                best = key + (lam, t)
+    best = min(
+        _options(lexicon.omega, cfg.terms[i], done),
+        key=lambda o: (len(o[2] - done), serialize_type(o[0]), serialize_type(o[1])),
+        default=None,
+    )
     if best is None:
         raise TransitionError("active token owes the impossible; unreachable state")
-    _, _, _, lam, t = best
+    lam, _, consumed = best
     g = _cheapest_constant(lexicon, lam)
-    missing = sorted(apply_set(lam, t) - done)
-    targets = _headless_tokens(cfg)[: len(missing)]
-    if len(targets) < len(missing):
-        raise TransitionError("owed slots exceed free tokens; configuration unreachable")
-    out = [
-        Transition("apply", token=j, source=alpha)
-        for alpha, j in zip(missing, targets)
-    ]
-    out.append(Transition("finish", constant=g))
-    return out
+    out = [Transition("apply", token=j, source=alpha) for alpha, j in _fill(cfg, consumed - done)]
+    return out + [Transition("finish", constant=g)]
 
 
 def complete_config(

@@ -6,9 +6,12 @@ term types token i's subtree may still evaluate to; A(i), the argument
 slots already filled at i; and G(i), the constant finally assigned to i.
 W, the number of tokens still headless, is the budget of attachable
 material; O, the total number of argument slots everybody still owes,
-must never exceed it or somebody will starve.  Every guard below exists to
-preserve O <= W plus local consistency, and together they make both
-systems dead-end free on a closed lexicon: any random walk ends in a goal.
+must never exceed it or somebody will starve.  Every type guard reads one
+relation, which _options enumerates: the (lexical type, term type of T(i))
+pairs joined by applying a superset of A(i), the paper's PossL.  Owed
+slots, the budget guards that keep O <= W, and Finish's witness all come
+from it, and together they make both systems dead-end free on a closed
+lexicon: any random walk ends in a goal.
 
 The lexical-type-first system (ltf) commits to a constant when a token is
 pushed (Choose) and then works top-down, so the stack is depth-first.  The
@@ -23,7 +26,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .costs import INF, SentenceCosts, tree_cost
 from .lexicon import Lexicon
@@ -186,17 +189,8 @@ def _owed(ts: Optional[frozenset[Type]], done: Optional[frozenset[str]],
     """owed from a token's T, A and G."""
     if ts is None or done is None:
         return 0.0
-    if g is not None:
-        lam_candidates: Iterable[Type] = (lexicon.type_of(g),)
-    else:
-        lam_candidates = lexicon.omega
-    best = INF
-    for lam in lam_candidates:
-        for t in ts:
-            consumed = apply_set(lam, t)
-            if consumed is not None and done <= consumed:
-                best = min(best, float(len(consumed - done)))
-    return best
+    lams = (lexicon.type_of(g),) if g is not None else lexicon.omega
+    return float(min((len(c - done) for *_, c in _options(lams, ts, done)), default=INF))
 
 
 def total_owed(cfg: Configuration, lexicon: Lexicon) -> float:
@@ -209,12 +203,22 @@ def poss_lex(
 ) -> set[Type]:
     """Lexical types that can still reach term type t given the filled slots
     and at most budget more argument attachments."""
-    out = set()
-    for lam in omega:
-        consumed = apply_set(lam, t)
-        if consumed is not None and done <= consumed and len(consumed - done) <= budget:
-            out.add(lam)
-    return out
+    return {lam for lam, _, c in _options(omega, (t,), done) if len(c - done) <= budget}
+
+
+def _options(
+    lams: Iterable[Type], ts: Iterable[Type], done: frozenset[str]
+) -> Iterator[tuple[Type, Type, frozenset[str]]]:
+    """(lam, t, consumed) for every lexical type lam in lams and term type t
+    in ts that lam reaches by applying the sources consumed, a superset of
+    the filled slots done.  Every guard reads this one enumeration, and each
+    reader takes it whole, so the apply_set calls a step makes do not depend
+    on the iteration order of the frozensets passed in."""
+    for lam in lams:
+        for t in ts:
+            consumed = apply_set(lam, t)
+            if consumed is not None and done <= consumed:
+                yield lam, t, consumed
 
 
 # --- legality ---------------------------------------------------------------
@@ -270,9 +274,8 @@ def _legal_ltf(cfg: Configuration, lexicon: Lexicon) -> Moves:
         chooses = []
         for t in sorted(cfg.terms[i], key=serialize_type):
             allowed = poss_lex(lexicon.omega, t, frozenset(), budget)
-            for g in sorted(lexicon.constants):
-                if lexicon.type_of(g) in allowed:
-                    chooses.append(Transition("choose", term_type=t, constant=g))
+            chooses += [Transition("choose", term_type=t, constant=g)
+                        for g in lexicon.constant_names() if lexicon.type_of(g) in allowed]
         return Moves(rest=tuple(chooses))
 
     lex_type = lexicon.type_of(cfg.graphs[i])
@@ -282,49 +285,43 @@ def _legal_ltf(cfg: Configuration, lexicon: Lexicon) -> Moves:
     apply = tuple(alpha for alpha in sorted(consumed - done) if app(alpha) in lexicon.labels)
     budget_ok = cfg.free_tokens() - cfg.owed_total >= 1
     modify = tuple(beta for beta in lexicon.mod_sources()
-                   if budget_ok and _mod_term_types(lexicon, beta, lex_type))
+                   if budget_ok and _dependent_terms(lexicon, mod(beta), lex_type))
     return Moves(apply, modify, (Transition("pop"),) if done == consumed else ())
 
 
 def _legal_ltl(cfg: Configuration, lexicon: Lexicon, type_checked: bool) -> Moves:
     i = cfg.active
     done = cfg.applied[i]
-    terms = cfg.terms[i]
     w = cfg.free_tokens()
-    apply = tuple(
-        alpha for alpha in lexicon.app_sources()
-        if alpha not in done and (not type_checked or any(
-            poss_lex(lexicon.omega, t, done | {alpha}, w - 1) for t in terms
-        ))
-    )
+    # unchecked, any source not yet applied and any constant may follow; checked,
+    # Apply(alpha) needs an option owing alpha within W, Finish(g) one of g's type owing nothing
+    applicable, finishable = set(lexicon.app_sources()) - done, lexicon.omega
+    if type_checked:
+        applicable, finishable = set(), set()
+        for lam, _, consumed in _options(lexicon.omega, cfg.terms[i], done):
+            missing = consumed - done
+            if len(missing) <= w:
+                applicable |= missing
+            if not missing:
+                finishable.add(lam)
     mods_ok = not type_checked or w - cfg.owed_total >= 1
-    modify = tuple(lexicon.mod_sources()) if mods_ok else ()
-    finishes = tuple(
-        Transition("finish", constant=g) for g in sorted(lexicon.constants)
-        if not type_checked or _finish_witness(lexicon.type_of(g), terms, done) is not None
+    return Moves(
+        tuple(alpha for alpha in lexicon.app_sources() if alpha in applicable),
+        tuple(lexicon.mod_sources()) if mods_ok else (),
+        tuple(Transition("finish", constant=g) for g in lexicon.constant_names()
+              if lexicon.type_of(g) in finishable),
     )
-    return Moves(apply, modify, finishes)
 
 
-def _finish_witness(
-    lex_type: Type, terms: frozenset[Type], done: frozenset[str]
-) -> Optional[Type]:
-    """The term type t with apply_set(lex_type, t) == done, if terms has one.
-
-    At most one exists: the consumed set pins down t's node set, and t must
-    be an induced sub-dag of the lexical type.
-    """
-    for t in terms:
-        if apply_set(lex_type, t) == done:
-            return t
-    return None
-
-
-def _mod_term_types(lexicon: Lexicon, beta: str, head_type: Type) -> frozenset[Type]:
-    """Term types a MOD_beta dependent of a head of type head_type may have."""
-    return frozenset(
-        t for t in lexicon.omega if type_combine(mod(beta), head_type, t) is not None
-    )
+def _dependent_terms(lexicon: Lexicon, lbl: EdgeLabel, head_type: Type) -> frozenset[Type]:
+    """T(j) for a dependent j attached by lbl to a head of type head_type:
+    the request at an app source (none when the head has no such source),
+    and every type of omega that a MOD_beta dependent may have."""
+    if lbl.kind == "mod":
+        return frozenset(t for t in lexicon.omega if type_combine(lbl, head_type, t) is not None)
+    if lbl.source in head_type.nodes:
+        return frozenset([request(head_type, lbl.source)])
+    return frozenset()
 
 
 # --- effects ----------------------------------------------------------------
@@ -373,36 +370,27 @@ def apply_transition(
         graphs = _put(graphs, i, tr.constant)
     elif kind == "apply" or kind == "modify":
         i, j = cfg.active, tr.token
+        lbl = (app if kind == "apply" else mod)(tr.source)
+        edges += ((i, j, lbl),)
         if kind == "apply":
             touched = (i, j)  # A(i) grows; in ltf so does T(j)
-            edges += ((i, j, app(tr.source)),)
             applied = _put(applied, i, (applied[i] or frozenset()) | {tr.source})
         else:
             touched = (j,)  # a Modify leaves i's annotations as they are
-            edges += ((i, j, mod(tr.source)),)
         if system == "ltf":
-            lex_type = lexicon.type_of(graphs[i])
-            if kind == "apply":
-                term_set = frozenset([request(lex_type, tr.source)])
-            else:
-                term_set = _mod_term_types(lexicon, tr.source, lex_type)
-            terms = _put(terms, j, term_set)
+            terms = _put(terms, j, _dependent_terms(lexicon, lbl, lexicon.type_of(graphs[i])))
             stack += (j,)
     elif kind == "finish":
         i = cfg.active
         lex_type = lexicon.type_of(tr.constant)
-        witness = _finish_witness(lex_type, terms[i], applied[i])
         new_terms, new_applied = list(terms), list(applied)
-        if witness is not None:
-            new_terms[i] = frozenset([witness])
+        # the witness, if any: at most one term type consumes exactly A(i)
+        new_terms[i] = frozenset(
+            t for _, t, c in _options((lex_type,), terms[i], applied[i]) if c == applied[i]
+        ) or terms[i]
         children = cfg.children(i)
         for j, lbl in children:
-            if lbl.kind == "mod":
-                new_terms[j] = _mod_term_types(lexicon, lbl.source, lex_type)
-            elif lbl.source in lex_type.nodes:
-                new_terms[j] = frozenset([request(lex_type, lbl.source)])
-            else:
-                new_terms[j] = frozenset()
+            new_terms[j] = _dependent_terms(lexicon, lbl, lex_type)
             new_applied[j] = frozenset()
         touched = [i] + [j for j, _ in children]
         stack = stack[:-1] + tuple(j for j, _ in reversed(children))

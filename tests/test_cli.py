@@ -263,6 +263,31 @@ def test_bench_repeat_below_one_is_input_error(files, tmp_path, capsys, repeat):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("bias", ["0", "-1", "-inf", "nan", "inf"])
+def test_fuzz_bias_apply_must_be_positive_and_finite(files, capsys, bias):
+    rc = main(["fuzz", "--lexicon", str(files["closed"]), "--system", "ltl",
+               "--episodes", "1", f"--bias-apply={bias}"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --bias-apply must be positive and finite, got {float(bias)}\n"
+
+
+@pytest.mark.parametrize("flag", ["--dequeue-limit", "--k-supertags"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_search_bounds_below_one_are_input_errors(files, capsys, flag, value):
+    trees = files["tmp"] / "bound.trees"
+    for command in (
+        ["parse", str(files["costs"]), "--decoder", "astar", "-o", str(trees)],
+        ["bench", str(files["costs"]), "--repeat", "1"],
+    ):
+        assert main([*command, "--lexicon", str(files["lex"]), f"{flag}={value}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} must be at least 1, got {value}\n"
+    assert not trees.exists()
+
+
 def test_missing_input_file_is_input_error(files, capsys):
     assert main(["parse", "/nonexistent.costs", "--lexicon", str(files["lex"])]) == 1
 

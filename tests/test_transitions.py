@@ -516,3 +516,136 @@ def test_decode_builds_only_the_apply_and_modify_transitions_it_applies(closed_l
             assert built == [tr for tr in res.transitions if tr.kind in ("apply", "modify")]
         attached += len(built)
     assert attached  # the decodes did attach tokens
+
+
+# --- one enumeration of a token's options answers every guard ----------------
+
+
+def reference_moves(cfg, lexicon, system, type_checked=True):
+    """The move set as the guards were first written, with one scan of omega
+    per source and per constant: ltl Apply(alpha) needs some t in T(i) that
+    some lexical type reaches by consuming A(i) + {alpha} and at most W - 1
+    more sources (poss_lex per source), Finish(g) some t in T(i) that g's
+    type reaches by consuming exactly A(i) (a witness per constant); ltf
+    Choose(t, g) needs g's type to reach t within the budget W - O."""
+    from amparse.trees import mod
+    from amparse.types import serialize_type, type_combine
+
+    def reach(t, done, budget):
+        return {lam for lam in lexicon.omega
+                if (c := apply_set(lam, t)) is not None and done <= c and len(c - done) <= budget}
+
+    def owed_at(j):
+        ts, done, g = cfg.terms[j], cfg.applied[j], cfg.graphs[j]
+        if ts is None or done is None:
+            return 0
+        lams = [lexicon.type_of(g)] if g is not None else lexicon.omega
+        return min((len(c - done) for lam in lams for t in ts
+                    if (c := apply_set(lam, t)) is not None and done <= c), default=math.inf)
+
+    if cfg.is_initial:
+        return Moves(rest=tuple(Transition("init", token=j) for j in range(1, cfg.n + 1)))
+    if not cfg.stack:
+        return Moves()
+    i, w = cfg.active, cfg.free_tokens()
+    budget = w - sum(owed_at(j) for j in range(1, cfg.n + 1))
+    names = sorted(lexicon.constants)
+    app_sources = sorted(l.source for l in lexicon.labels if l.kind == "app")
+    mod_sources = sorted(l.source for l in lexicon.labels if l.kind == "mod")
+    done, terms = cfg.applied[i], cfg.terms[i]
+    if system == "ltf":
+        if cfg.graphs[i] is None:
+            return Moves(rest=tuple(
+                Transition("choose", term_type=t, constant=g)
+                for t in sorted(terms, key=serialize_type) for g in names
+                if lexicon.type_of(g) in reach(t, frozenset(), budget)
+            ))
+        lam = lexicon.type_of(cfg.graphs[i])
+        consumed = apply_set(lam, next(iter(terms)))
+        return Moves(
+            tuple(a for a in sorted(consumed - done) if app(a) in lexicon.labels),
+            tuple(b for b in mod_sources if budget >= 1 and any(
+                type_combine(mod(b), lam, t) is not None for t in lexicon.omega)),
+            (Transition("pop"),) if done == consumed else (),
+        )
+    return Moves(
+        tuple(a for a in app_sources if a not in done and (
+            not type_checked or any(reach(t, done | {a}, w - 1) for t in terms))),
+        tuple(mod_sources) if not type_checked or budget >= 1 else (),
+        tuple(Transition("finish", constant=g) for g in names if not type_checked or any(
+            apply_set(lexicon.type_of(g), t) == done for t in terms)),
+    )
+
+
+def guard_walk(lexicon, system, n, rng, type_checked=True):
+    """A random legal walk that compares the move set with the reference at
+    every configuration.  Returns how many configurations it compared."""
+    from amparse.transitions import _moves
+
+    cfg = initial_config(n)
+    for step in range(4 * n + 5):
+        moves = _moves(cfg, lexicon, system, type_checked)
+        assert moves == reference_moves(cfg, lexicon, system, type_checked), (system, cfg)
+        legal = legal_transitions(cfg, lexicon, system, type_checked)
+        if not legal:
+            return step + 1
+        cfg = apply_transition(cfg, rng.choice(legal), lexicon, system, False, type_checked)
+    raise AssertionError("walk did not end")
+
+
+@given(small_lexicons().map(augment_closure), st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_move_sets_match_the_per_source_reference_on_random_lexicons(lx, n, seed):
+    for system, type_checked in DECODE_SETTINGS:
+        guard_walk(lx, system, n, random.Random(seed), type_checked)
+
+
+@pytest.mark.parametrize("system,type_checked", DECODE_SETTINGS)
+def test_move_sets_match_the_per_source_reference_on_the_demo(closed_lex, system, type_checked):
+    for seed in range(20):
+        rng = random.Random(seed)
+        guard_walk(closed_lex, system, rng.randint(1, 7), rng, type_checked)
+
+
+HASH_SEED_SCRIPT = """
+from amparse import oracles, transitions
+from amparse.costs import gen_synthetic
+from amparse.demo import demo_lexicon
+from amparse.lexicon import augment_closure
+
+calls = 0
+for module in (transitions, oracles):
+    real = module.apply_set
+    def counted(*args, real=real):
+        global calls
+        calls += 1
+        return real(*args)
+    module.apply_set = counted
+lx = augment_closure(demo_lexicon())
+res = transitions.decode(gen_synthetic(7, 9, lx), lx, "ltl", beam=4)
+for system in ("ltf", "ltl"):
+    oracles.replay(res.tree, oracles.oracle_sequence(res.tree, lx, system), lx, system)
+print(calls, res.cost)
+"""
+
+
+def test_apply_set_calls_do_not_depend_on_the_hash_seed():
+    """A decode and both oracle round trips of its tree make the same
+    apply_set calls under two string-hash seeds, which order the frozensets
+    of types the guards enumerate differently."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import amparse
+
+    src = str(Path(amparse.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "1"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outs.append(run.stdout.split())
+    assert outs[0] == outs[1] and int(outs[0][0]) > 0 and outs[0][1] != "inf"
