@@ -215,7 +215,7 @@ def astar_parse(
             rules.skip(costs, settled, one, i - 1, push)
         if k <= n:
             rules.skip(costs, settled, one, k, push)
-        rules.arcs(costs, table, settled, by_right.get(i, ()), one, push)
-        rules.arcs(costs, table, settled, one, by_left.get(k, ()), push)
+        rules.arcs(costs, table, settled, by_right.get(i, ()), one, push, rules.NO_BAR)
+        rules.arcs(costs, table, settled, one, by_left.get(k, ()), push, rules.NO_BAR)
 
     return AStarResult(tree, goal_cost, stats, settled)

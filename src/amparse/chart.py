@@ -59,6 +59,9 @@ def chart_parse(
     n = costs.n
     stats = ChartStats()
     best: dict[Sig, ParseItem] = {}
+    best_cost: dict[Sig, float] = {}
+    # every finite rule instance is a hyperedge, so recording them turns the bar off
+    bar = rules.NO_BAR if record_hyperedges else best_cost.get
     by_span: dict[tuple[int, int], list[Sig]] = {}
     hyper: list[tuple] = []
     table = lexicon.type_table
@@ -75,6 +78,7 @@ def chart_parse(
         elif cost >= cur.cost:
             return
         best[sig] = ParseItem(cost, back)
+        best_cost[sig] = cost
 
     for j in range(1, n + 1):
         rules.init(costs, lexicon, j, top_k_tags(costs, j, k_tags), offer)
@@ -90,7 +94,7 @@ def chart_parse(
                 # one check per (label, direction) of each pair, though one
                 # table lookup answers them all
                 stats.arcs_checked += checks_per_pair * len(lefts) * len(rights)
-                rules.arcs(costs, table, best, lefts, rights, offer)
+                rules.arcs(costs, table, best, lefts, rights, offer, bar)
 
     goal_cost, goal_sig = INF, None
     for sig in by_span.get((1, n + 1), []):

@@ -12,6 +12,10 @@ combine rows carry.
 
 Each rule hands a consequence to the decoder's own callback, emit(sig,
 inside cost, rule cost, back-pointer); decoders store ParseItem(cost, back).
+Arc emits only below the decoder's bar(sig, INF): the chart's best cost so
+far, or NO_BAR in A* and in a chart recording every hyperedge.
+Edge costs are nonnegative, so Arc drops a consequence whose antecedents
+already reach the bar before it prices the edge or builds the back-pointer.
 A back-pointer names its rule, then the items it derives from:
 ("init", constant), ("skip", sig), ("arc", left sig, right sig, label).
 Only this module builds or reads them, except A*'s own ("goal", sig).
@@ -35,6 +39,8 @@ Sig = tuple[int, int, int, int]
 GOAL_SIG = ("goal",)
 
 Emit = Callable[[Sig, float, float, tuple], None]
+Bar = Callable[[Sig, float], float]
+NO_BAR: Bar = {}.get  # no bar: every finite consequence is emitted
 
 
 class ParseItem(NamedTuple):
@@ -71,9 +77,10 @@ def skip(costs: SentenceCosts, items: Mapping[Sig, ParseItem], sigs: Sequence[Si
 
 
 def arcs(costs: SentenceCosts, table: TypeTable, items: Mapping[Sig, ParseItem],
-         lefts: Sequence[Sig], rights: Sequence[Sig], emit: Emit) -> None:
+         lefts: Sequence[Sig], rights: Sequence[Sig], emit: Emit, bar: Bar) -> None:
     """Arc: every successful edge between an item of lefts and an adjacent
-    item of rights, pairs in order, labels in the table's order."""
+    item of rights that costs less than bar(sig, INF), pairs in order,
+    labels in the table's order."""
     price = costs.edge_table.get
     m = costs.n + 1
     for lsig in lefts:
@@ -81,11 +88,21 @@ def arcs(costs: SentenceCosts, table: TypeTable, items: Mapping[Sig, ParseItem],
         lcost = items[lsig].cost
         row = table.combine[ltyp]
         for rsig in rights:
-            for lbl, lid, typ, head_is_left in row[rsig[3]]:
-                hd, dep = (lhead, rsig[2]) if head_is_left else (rsig[2], lhead)
+            entries = row[rsig[3]]
+            if not entries:
+                continue
+            _, rk, rhead, _ = rsig
+            base = lcost + items[rsig].cost
+            for lbl, lid, typ, head_is_left in entries:
+                hd, dep = (lhead, rhead) if head_is_left else (rhead, lhead)
+                sig = (li, rk, hd, typ)
+                limit = bar(sig, INF)
+                if base >= limit:
+                    continue
                 delta = price((lid * m + hd) * m + dep, INF)
-                emit((li, rsig[1], hd, typ), lcost + items[rsig].cost + delta, delta,
-                     ("arc", lsig, rsig, lbl))
+                cost = base + delta
+                if cost < limit:
+                    emit(sig, cost, delta, ("arc", lsig, rsig, lbl))
 
 
 def root_cost(costs: SentenceCosts, table: TypeTable, sig: Sig) -> float:

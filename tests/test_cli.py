@@ -288,6 +288,26 @@ def test_search_bounds_below_one_are_input_errors(files, capsys, flag, value):
     assert not trees.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, least", [
+    (["fuzz", "--system", "ltl"], "--episodes", "-3", 1),
+    (["gen-costs"], "--sentences", "-1", 1),
+    (["fuzz", "--system", "ltl"], "--steps", "-1", 0),
+    (["complete", "--system", "ltf", "--n", "5"], "--steps", "-2", 0),
+    (["complete", "--system", "ltf"], "--n", "0", 1),
+    (["fuzz", "--system", "ltl"], "--n", "-4", 1),
+    (["gen-costs", "--n-max", "3"], "--n-min", "0", 1),
+    (["gen-costs", "--n-min", "1"], "--n-max", "0", 1),
+])
+def test_counts_out_of_range_are_input_errors(files, capsys, command, flag, value, least):
+    out = files["tmp"] / "counts.costs"
+    argv = [*command, "--lexicon", str(files["closed"]), f"{flag}={value}"]
+    if command[0] == "gen-costs":
+        argv += ["-o", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} must be at least {least}, got {value}\n")
+    assert not out.exists()
+
+
 def test_missing_input_file_is_input_error(files, capsys):
     assert main(["parse", "/nonexistent.costs", "--lexicon", str(files["lex"])]) == 1
 

@@ -5,17 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amparse import rules
 from amparse.astar import HEURISTICS, astar_parse
 from amparse.chart import chart_parse
 from amparse.costs import INF, gen_synthetic
 from amparse.exhaustive import best_analysis_cost
 from amparse.lexicon import augment_closure
+from amparse.rules import ParseItem
 from amparse.trees import app, label_id
 from amparse.types import EMPTY_TYPE, parse_type, serialize_type, type_combine
 
+from test_golden import _make_fixtures
 from test_lexicon import small_lexicons
 
 closed_lexicons = small_lexicons().map(augment_closure)
+tie_heavy = _make_fixtures().tie_heavy
+
+
+def _costs(lx, n, seed, ties):
+    """Uniform synthetic costs, or the same decisions redrawn from {0, 1, 2}."""
+    c = gen_synthetic(seed, n, lx)
+    return tie_heavy(c, seed) if ties else c
 
 
 def test_demo_table(closed_lex):
@@ -84,3 +94,50 @@ def test_unknown_constant_is_a_clear_error(lex, costs, decode):
     costs.tag_cost[(2, "nosuch")] = 0.0
     with pytest.raises(ValueError, match=r"^sentence demo: tag for unknown constant 'nosuch'$"):
         decode(costs, lex)
+
+
+@given(closed_lexicons, st.integers(1, 6), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_bar_leaves_the_chart_exact(lx, n, seed, ties):
+    """The chart's bar drops only consequences that could not replace an item:
+    the chart equals the one built without a bar (recording hyperedges turns
+    it off), key for key in insertion order, with the same costs and
+    back-pointers."""
+    c = _costs(lx, n, seed, ties)
+    barred = chart_parse(c, lx).best
+    unbarred = chart_parse(c, lx, record_hyperedges=True).best
+    assert list(barred.items()) == list(unbarred.items())
+
+
+@given(closed_lexicons, st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_arcs_emits_what_beats_the_bar(lx, ties, data):
+    """With a bar, arcs emits exactly the consequences of the barless run
+    whose cost is strictly below the bar, in the same order."""
+    n = data.draw(st.integers(2, 6))
+    c = _costs(lx, n, data.draw(st.integers(0, 10**6)), ties)
+    i = data.draw(st.integers(1, n - 1))
+    j = data.draw(st.integers(i + 1, n))
+    k = data.draw(st.integers(j + 1, n + 1))
+    cost = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0, 10)
+    tids = st.integers(0, len(lx.type_table.types) - 1)
+
+    def side(lo, hi):
+        pairs = data.draw(st.lists(st.tuples(st.integers(lo, hi - 1), tids), min_size=1, max_size=8, unique=True))
+        return [(lo, hi, head, typ) for head, typ in pairs]
+
+    lefts, rights = side(i, j), side(j, k)
+    items = {sig: ParseItem(data.draw(cost), ("init", "g")) for sig in lefts + rights}
+
+    def run(bar):
+        out = []
+        rules.arcs(c, lx.type_table, items, lefts, rights, lambda *e: out.append(e), bar)
+        return out
+
+    everything = run(rules.NO_BAR)
+    assert all(e[1] < INF for e in everything)
+    sigs = sorted({e[0] for e in everything})
+    sums = [items[l].cost + items[r].cost for l in lefts for r in rights]
+    values = st.sampled_from(sorted({e[1] for e in everything} | set(sums))) if sums else cost
+    bar = data.draw(st.dictionaries(st.sampled_from(sigs), values | cost, min_size=1) if sigs else st.just({}))
+    assert run(bar.get) == [e for e in everything if e[1] < bar.get(e[0], INF)]
