@@ -123,7 +123,8 @@ def test_arcs_emits_what_beats_the_bar(lx, ties, data):
     tids = st.integers(0, len(lx.type_table.types) - 1)
 
     def side(lo, hi):
-        pairs = data.draw(st.lists(st.tuples(st.integers(lo, hi - 1), tids), min_size=1, max_size=8, unique=True))
+        heads_and_types = st.tuples(st.integers(lo, hi - 1), tids)
+        pairs = data.draw(st.lists(heads_and_types, min_size=1, max_size=8, unique=True))
         return [(lo, hi, head, typ) for head, typ in pairs]
 
     lefts, rights = side(i, j), side(j, k)
@@ -137,7 +138,9 @@ def test_arcs_emits_what_beats_the_bar(lx, ties, data):
     everything = run(rules.NO_BAR)
     assert all(e[1] < INF for e in everything)
     sigs = sorted({e[0] for e in everything})
-    sums = [items[l].cost + items[r].cost for l in lefts for r in rights]
-    values = st.sampled_from(sorted({e[1] for e in everything} | set(sums))) if sums else cost
-    bar = data.draw(st.dictionaries(st.sampled_from(sigs), values | cost, min_size=1) if sigs else st.just({}))
+    # bar values at the emitted costs and the antecedent sums probe both tests' edges
+    sums = {items[l].cost + items[r].cost for l in lefts for r in rights}
+    values = st.sampled_from(sorted(sums | {e[1] for e in everything})) | cost
+    bars = st.dictionaries(st.sampled_from(sigs), values, min_size=1) if sigs else st.just({})
+    bar = data.draw(bars)
     assert run(bar.get) == [e for e in everything if e[1] < bar.get(e[0], INF)]
