@@ -471,8 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_numbers(args) -> None:
     """Reject an out-of-range numeric option before any work, naming its flag."""
-    for name, least in (("k_supertags", 1), ("dequeue_limit", 1), ("repeat", 1), ("episodes", 1),
-                        ("sentences", 1), ("steps", 0), ("n", 1), ("n_min", 1), ("n_max", 1)):
+    for name, least in (("k_supertags", 1), ("dequeue_limit", 1), ("beam", 1), ("repeat", 1),
+                        ("episodes", 1), ("sentences", 1), ("steps", 0), ("n", 1), ("n_min", 1),
+                        ("n_max", 1)):
         value = getattr(args, name, least)
         if value < least:
             raise ValueError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")

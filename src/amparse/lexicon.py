@@ -74,6 +74,12 @@ class Lexicon:
         first use (see amparse.types.TypeTable)."""
         return build_type_table(self._types.values(), self.arc_labels)
 
+    @cached_property
+    def max_sources(self) -> int:
+        """The most sources any type of omega has: no set of sources a
+        lexical type consumes is larger."""
+        return max((len(t.nodes) for t in self.omega), default=0)
+
     def constant_names(self) -> list[str]:
         """Sorted constant names; the list is shared, so callers copy before changing it."""
         return self._names

@@ -13,6 +13,14 @@ slots, the budget guards that keep O <= W, and Finish's witness all come
 from it, and together they make both systems dead-end free on a closed
 lexicon: any random walk ends in a goal.
 
+A sentence meets only a few distinct token states (T, A, G), so decode
+answers each guard once per state: it keeps one private _Guards object for
+its call, whose memo holds each token state's options, owed slots and
+dependent term types, and each move set keyed by exactly what its guards
+read.  Every other entry point (legal_transitions, apply_transition, owed,
+and through them replay, the oracles and the fuzzer) builds a fresh object
+per call, so no memo outlives the call that made it.
+
 The lexical-type-first system (ltf) commits to a constant when a token is
 pushed (Choose) and then works top-down, so the stack is depth-first.  The
 lexical-type-last system (ltl) draws all of a token's outgoing edges
@@ -26,7 +34,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .costs import INF, SentenceCosts, tree_cost
 from .lexicon import Lexicon
@@ -181,16 +189,14 @@ def owed(cfg: Configuration, i: int, lexicon: Lexicon) -> float:
     when nothing qualifies, which poisons every budget guard downstream
     rather than crashing.
     """
-    return _owed(cfg.terms[i], cfg.applied[i], cfg.graphs[i], lexicon)
+    return _Guards(lexicon).owed(cfg.terms[i], cfg.applied[i], cfg.graphs[i])
 
 
-def _owed(ts: Optional[frozenset[Type]], done: Optional[frozenset[str]],
-          g: Optional[str], lexicon: Lexicon) -> float:
-    """owed from a token's T, A and G."""
-    if ts is None or done is None:
-        return 0.0
+def _owed(guards: _Guards, ts: frozenset[Type], done: frozenset[str], g: Optional[str]) -> float:
+    """owed from a defined T and A and from G, on a miss of guards' memo."""
+    lexicon = guards.lexicon
     lams = (lexicon.type_of(g),) if g is not None else lexicon.omega
-    return float(min((len(c - done) for *_, c in _options(lams, ts, done)), default=INF))
+    return float(min((len(c - done) for *_, c in guards.options(lams, ts, done)), default=INF))
 
 
 def total_owed(cfg: Configuration, lexicon: Lexicon) -> float:
@@ -208,17 +214,19 @@ def poss_lex(
 
 def _options(
     lams: Iterable[Type], ts: Iterable[Type], done: frozenset[str]
-) -> Iterator[tuple[Type, Type, frozenset[str]]]:
+) -> tuple[tuple[Type, Type, frozenset[str]], ...]:
     """(lam, t, consumed) for every lexical type lam in lams and term type t
     in ts that lam reaches by applying the sources consumed, a superset of
-    the filled slots done.  Every guard reads this one enumeration, and each
-    reader takes it whole, so the apply_set calls a step makes do not depend
-    on the iteration order of the frozensets passed in."""
+    the filled slots done.  Every guard reads this one enumeration, taken
+    whole, so the apply_set calls a step makes do not depend on the
+    iteration order of the frozensets passed in."""
+    out = []
     for lam in lams:
         for t in ts:
             consumed = apply_set(lam, t)
             if consumed is not None and done <= consumed:
-                yield lam, t, consumed
+                out.append((lam, t, consumed))
+    return tuple(out)
 
 
 # --- legality ---------------------------------------------------------------
@@ -242,24 +250,10 @@ def legal_transitions(cfg: Configuration, lexicon: Lexicon, system: str,
     Transition.sort_key (Init < Apply < Modify < Choose/Finish < Pop, then
     token, source, type, constant).  type_checked=False drops every type
     guard (ltl only)."""
-    moves = _moves(cfg, lexicon, system, type_checked)
+    moves = _Guards(lexicon, system, type_checked).moves(cfg)
     free = _headless_tokens(cfg) if moves.apply or moves.modify else ()
     count = len(free) * (len(moves.apply) + len(moves.modify)) + len(moves.rest)
     return [_move_at(moves, free, p) for p in range(count)]
-
-
-def _moves(cfg: Configuration, lexicon: Lexicon, system: str, type_checked: bool) -> Moves:
-    if system not in SYSTEMS:
-        raise TransitionError(f"unknown system {system!r}")
-    if not type_checked and system != "ltl":
-        raise TransitionError("the unchecked ablation is defined for ltl only")
-    if cfg.is_initial:
-        return Moves(rest=tuple(Transition("init", token=i) for i in range(1, cfg.n + 1)))
-    if not cfg.stack:
-        return Moves()
-    if system == "ltf":
-        return _legal_ltf(cfg, lexicon)
-    return _legal_ltl(cfg, lexicon, type_checked)
 
 
 def _headless_tokens(cfg: Configuration) -> list[int]:
@@ -267,50 +261,197 @@ def _headless_tokens(cfg: Configuration) -> list[int]:
     return [j for j in range(1, cfg.n + 1) if j not in headed]
 
 
-def _legal_ltf(cfg: Configuration, lexicon: Lexicon) -> Moves:
-    i = cfg.active
-    if cfg.graphs[i] is None:
-        budget = cfg.free_tokens() - cfg.owed_total
+# --- guards and effects, answered once per token state ----------------------
+
+
+class _Guards:
+    """The guards and effects of one system over one lexicon, each answer
+    computed once per token state and kept in one memo: the options of a
+    (lams, T, A) triple, owed slots per (T, A, G), T(j) per (label, head
+    type), and the move set keyed by exactly what its guards read:
+
+        ltl:                (T(i), A(i), min(W, cap), Modify allowed)
+        ltf before Choose:  (T(i), min(W - O, cap))
+        ltf after Choose:   (G(i), T(i), A(i), W - O >= 1)
+
+    cap is lexicon.max_sources.  No consumed set is larger, so every budget
+    from cap up admits the same options.  decode keeps one object for its
+    whole call; every other entry point builds a fresh one per call, so no
+    memo outlives the call that made it.
+    """
+
+    __slots__ = ("lexicon", "system", "type_checked", "_memo")
+
+    def __init__(self, lexicon: Lexicon, system: str = "ltl", type_checked: bool = True):
+        self.lexicon, self.system, self.type_checked = lexicon, system, type_checked
+        self._memo: dict = {}
+
+    def options(self, lams, ts, done) -> tuple[tuple[Type, Type, frozenset[str]], ...]:
+        key = ("options", lams, ts, done)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = _options(lams, ts, done)
+        return got
+
+    def owed(self, ts: Optional[frozenset[Type]], done: Optional[frozenset[str]],
+             g: Optional[str]) -> float:
+        """owed from a token's T, A and G."""
+        if ts is None or done is None:
+            return 0.0
+        key = ("owed", ts, done, g)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = _owed(self, ts, done, g)
+        return got
+
+    def dependent_terms(self, lbl: EdgeLabel, head_type: Type) -> frozenset[Type]:
+        key = ("dependent", lbl, head_type)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = _dependent_terms(self.lexicon, lbl, head_type)
+        return got
+
+    def moves(self, cfg: Configuration) -> Moves:
+        if self.system not in SYSTEMS:
+            raise TransitionError(f"unknown system {self.system!r}")
+        if not self.type_checked and self.system != "ltl":
+            raise TransitionError("the unchecked ablation is defined for ltl only")
+        if cfg.is_initial:
+            return Moves(rest=tuple(Transition("init", token=i) for i in range(1, cfg.n + 1)))
+        if not cfg.stack:
+            return Moves()
+        i, w = cfg.stack[-1], cfg.free_tokens()
+        if self.system == "ltl":
+            mods_ok = not self.type_checked or w - cfg.owed_total >= 1
+            key = ("ltl", cfg.terms[i], cfg.applied[i], min(w, self.lexicon.max_sources), mods_ok)
+            build = self._ltl
+        elif cfg.graphs[i] is None:
+            key = ("choose", cfg.terms[i], min(w - cfg.owed_total, self.lexicon.max_sources))
+            build = self._choose
+        else:
+            key = ("ltf", cfg.graphs[i], cfg.terms[i], cfg.applied[i], w - cfg.owed_total >= 1)
+            build = self._ltf
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build(*key[1:])
+        return got
+
+    def _choose(self, ts: frozenset[Type], budget: float) -> Moves:
+        lexicon = self.lexicon
         chooses = []
-        for t in sorted(cfg.terms[i], key=serialize_type):
-            allowed = poss_lex(lexicon.omega, t, frozenset(), budget)
+        for t in sorted(ts, key=serialize_type):
+            allowed = {lam for lam, _, c in self.options(lexicon.omega, (t,), frozenset())
+                       if len(c) <= budget}
             chooses += [Transition("choose", term_type=t, constant=g)
                         for g in lexicon.constant_names() if lexicon.type_of(g) in allowed]
         return Moves(rest=tuple(chooses))
 
-    lex_type = lexicon.type_of(cfg.graphs[i])
-    (term,) = cfg.terms[i]
-    consumed = apply_set(lex_type, term)
-    done = cfg.applied[i]
-    apply = tuple(alpha for alpha in sorted(consumed - done) if app(alpha) in lexicon.labels)
-    budget_ok = cfg.free_tokens() - cfg.owed_total >= 1
-    modify = tuple(beta for beta in lexicon.mod_sources()
-                   if budget_ok and _dependent_terms(lexicon, mod(beta), lex_type))
-    return Moves(apply, modify, (Transition("pop"),) if done == consumed else ())
+    def _ltf(self, g: str, ts: frozenset[Type], done: frozenset[str], budget_ok: bool) -> Moves:
+        lexicon = self.lexicon
+        lex_type = lexicon.type_of(g)
+        (term,) = ts
+        consumed = apply_set(lex_type, term)
+        apply = tuple(alpha for alpha in sorted(consumed - done) if app(alpha) in lexicon.labels)
+        modify = tuple(beta for beta in lexicon.mod_sources()
+                       if budget_ok and self.dependent_terms(mod(beta), lex_type))
+        return Moves(apply, modify, (Transition("pop"),) if done == consumed else ())
 
+    def _ltl(self, ts: frozenset[Type], done: frozenset[str], w: int, mods_ok: bool) -> Moves:
+        lexicon = self.lexicon
+        # unchecked, any source not yet applied and any constant may follow; checked,
+        # Apply(alpha) needs an option owing alpha within W, Finish(g) one of g's type owing nothing
+        applicable, finishable = set(lexicon.app_sources()) - done, lexicon.omega
+        if self.type_checked:
+            applicable, finishable = set(), set()
+            for lam, _, consumed in self.options(lexicon.omega, ts, done):
+                missing = consumed - done
+                if len(missing) <= w:
+                    applicable |= missing
+                if not missing:
+                    finishable.add(lam)
+        return Moves(
+            tuple(alpha for alpha in lexicon.app_sources() if alpha in applicable),
+            tuple(lexicon.mod_sources()) if mods_ok else (),
+            tuple(Transition("finish", constant=g) for g in lexicon.constant_names()
+                  if lexicon.type_of(g) in finishable),
+        )
 
-def _legal_ltl(cfg: Configuration, lexicon: Lexicon, type_checked: bool) -> Moves:
-    i = cfg.active
-    done = cfg.applied[i]
-    w = cfg.free_tokens()
-    # unchecked, any source not yet applied and any constant may follow; checked,
-    # Apply(alpha) needs an option owing alpha within W, Finish(g) one of g's type owing nothing
-    applicable, finishable = set(lexicon.app_sources()) - done, lexicon.omega
-    if type_checked:
-        applicable, finishable = set(), set()
-        for lam, _, consumed in _options(lexicon.omega, cfg.terms[i], done):
-            missing = consumed - done
-            if len(missing) <= w:
-                applicable |= missing
-            if not missing:
-                finishable.add(lam)
-    mods_ok = not type_checked or w - cfg.owed_total >= 1
-    return Moves(
-        tuple(alpha for alpha in lexicon.app_sources() if alpha in applicable),
-        tuple(lexicon.mod_sources()) if mods_ok else (),
-        tuple(Transition("finish", constant=g) for g in lexicon.constant_names()
-              if lexicon.type_of(g) in finishable),
-    )
+    def apply(self, cfg: Configuration, tr: Transition, check: bool = True) -> Configuration:
+        """apply_transition(cfg, tr, ...) through this object's memo."""
+        kind, lexicon = tr.kind, self.lexicon
+        if check:
+            apply, modify, rest = self.moves(cfg)
+            if kind == "apply" or kind == "modify":
+                legal = (tr.source in (apply if kind == "apply" else modify)
+                         and tr.term_type is None and tr.constant == ""
+                         and tr.token in range(1, cfg.n + 1) and cfg.headless(tr.token))
+            else:
+                legal = tr in rest
+            if not legal:
+                raise TransitionError(f"illegal transition {tr} in {cfg}")
+
+        n, edges, stack = cfg.n, cfg.edges, cfg.stack
+        terms, applied, graphs = cfg.terms, cfg.applied, cfg.graphs
+        if kind == "pop":
+            return Configuration(n, edges, stack[:-1], terms, applied, graphs,
+                                 cfg.owed_finite, cfg.owed_infinite)
+        if kind == "init":
+            i = tr.token
+            touched: Iterable[int] = (i,)
+            edges, stack = ((0, i, ROOT),), (i,)
+            terms = _put(terms, i, frozenset([EMPTY_TYPE]))
+            if self.system == "ltl":
+                applied = _put(applied, i, frozenset())
+        elif kind == "choose":
+            i = cfg.active
+            touched = (i,)
+            terms = _put(terms, i, frozenset([tr.term_type]))
+            applied = _put(applied, i, frozenset())
+            graphs = _put(graphs, i, tr.constant)
+        elif kind == "apply" or kind == "modify":
+            i, j = cfg.active, tr.token
+            lbl = (app if kind == "apply" else mod)(tr.source)
+            edges += ((i, j, lbl),)
+            if kind == "apply":
+                touched = (i, j)  # A(i) grows; in ltf so does T(j)
+                applied = _put(applied, i, (applied[i] or frozenset()) | {tr.source})
+            else:
+                touched = (j,)  # a Modify leaves i's annotations as they are
+            if self.system == "ltf":
+                terms = _put(terms, j, self.dependent_terms(lbl, lexicon.type_of(graphs[i])))
+                stack += (j,)
+        elif kind == "finish":
+            i = cfg.active
+            lex_type = lexicon.type_of(tr.constant)
+            new_terms, new_applied = list(terms), list(applied)
+            # the witness, if any: at most one term type consumes exactly A(i)
+            new_terms[i] = frozenset(
+                t for _, t, c in self.options((lex_type,), terms[i], applied[i]) if c == applied[i]
+            ) or terms[i]
+            children = cfg.children(i)
+            for j, lbl in children:
+                new_terms[j] = self.dependent_terms(lbl, lex_type)
+                new_applied[j] = frozenset()
+            touched = [i] + [j for j, _ in children]
+            stack = stack[:-1] + tuple(j for j, _ in reversed(children))
+            terms, applied = tuple(new_terms), tuple(new_applied)
+            graphs = _put(graphs, i, tr.constant)
+        else:
+            raise TransitionError(f"unknown transition kind {kind!r}")
+
+        finite, infinite = cfg.owed_finite, cfg.owed_infinite
+        for p in set(touched):  # an unchecked self-edge names a token twice
+            before = self.owed(cfg.terms[p], cfg.applied[p], cfg.graphs[p])
+            after = self.owed(terms[p], applied[p], graphs[p])
+            if before == INF:
+                infinite -= 1
+            else:
+                finite -= before
+            if after == INF:
+                infinite += 1
+            else:
+                finite += after
+        return Configuration(n, edges, stack, terms, applied, graphs, finite, infinite)
 
 
 def _dependent_terms(lexicon: Lexicon, lbl: EdgeLabel, head_type: Type) -> frozenset[Type]:
@@ -338,80 +479,7 @@ def apply_transition(
     """The successor configuration.  Unless check=False, raises
     TransitionError when tr is not in legal_transitions(cfg, ...), which it
     tests against cfg's move set without listing the transitions."""
-    kind = tr.kind
-    if check:
-        apply, modify, rest = _moves(cfg, lexicon, system, type_checked)
-        if kind == "apply" or kind == "modify":
-            legal = (tr.source in (apply if kind == "apply" else modify)
-                     and tr.term_type is None and tr.constant == ""
-                     and tr.token in range(1, cfg.n + 1) and cfg.headless(tr.token))
-        else:
-            legal = tr in rest
-        if not legal:
-            raise TransitionError(f"illegal transition {tr} in {cfg}")
-
-    n, edges, stack = cfg.n, cfg.edges, cfg.stack
-    terms, applied, graphs = cfg.terms, cfg.applied, cfg.graphs
-    if kind == "pop":
-        return Configuration(n, edges, stack[:-1], terms, applied, graphs,
-                             cfg.owed_finite, cfg.owed_infinite)
-    if kind == "init":
-        i = tr.token
-        touched: Iterable[int] = (i,)
-        edges, stack = ((0, i, ROOT),), (i,)
-        terms = _put(terms, i, frozenset([EMPTY_TYPE]))
-        if system == "ltl":
-            applied = _put(applied, i, frozenset())
-    elif kind == "choose":
-        i = cfg.active
-        touched = (i,)
-        terms = _put(terms, i, frozenset([tr.term_type]))
-        applied = _put(applied, i, frozenset())
-        graphs = _put(graphs, i, tr.constant)
-    elif kind == "apply" or kind == "modify":
-        i, j = cfg.active, tr.token
-        lbl = (app if kind == "apply" else mod)(tr.source)
-        edges += ((i, j, lbl),)
-        if kind == "apply":
-            touched = (i, j)  # A(i) grows; in ltf so does T(j)
-            applied = _put(applied, i, (applied[i] or frozenset()) | {tr.source})
-        else:
-            touched = (j,)  # a Modify leaves i's annotations as they are
-        if system == "ltf":
-            terms = _put(terms, j, _dependent_terms(lexicon, lbl, lexicon.type_of(graphs[i])))
-            stack += (j,)
-    elif kind == "finish":
-        i = cfg.active
-        lex_type = lexicon.type_of(tr.constant)
-        new_terms, new_applied = list(terms), list(applied)
-        # the witness, if any: at most one term type consumes exactly A(i)
-        new_terms[i] = frozenset(
-            t for _, t, c in _options((lex_type,), terms[i], applied[i]) if c == applied[i]
-        ) or terms[i]
-        children = cfg.children(i)
-        for j, lbl in children:
-            new_terms[j] = _dependent_terms(lexicon, lbl, lex_type)
-            new_applied[j] = frozenset()
-        touched = [i] + [j for j, _ in children]
-        stack = stack[:-1] + tuple(j for j, _ in reversed(children))
-        terms, applied = tuple(new_terms), tuple(new_applied)
-        graphs = _put(graphs, i, tr.constant)
-    else:
-        raise TransitionError(f"unknown transition kind {kind!r}")
-
-    finite, infinite = cfg.owed_finite, cfg.owed_infinite
-    for p in set(touched):  # an unchecked self-edge names a token twice
-        before = _owed(cfg.terms[p], cfg.applied[p], cfg.graphs[p], lexicon)
-        after = _owed(terms[p], applied[p], graphs[p], lexicon)
-        if before == INF:
-            infinite -= 1
-        else:
-            finite -= before
-        if after == INF:
-            infinite += 1
-        else:
-            finite += after
-    return Configuration(n, edges, stack, terms, applied, graphs, finite, infinite)
+    return _Guards(lexicon, system, type_checked).apply(cfg, tr, check)
 
 
 def is_goal(cfg: Configuration) -> bool:
@@ -524,6 +592,7 @@ def decode(
     if beam < 1:
         raise TransitionError(f"beam must be at least 1, got {beam}")
     price = static_scorer(costs, lexicon)
+    guards = _Guards(lexicon, system, type_checked)
     # (summed score, insertion order, cfg, transitions), in beam order
     beams = [(0.0, 0, initial_config(costs.n), [])]
     counter = 1
@@ -532,7 +601,7 @@ def decode(
         # parent's (moves, headless tokens, kept position), or None if finished)
         grown = []
         for total, tie, cfg, trs in beams:
-            moves = _moves(cfg, lexicon, system, type_checked)
+            moves = guards.moves(cfg)
             free = _headless_tokens(cfg) if moves.apply or moves.modify else ()
             prices = price(cfg, moves, free)
             if not prices:
@@ -552,7 +621,7 @@ def decode(
         for total, tie, cfg, trs, move in grown[:beam]:
             if move is not None:
                 tr = _move_at(*move)
-                cfg, trs = apply_transition(cfg, tr, lexicon, system, check=False), trs + [tr]
+                cfg, trs = guards.apply(cfg, tr, check=False), trs + [tr]
             beams.append((total, tie, cfg, trs))
 
     best_total, _, best_cfg, best_trs = beams[0]  # beams are in (score, order) order

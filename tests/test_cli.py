@@ -237,18 +237,20 @@ def test_bench_table_and_report(files, tmp_path, capsys):
 
 @pytest.mark.parametrize("beam", ["0", "-1"])
 def test_beam_below_one_is_input_error(files, capsys, beam):
-    rc = main([
-        "parse", str(files["costs"]), "--lexicon", str(files["lex"]),
-        "--decoder", "ltf", "--augment", "--beam", beam, "-o", str(files["tmp"] / "b.trees"),
-    ])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: beam must be at least 1")
-    rc = main([
-        "bench", str(files["costs"]), "--lexicon", str(files["lex"]),
-        "--repeat", "1", "--decoders", "ltl", "--beam", beam,
-    ])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: beam must be at least 1")
+    """Every command that takes --beam rejects it before any work, whatever
+    decoders it would run."""
+    trees = files["tmp"] / "b.trees"
+    for command in (
+        ["parse", "--decoder", "ltf", "--augment", "-o", str(trees)],
+        ["parse", "--decoder", "astar", "-o", str(trees)],
+        ["bench", "--repeat", "1", "--decoders", "ltl"],
+        ["bench", "--repeat", "1", "--decoders", "chart,ltl"],
+    ):
+        rc = main([command[0], str(files["costs"]), "--lexicon", str(files["lex"]),
+                   *command[1:], "--beam", beam])
+        assert rc == 1, command
+        assert capsys.readouterr() == ("", f"error: --beam must be at least 1, got {beam}\n")
+    assert not trees.exists()
 
 
 @pytest.mark.parametrize("repeat", ["0", "-1"])

@@ -491,7 +491,7 @@ def test_decode_builds_only_the_apply_and_modify_transitions_it_applies(closed_l
     from amparse import transitions
 
     built, applied = [], []
-    real_transition, real_apply = transitions.Transition, transitions.apply_transition
+    real_transition, real_apply = transitions.Transition, transitions._Guards.apply
 
     def counting_transition(kind, *args, **kwargs):
         tr = real_transition(kind, *args, **kwargs)
@@ -499,13 +499,13 @@ def test_decode_builds_only_the_apply_and_modify_transitions_it_applies(closed_l
             built.append(tr)
         return tr
 
-    def counting_apply(cfg, tr, *args, **kwargs):
+    def counting_apply(guards, cfg, tr, *args, **kwargs):
         if tr.kind in ("apply", "modify"):
             applied.append(tr)
-        return real_apply(cfg, tr, *args, **kwargs)
+        return real_apply(guards, cfg, tr, *args, **kwargs)
 
     monkeypatch.setattr(transitions, "Transition", counting_transition)
-    monkeypatch.setattr(transitions, "apply_transition", counting_apply)
+    monkeypatch.setattr(transitions._Guards, "apply", counting_apply)
     attached = 0
     for c, system, type_checked, beam in decode_cases(closed_lex):
         built.clear()
@@ -519,6 +519,15 @@ def test_decode_builds_only_the_apply_and_modify_transitions_it_applies(closed_l
 
 
 # --- one enumeration of a token's options answers every guard ----------------
+
+
+def reference_owed(ts, done, g, lexicon):
+    """owed from a token's T, A and G, scanning its candidate lexical types."""
+    if ts is None or done is None:
+        return 0
+    lams = [lexicon.type_of(g)] if g is not None else lexicon.omega
+    return min((len(c - done) for lam in lams for t in ts
+                if (c := apply_set(lam, t)) is not None and done <= c), default=math.inf)
 
 
 def reference_moves(cfg, lexicon, system, type_checked=True):
@@ -535,20 +544,13 @@ def reference_moves(cfg, lexicon, system, type_checked=True):
         return {lam for lam in lexicon.omega
                 if (c := apply_set(lam, t)) is not None and done <= c and len(c - done) <= budget}
 
-    def owed_at(j):
-        ts, done, g = cfg.terms[j], cfg.applied[j], cfg.graphs[j]
-        if ts is None or done is None:
-            return 0
-        lams = [lexicon.type_of(g)] if g is not None else lexicon.omega
-        return min((len(c - done) for lam in lams for t in ts
-                    if (c := apply_set(lam, t)) is not None and done <= c), default=math.inf)
-
     if cfg.is_initial:
         return Moves(rest=tuple(Transition("init", token=j) for j in range(1, cfg.n + 1)))
     if not cfg.stack:
         return Moves()
     i, w = cfg.active, cfg.free_tokens()
-    budget = w - sum(owed_at(j) for j in range(1, cfg.n + 1))
+    budget = w - sum(reference_owed(cfg.terms[j], cfg.applied[j], cfg.graphs[j], lexicon)
+                     for j in range(1, cfg.n + 1))
     names = sorted(lexicon.constants)
     app_sources = sorted(l.source for l in lexicon.labels if l.kind == "app")
     mod_sources = sorted(l.source for l in lexicon.labels if l.kind == "mod")
@@ -580,11 +582,11 @@ def reference_moves(cfg, lexicon, system, type_checked=True):
 def guard_walk(lexicon, system, n, rng, type_checked=True):
     """A random legal walk that compares the move set with the reference at
     every configuration.  Returns how many configurations it compared."""
-    from amparse.transitions import _moves
+    from amparse.transitions import _Guards
 
     cfg = initial_config(n)
     for step in range(4 * n + 5):
-        moves = _moves(cfg, lexicon, system, type_checked)
+        moves = _Guards(lexicon, system, type_checked).moves(cfg)
         assert moves == reference_moves(cfg, lexicon, system, type_checked), (system, cfg)
         legal = legal_transitions(cfg, lexicon, system, type_checked)
         if not legal:
@@ -605,6 +607,78 @@ def test_move_sets_match_the_per_source_reference_on_the_demo(closed_lex, system
     for seed in range(20):
         rng = random.Random(seed)
         guard_walk(closed_lex, system, rng.randint(1, 7), rng, type_checked)
+
+
+# --- one guard object per decode answers each token state once ---------------
+
+
+def memo_walk(lexicon, system, n, rng, type_checked=True):
+    """A random legal walk that one guard object drives from start to goal.
+    At every configuration its move set must equal the reference and its
+    owed slots for every token a fresh scan; at the end every owed value and
+    every set of dependent term types in its memo must equal a fresh
+    computation.  Returns W at every configuration it stepped from."""
+    from amparse.transitions import _dependent_terms, _Guards
+
+    guards = _Guards(lexicon, system, type_checked)
+    cfg, ws = initial_config(n), []
+    for _ in range(4 * n + 5):
+        assert guards.moves(cfg) == reference_moves(cfg, lexicon, system, type_checked), cfg
+        for j in range(1, n + 1):
+            state = cfg.terms[j], cfg.applied[j], cfg.graphs[j]
+            assert guards.owed(*state) == reference_owed(*state, lexicon)
+        legal = legal_transitions(cfg, lexicon, system, type_checked)
+        if not legal:
+            break
+        ws.append(cfg.free_tokens())
+        tr = rng.choice(legal)
+        nxt = guards.apply(cfg, tr)
+        fresh = apply_transition(cfg, tr, lexicon, system, True, type_checked)
+        assert nxt == fresh and nxt.owed_total == fresh.owed_total
+        cfg = nxt
+    else:
+        raise AssertionError("walk did not end")
+    for key, value in guards._memo.items():
+        if key[0] == "owed":
+            assert value == reference_owed(*key[1:], lexicon), key
+        elif key[0] == "dependent":
+            assert value == _dependent_terms(lexicon, *key[1:]), key
+    return ws
+
+
+@given(small_lexicons().map(augment_closure), st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_one_guard_object_answers_like_a_fresh_computation_on_random_lexicons(lx, n, seed):
+    for system, type_checked in DECODE_SETTINGS:
+        memo_walk(lx, system, n, random.Random(seed), type_checked)
+
+
+@pytest.mark.parametrize("system,type_checked", DECODE_SETTINGS)
+def test_one_guard_object_answers_like_a_fresh_computation_on_the_demo(
+        closed_lex, system, type_checked):
+    ws = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        ws += memo_walk(closed_lex, system, rng.randint(1, 7), rng, type_checked)
+    cap = closed_lex.max_sources
+    assert min(ws) < cap < max(ws)  # the budgets met fall on both sides of cap
+
+
+def test_decode_enumerates_each_token_state_once(closed_lex, monkeypatch):
+    """Within one decode, no (lams, T, A) triple reaches _options twice."""
+    from amparse import transitions
+
+    real, seen = transitions._options, []
+
+    def counting(lams, ts, done):
+        seen.append((lams, ts, done))
+        return real(lams, ts, done)
+
+    monkeypatch.setattr(transitions, "_options", counting)
+    for c, system, type_checked, beam in decode_cases(closed_lex):
+        seen.clear()
+        decode(c, closed_lex, system, beam=beam, type_checked=type_checked)
+        assert seen and len(set(seen)) == len(seen), (system, type_checked, beam)
 
 
 HASH_SEED_SCRIPT = """
@@ -649,3 +723,59 @@ def test_apply_set_calls_do_not_depend_on_the_hash_seed():
                              capture_output=True, text=True, check=True)
         outs.append(run.stdout.split())
     assert outs[0] == outs[1] and int(outs[0][0]) > 0 and outs[0][1] != "inf"
+
+
+# --- decode parity on the benchmark's transition inputs ----------------------
+
+
+def _decode_digest(sentences, lexicon, system, beam, type_checked):
+    """sha256 over each sentence's tree text, cost and score reprs and
+    transition strings: two decoders that agree here agree on every output."""
+    import hashlib
+
+    from amparse import fileformats as ff
+
+    h = hashlib.sha256()
+    for c in sentences:
+        res = decode(c, lexicon, system, beam=beam, type_checked=type_checked)
+        tree = ff.write_trees_text([res.tree]) if res.ok else "None\n"
+        h.update(f"{c.sid!r}\n{tree}{res.cost!r} {res.score!r}\n".encode())
+        h.update(" ".join(map(str, res.transitions)).encode() + b"\n")
+    return h.hexdigest()
+
+
+PARITY_DECODES = {"ltf greedy": ("ltf", 1, True), "ltl greedy": ("ltl", 1, True),
+                  "ltl beam 4": ("ltl", 4, True), "unchecked ltl beam 4": ("ltl", 4, False)}
+# sha256 digests of decode on the transition-peaked benchmark inputs, taken
+# with the decoder that enumerated every guard afresh at every step.
+DECODE_PARITY = {
+    (3, "ltf greedy"): "523386d4424d5f7d18e811db2781b9f4f958251c3495e960c8ec213d414dfe8e",
+    (3, "ltl greedy"): "02392663d0edc6cbf0a577ef6254b61cd0830b54a6824a3fbfe6d84a7d55c32d",
+    (3, "ltl beam 4"): "31c0ac592ff1adf09cdf4611cf63e9bc4a992e41c77a8cbd267d75f68c879d0b",
+    (3, "unchecked ltl beam 4"): "ac132edc7982b2e81644cc63730c19cf2fd7fbf656d0523a85cb39bab48075d3",
+    (5, "ltf greedy"): "e3a632ed64b9c3143a456edf8ac2e8145d345ea5b78ec9679a47870cf94c6983",
+    (5, "ltl greedy"): "bf81c98d3f2e6536c7b5b914c66a92a18236d8b6310fc0953854bb56c75571b6",
+    (5, "ltl beam 4"): "edd3e265c45734047c474b40043674e8ed5c8a034f51f84cd1384d6eed824cf3",
+    (5, "unchecked ltl beam 4"): "ce90635af9f3c5039e4f68f0d1a8516c24a3df880a5330684a60baab3fd7970a",
+}
+
+
+def test_decode_parity_on_benchmark_inputs(monkeypatch):
+    import importlib
+    from pathlib import Path
+
+    from amparse import fileformats as ff
+
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    lexicon = augment_closure(
+        ff.parse_lexicon_text((bench / "demo.lexicon").read_text(encoding="utf-8"), name="demo")
+    )
+    wl = workloads.WORKLOADS["transition-peaked"]
+    got = {}
+    for seed in (3, 5):
+        sentences = ff.parse_cost_text(wl.input_text(wl.make(seed, lexicon)))
+        for name, (system, beam, type_checked) in PARITY_DECODES.items():
+            got[seed, name] = _decode_digest(sentences, lexicon, system, beam, type_checked)
+    assert got == DECODE_PARITY
