@@ -35,10 +35,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import add
 from typing import Optional
 
 from . import rules
-from .costs import SentenceCosts, top_k_tags
+from .costs import SentenceCosts, ranked_tags
+from .costs import top_k_tags  # noqa: F401  (unused; perfbench/spans.py wraps it)
 from .lexicon import Lexicon
 from .rules import GOAL_SIG, INF, ParseItem, Sig
 from .trees import BOTTOM, AmDepTree
@@ -64,15 +67,17 @@ class HeuristicTables:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    @cached_property
+    def _prefix(self) -> tuple[float, ...]:
+        return tuple(itertools.accumulate(self.per_token, initial=0.0))
+
     def outside(self, i: int, k: int) -> float:
-        # The direct left-to-right sum, memoized per span.  Prefix-sum
-        # differences (or a compensated sum()) would round differently,
-        # which would change f-values and so the pop order on ties.
+        # The direct left-to-right sum, memoized per span: the prefix before
+        # the span, continued.  Prefix differences (or a compensated sum())
+        # would round differently, and so change the pop order on ties.
         total = self._outside.get((i, k))
         if total is None:
-            total = 0.0
-            for c in self.per_token[: i - 1] + self.per_token[k - 1:]:
-                total += c
+            total = reduce(add, self.per_token[k - 1:], self._prefix[i - 1])
             self._outside[(i, k)] = total
         return total
 
@@ -99,31 +104,27 @@ def build_heuristic(kind: str, costs: SentenceCosts, lexicon: Lexicon) -> Heuris
         return HeuristicTables(kind, tuple(best_tag_any[1:]), zero)
 
     # Edge keys are (label id * m + origin) * m + target (see amparse.costs):
-    # the target is key % m, ROOT edges are keyed by their target alone, and
-    # apply/modify labels, ids from 2 on, hold the keys from 2 * m * m on.
+    # the target is key % m, ROOT edges are keyed by their target alone,
+    # IGNORE edges by m * m + target, and apply/modify labels, ids from 2
+    # on, hold the keys from 2 * m * m on.
     m = n + 1
     first_arc = 2 * m * m
-    best_in_any = [INF] * (n + 1)    # any origin, any label
     best_in_attach = [INF] * (n + 1)  # apply/modify edges only
     for key, c in costs.edge_table.items():
-        j = key % m
-        if c < best_in_any[j]:
-            best_in_any[j] = c
-        if key >= first_arc and c < best_in_attach[j]:
-            best_in_attach[j] = c
+        if key >= first_arc and c < best_in_attach[key % m]:
+            best_in_attach[key % m] = c
 
-    root = costs.edge_table.get
-    floor = tuple(min(best_in_attach[j], root(j, INF)) for j in range(1, n + 1))
+    edge = costs.edge_table.get
+    floor = tuple(min(best_in_attach[j], edge(j, INF)) for j in range(1, m))
     if kind == "edge":
-        per = tuple(best_tag_any[j] + best_in_any[j] for j in range(1, n + 1))
+        # the cheapest in-edge of any origin and label
+        per = tuple(best_tag_any[j] + min(floor[j - 1], edge(m * m + j, INF))
+                    for j in range(1, m))
     else:
+        skips = rules.skip_costs(costs)
         per = tuple(
-            min(
-                rules.skip_cost(costs, j),
-                best_tag_real[j] + best_in_attach[j],
-                best_tag_real[j] + root(j, INF),
-            )
-            for j in range(1, n + 1)
+            min(skips[j], best_tag_real[j] + best_in_attach[j], best_tag_real[j] + edge(j, INF))
+            for j in range(1, m)
         )
     return HeuristicTables(kind, per, floor)
 
@@ -159,8 +160,8 @@ def astar_parse(
     Ties in priority break toward shorter spans, then lower left boundary,
     lower head, type id (ids follow type serialization order), and finally
     insertion order.  dequeued counts settled item pops; the terminating
-    goal pop is not an item.  Aborts with stats.limit_hit once dequeued
-    reaches dequeue_limit while work remains.
+    goal pop is not an item; pushed counts queue entries (see push).  Aborts
+    with stats.limit_hit once dequeued reaches dequeue_limit while work remains.
     """
     n = costs.n
     tables = build_heuristic(heuristic, costs, lexicon)
@@ -171,23 +172,34 @@ def astar_parse(
     by_left: dict[int, list[Sig]] = {}
     by_right: dict[int, list[Sig]] = {}
     table = lexicon.type_table
+    # The least cost pushed per signature.  A consequence that does not beat
+    # it has the same estimate and a later counter, so it could never pop
+    # before the entry already queued: dropping it leaves every pop as it was.
+    best: dict[Sig, float] = {}
+    bar = best.get
+    memo, outside, floor = tables._outside, tables.outside, tables.attach_floor
 
     def push(sig, cost: float, delta: float, back: tuple) -> None:
-        if sig in settled:
+        if cost >= bar(sig, INF):
             return
         if sig == GOAL_SIG:
             f, length, i, head, typ = cost, n + 1, 0, 0, -1
         else:
             i, k, head, typ = sig
-            f = cost + tables.estimate(i, k, head)
+            est = memo.get((i, k))
+            if est is None:
+                est = outside(i, k)
+            f = cost + (est + floor[head - 1])  # as tables.estimate associates it
             length = k - i
         if f == INF:
             return
+        best[sig] = cost
         stats.pushed += 1
         heapq.heappush(heap, (f, length, i, head, typ, next(counter), cost, sig, back))
 
-    for j in range(1, n + 1):
-        rules.init(costs, lexicon, j, top_k_tags(costs, j, k_tags), push)
+    for j, tags in enumerate(ranked_tags(costs, k_tags)[1:], 1):
+        rules.init(costs, lexicon, j, tags, push)
+    skips = rules.skip_costs(costs)
 
     tree, goal_cost = None, INF
     while heap:
@@ -212,10 +224,10 @@ def astar_parse(
             push(GOAL_SIG, cost + root_cost, root_cost, ("goal", sig))
         one = (sig,)  # the popped item's side of the Skip and Arc calls
         if i >= 2:
-            rules.skip(costs, settled, one, i - 1, push)
+            rules.skip(skips, settled, one, i - 1, push)
         if k <= n:
-            rules.skip(costs, settled, one, k, push)
-        rules.arcs(costs, table, settled, by_right.get(i, ()), one, push, rules.NO_BAR)
-        rules.arcs(costs, table, settled, one, by_left.get(k, ()), push, rules.NO_BAR)
+            rules.skip(skips, settled, one, k, push)
+        rules.arcs(costs, table, settled, by_right.get(i, ()), one, push, bar)
+        rules.arcs(costs, table, settled, one, by_left.get(k, ()), push, bar)
 
     return AStarResult(tree, goal_cost, stats, settled)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import rules
-from .costs import SentenceCosts, top_k_tags
+from .costs import SentenceCosts, ranked_tags
+from .costs import top_k_tags  # noqa: F401  (unused; perfbench/spans.py wraps it)
 from .lexicon import Lexicon
 from .rules import GOAL_SIG, INF, ParseItem, Sig
 from .trees import AmDepTree
@@ -80,15 +81,16 @@ def chart_parse(
         best[sig] = ParseItem(cost, back)
         best_cost[sig] = cost
 
-    for j in range(1, n + 1):
-        rules.init(costs, lexicon, j, top_k_tags(costs, j, k_tags), offer)
+    for j, tags in enumerate(ranked_tags(costs, k_tags)[1:], 1):
+        rules.init(costs, lexicon, j, tags, offer)
+    skips = rules.skip_costs(costs)
 
     for length in range(2, n + 1):
         for i in range(1, n - length + 2):
             k = i + length
             # Skip the leftmost token, then the rightmost.
-            rules.skip(costs, best, by_span.get((i + 1, k), ()), i, offer)
-            rules.skip(costs, best, by_span.get((i, k - 1), ()), k - 1, offer)
+            rules.skip(skips, best, by_span.get((i + 1, k), ()), i, offer)
+            rules.skip(skips, best, by_span.get((i, k - 1), ()), k - 1, offer)
             for j in range(i + 1, k):
                 lefts, rights = by_span.get((i, j), ()), by_span.get((j, k), ())
                 # one check per (label, direction) of each pair, though one

@@ -181,15 +181,19 @@ def top_k_tags(c: SentenceCosts, i: int, k: Optional[int]) -> list[tuple[str, fl
     """
     if not 1 <= i <= c.n:
         raise IndexError(f"token index {i} out of range 1..{c.n}")
+    return ranked_tags(c, k)[i]
+
+
+def ranked_tags(c: SentenceCosts, k: Optional[int]) -> list[list[tuple[str, float]]]:
+    """top_k_tags(c, i, k) at index i for every token i, from one scan of
+    tag_cost; index 0 is empty."""
     if k is not None and k < 1:
         raise ValueError("k >= 1")
-    priced = sorted(
-        ((cost, g) for (j, g), cost in c.tag_cost.items() if j == i and g != BOTTOM),
-        key=lambda pair: (pair[0], pair[1]),
-    )
-    if k is not None:
-        priced = priced[:k]
-    return [(g, cost) for cost, g in priced]
+    priced: list[list[tuple[float, str]]] = [[] for _ in range(c.n + 1)]
+    for (j, g), cost in c.tag_cost.items():
+        if g != BOTTOM:
+            priced[j].append((cost, g))
+    return [[(g, cost) for cost, g in sorted(pairs)[:k]] for pairs in priced]
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ combine rows carry.
 
 Each rule hands a consequence to the decoder's own callback, emit(sig,
 inside cost, rule cost, back-pointer); decoders store ParseItem(cost, back).
-Arc emits only below the decoder's bar(sig, INF): the chart's best cost so
-far, or NO_BAR in A* and in a chart recording every hyperedge.
+Arc emits only below the decoder's bar(sig, INF): the least cost the decoder
+holds or has pushed for sig, or NO_BAR in a chart recording every hyperedge.
 Edge costs are nonnegative, so Arc drops a consequence whose antecedents
 already reach the bar before it prices the edge or builds the back-pointer.
 A back-pointer names its rule, then the items it derives from:
@@ -59,17 +59,19 @@ def init(costs: SentenceCosts, lexicon: Lexicon, j: int,
         emit((j, j + 1, j, lexicon.type_table.ids[typ]), cost, cost, ("init", g))
 
 
-def skip_cost(costs: SentenceCosts, j: int) -> float:
-    """Cost of leaving token j out of the analysis: BOT tag plus ignore edge."""
+def skip_costs(costs: SentenceCosts) -> list[float]:
+    """At index j, the cost of leaving token j out of the analysis: BOT tag
+    plus ignore edge; index 0 is INF."""
     m = costs.n + 1  # IGNORE's id is 1, so its edge into j is keyed m * m + j
-    return costs.tag(j, BOTTOM) + costs.edge_table.get(m * m + j, INF)
+    ignore = costs.edge_table.get
+    return [INF] + [costs.tag(j, BOTTOM) + ignore(m * m + j, INF) for j in range(1, m)]
 
 
-def skip(costs: SentenceCosts, items: Mapping[Sig, ParseItem], sigs: Sequence[Sig],
+def skip(skips: Sequence[float], items: Mapping[Sig, ParseItem], sigs: Sequence[Sig],
          j: int, emit: Emit) -> None:
     """Skip: extend each item of sigs over the adjacent token j, at the
-    item's cost plus skip_cost(costs, j)."""
-    delta = skip_cost(costs, j)
+    item's cost plus skips[j], from skip_costs."""
+    delta = skips[j]
     for sig in sigs:
         i, k, head, typ = sig
         emit((j, k, head, typ) if j < i else (i, j + 1, head, typ), items[sig].cost + delta,

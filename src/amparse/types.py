@@ -73,6 +73,14 @@ class Type:
                     f"edge ({a}, {b}) shortcuts a longer path; "
                     "types must be transitively reduced"
                 )
+        # The dataclass hash, once.  It varies per process, so __reduce__ drops it.
+        object.__setattr__(self, "_hash", hash((self.nodes, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Type, (self.nodes, self.edges)
 
     def successors(self, name: str) -> frozenset[str]:
         return frozenset(b for a, b in self.edges if a == name)

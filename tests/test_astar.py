@@ -1,12 +1,17 @@
 """Best-first decoding: exactness, admissibility, dominance, limits."""
 
+import heapq
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amparse.astar import HEURISTICS, astar_parse, build_heuristic
+from amparse import astar
+from amparse.astar import HEURISTICS, HeuristicTables, astar_parse, build_heuristic
 from amparse.chart import GOAL_SIG, chart_parse, outside_costs
-from amparse.costs import INF, SentenceCosts, gen_synthetic
+from amparse.costs import INF, CostParams, SentenceCosts, gen_synthetic
 from amparse.trees import BOTTOM, IGNORE, ROOT
 
 
@@ -101,6 +106,60 @@ def test_outside_memo_matches_direct_sum(lex):
                         if not i <= j < k:
                             direct += x
                     assert tables.outside(i, k) == direct
+
+
+@given(st.lists(st.floats(0, 1e6) | st.sampled_from([0.0, 0.1, 0.2, 0.3, INF]),
+                min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_outside_equals_the_direct_sum_bit_for_bit(per_token):
+    tables = HeuristicTables("edge", tuple(per_token), (0.0,) * len(per_token))
+    n = len(per_token)
+    for i in range(1, n + 1):
+        for k in range(i + 1, n + 2):
+            direct = 0.0
+            for x in per_token[: i - 1] + per_token[k - 1:]:
+                direct += x
+            assert tables.outside(i, k) == direct, (i, k)
+
+
+def _peaked(seed, n, lx):
+    """Costs in [1, 2) except 0 on the decisions of a projective optimum."""
+    tree = chart_parse(gen_synthetic(seed, n, lx), lx).tree
+    c = gen_synthetic(seed + 1, n, lx, CostParams(1.0, 2.0))
+    tags, edges = dict(c.tag_cost), dict(c.edge_cost.items())
+    for i, e in enumerate(tree.entries, 1):
+        tags[(i, e.constant)] = 0.0
+        edges[(e.head, i, e.label)] = 0.0
+    return SentenceCosts(n, c.forms, tags, edges)
+
+
+def test_pushes_of_a_signature_strictly_fall(closed_lex, monkeypatch):
+    """The push bar: a signature enters the queue again only at a lower cost."""
+    pushed = []
+
+    def record(heap, entry):
+        pushed.append((entry[7], entry[6]))  # (sig, inside cost)
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(astar, "heapq", SimpleNamespace(heappush=record, heappop=heapq.heappop))
+    for seed in range(8):
+        for c in (gen_synthetic(seed, 3 + seed, closed_lex), _peaked(seed, 3 + seed, closed_lex)):
+            for h in HEURISTICS:
+                pushed.clear()
+                res = astar_parse(c, closed_lex, heuristic=h)
+                assert len(pushed) == res.stats.pushed
+                last = {}
+                for sig, cost in pushed:
+                    assert cost < last.get(sig, INF), (seed, h, sig)
+                    last[sig] = cost
+
+
+@pytest.mark.parametrize("n", [10, 14])
+def test_pushes_per_pop_are_bounded_on_uniform_costs(closed_lex, n):
+    """Without the bar A* pushed up to 31 (n = 10) and 59 (n = 14) items per pop here."""
+    for seed in range(1000, 1010):
+        stats = astar_parse(gen_synthetic(seed, n, closed_lex), closed_lex).stats
+        assert stats.pushed <= 8 * stats.dequeued, (seed, stats)
 
 
 def test_long_sparse_sentence_does_not_recurse(lex):

@@ -1,8 +1,12 @@
 """Cost tables: validation, lookups, tree pricing, synthetic generation."""
 
+import random
+
 import pytest
 
-from amparse.costs import INF, CostParams, SentenceCosts, gen_synthetic, top_k_tags, tree_cost
+from amparse.costs import (
+    INF, CostParams, SentenceCosts, gen_synthetic, ranked_tags, top_k_tags, tree_cost,
+)
 from amparse.fileformats import parse_cost_text, write_cost_text
 from amparse.trees import BOTTOM, IGNORE, LABEL_IDS, LABELS, ROOT, app, mod
 
@@ -74,6 +78,32 @@ def test_top_k_tags_ordering(costs):
         top_k_tags(costs, 0, None)
     with pytest.raises(ValueError):
         top_k_tags(costs, 1, 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ranked_tags_match_a_filter_and_sort(lex, costs, seed):
+    """Each token's ranked list is its non-BOT priced constants sorted by
+    (cost, name) and cut to k, and top_k_tags reads the same list; costs
+    drawn from {0, 1} make the name order break ties."""
+    rng = random.Random(seed)
+    c = gen_synthetic(seed, 2 + seed, lex) if seed else costs
+    if seed % 2:
+        for key in c.tag_cost:
+            c.tag_cost[key] = float(rng.randint(0, 1))
+    for k in [None] + list(range(1, len(lex.constants) + 2)):
+        ranked = ranked_tags(c, k)
+        assert len(ranked) == c.n + 1 and ranked[0] == []
+        for i in range(1, c.n + 1):
+            want = sorted(((g, cost) for (j, g), cost in c.tag_cost.items()
+                           if j == i and g != BOTTOM), key=lambda pair: (pair[1], pair[0]))
+            assert ranked[i] == want[:k] == top_k_tags(c, i, k), (i, k)
+    for i in (0, -1, c.n + 1):
+        with pytest.raises(IndexError, match=rf"^token index {i} out of range 1\.\.{c.n}$"):
+            top_k_tags(c, i, 1)
+    for k in (0, -2):
+        for call in (lambda: ranked_tags(c, k), lambda: top_k_tags(c, 1, k)):
+            with pytest.raises(ValueError, match=r"^k >= 1$"):
+                call()
 
 
 def test_gen_synthetic_is_deterministic(lex):

@@ -63,6 +63,41 @@ def test_structural_equality():
     assert t1 == t2 and hash(t1) == hash(t2)
 
 
+PICKLE_SCRIPT = """
+import pickle, sys
+from amparse.types import parse_type
+
+TEXTS = ("[]", "[s]", "[m, s]", "[o[s], s]", "[m, o[s], s]", "[m, o[s[m]], s[m]]")
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps([parse_type(t) for t in TEXTS]))
+else:
+    types = pickle.loads(sys.stdin.buffer.read())
+    found = {parse_type(t): t for t in TEXTS}
+    print(all(found.get(t) == text for t, text in zip(types, TEXTS)))
+"""
+
+
+def test_a_pickled_type_is_found_under_another_hash_seed():
+    """Type caches its hash, which follows the process's string-hash seed;
+    an unpickled Type must hash as a fresh one of the new process does."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import amparse
+
+    src = str(Path(amparse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for hash_seed, mode in (("1", "dump"), ("2", "load")):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        runs.append(subprocess.run([sys.executable, "-c", PICKLE_SCRIPT, mode], env=env,
+                                   input=runs[-1].stdout if runs else b"",
+                                   capture_output=True, check=True))
+    assert runs[1].stdout.decode().split() == ["True"]
+
+
 # --- text form ---------------------------------------------------------------
 
 
