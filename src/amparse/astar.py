@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import add
@@ -163,39 +164,48 @@ def astar_parse(
     goal pop is not an item; pushed counts queue entries (see push).  Aborts
     with stats.limit_hit once dequeued reaches dequeue_limit while work remains.
     """
+    if dequeue_limit < 1:
+        raise ValueError(f"dequeue_limit must be at least 1, got {dequeue_limit}")
     n = costs.n
     tables = build_heuristic(heuristic, costs, lexicon)
     stats = SearchStats()
     counter = itertools.count()
     heap: list[tuple] = []
     settled: dict[Sig, ParseItem] = {}
-    by_left: dict[int, list[Sig]] = {}
-    by_right: dict[int, list[Sig]] = {}
+    by_left: defaultdict[int, list[rules.Packed]] = defaultdict(list)
+    by_right: defaultdict[int, list[rules.Packed]] = defaultdict(list)
     table = lexicon.type_table
-    # The least cost pushed per signature.  A consequence that does not beat
-    # it has the same estimate and a later counter, so it could never pop
-    # before the entry already queued: dropping it leaves every pop as it was.
-    best: dict[Sig, float] = {}
-    bar = best.get
+    width = len(table.types)
+    # The least cost pushed per signature, in slot lists (see rules.arcs) made
+    # once an entry in their span is queued; the goal's apart.  A consequence
+    # that does not beat it has the same estimate and a later counter, so it
+    # could never pop before the entry already queued: every pop stays.
+    bars: dict[tuple[int, int], list[float]] = {}
+    unbarred = [INF] * (n * width)
+    goal_bar = INF
     memo, outside, floor = tables._outside, tables.outside, tables.attach_floor
+    heappush = heapq.heappush
 
-    def push(sig, cost: float, delta: float, back: tuple) -> None:
-        if cost >= bar(sig, INF):
+    def limits(i: int, k: int) -> list[float]:
+        return bars.get((i, k), unbarred)
+
+    def push(sig: Sig, cost: float, delta: float, back: tuple) -> None:
+        i, k, head, typ = sig
+        span = (i, k)
+        slots = bars.get(span)
+        slot = (head - i) * width + typ
+        if slots is not None and cost >= slots[slot]:
             return
-        if sig == GOAL_SIG:
-            f, length, i, head, typ = cost, n + 1, 0, 0, -1
-        else:
-            i, k, head, typ = sig
-            est = memo.get((i, k))
-            if est is None:
-                est = outside(i, k)
-            f = cost + (est + floor[head - 1])  # as tables.estimate associates it
-            length = k - i
+        est = memo.get(span)
+        if est is None:
+            est = outside(i, k)
+        f = cost + (est + floor[head - 1])  # as tables.estimate associates it
         if f == INF:
             return
-        best[sig] = cost
-        stats.pushed += 1
-        heapq.heappush(heap, (f, length, i, head, typ, next(counter), cost, sig, back))
+        if slots is None:
+            slots = bars[span] = [INF] * ((k - i) * width)
+        slots[slot] = cost
+        heappush(heap, (f, k - i, i, head, typ, next(counter), cost, sig, back))
 
     for j, tags in enumerate(ranked_tags(costs, k_tags)[1:], 1):
         rules.init(costs, lexicon, j, tags, push)
@@ -211,23 +221,28 @@ def astar_parse(
             tree, goal_cost = rules.extract_tree(costs, settled, back[1]), cost
             break
         stats.dequeued += 1
-        if stats.dequeued >= dequeue_limit and heap:
-            stats.limit_hit = True
-            break
+        if stats.dequeued >= dequeue_limit:
+            while heap and heap[0][7] in settled:  # stale entries are no work
+                heapq.heappop(heap)
+            if heap:
+                stats.limit_hit = True
+                break
 
         i, k = sig[0], sig[1]
-        by_left.setdefault(i, []).append(sig)
-        by_right.setdefault(k, []).append(sig)
+        one = ((sig, cost, sig[2], sig[3]),)  # the popped item packed, for Skip and Arc
+        by_left[i].append(one[0])
+        by_right[k].append(one[0])
 
-        root_cost = rules.root_cost(costs, table, sig)
-        if root_cost < INF:
-            push(GOAL_SIG, cost + root_cost, root_cost, ("goal", sig))
-        one = (sig,)  # the popped item's side of the Skip and Arc calls
+        total = cost + rules.root_cost(costs, table, sig)
+        if total < goal_bar:  # the goal's push
+            goal_bar = total
+            heappush(heap, (total, n + 1, 0, 0, -1, next(counter), total, GOAL_SIG, ("goal", sig)))
         if i >= 2:
-            rules.skip(skips, settled, one, i - 1, push)
+            rules.skip(skips, one, i - 1, push)
         if k <= n:
-            rules.skip(skips, settled, one, k, push)
-        rules.arcs(costs, table, settled, by_right.get(i, ()), one, push, bar)
-        rules.arcs(costs, table, settled, one, by_left.get(k, ()), push, bar)
+            rules.skip(skips, one, k, push)
+        rules.arcs(costs, table, by_right.get(i, ()), one, push, limits)
+        rules.arcs(costs, table, one, by_left.get(k, ()), push, limits)
 
+    stats.pushed = next(counter)  # every queue entry drew one counter value
     return AStarResult(tree, goal_cost, stats, settled)

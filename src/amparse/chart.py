@@ -60,13 +60,16 @@ def chart_parse(
     n = costs.n
     stats = ChartStats()
     best: dict[Sig, ParseItem] = {}
-    best_cost: dict[Sig, float] = {}
-    # every finite rule instance is a hyperedge, so recording them turns the bar off
-    bar = rules.NO_BAR if record_hyperedges else best_cost.get
     by_span: dict[tuple[int, int], list[Sig]] = {}
+    packed: dict[tuple[int, int], list[rules.Packed]] = {}
     hyper: list[tuple] = []
     table = lexicon.type_table
+    width = len(table.types)
     checks_per_pair = 2 * len(lexicon.arc_labels)
+    # The bar of the span being built, slots as rules.arcs reads them: each
+    # signature's best cost so far (INF while recording hyperedges, which
+    # needs every finite rule instance).  Init's spans have no Arc to bar.
+    slots = [INF] * width
 
     def offer(sig: Sig, cost: float, delta: float, back: tuple) -> None:
         if cost == INF:
@@ -79,7 +82,16 @@ def chart_parse(
         elif cost >= cur.cost:
             return
         best[sig] = ParseItem(cost, back)
-        best_cost[sig] = cost
+        if not record_hyperedges:
+            slots[(sig[2] - sig[0]) * width + sig[3]] = cost
+
+    def final(i: int, k: int) -> list[rules.Packed]:
+        if (i, k) not in packed:  # first read: every shorter span is complete
+            packed[i, k] = [(s, best[s].cost, s[2], s[3]) for s in by_span.get((i, k), ())]
+        return packed[i, k]
+
+    def limits(i: int, k: int) -> list[float]:
+        return slots  # only the span being built takes consequences
 
     for j, tags in enumerate(ranked_tags(costs, k_tags)[1:], 1):
         rules.init(costs, lexicon, j, tags, offer)
@@ -88,15 +100,16 @@ def chart_parse(
     for length in range(2, n + 1):
         for i in range(1, n - length + 2):
             k = i + length
+            slots = [INF] * (length * width)
             # Skip the leftmost token, then the rightmost.
-            rules.skip(skips, best, by_span.get((i + 1, k), ()), i, offer)
-            rules.skip(skips, best, by_span.get((i, k - 1), ()), k - 1, offer)
+            rules.skip(skips, final(i + 1, k), i, offer)
+            rules.skip(skips, final(i, k - 1), k - 1, offer)
             for j in range(i + 1, k):
-                lefts, rights = by_span.get((i, j), ()), by_span.get((j, k), ())
+                lefts, rights = final(i, j), final(j, k)
                 # one check per (label, direction) of each pair, though one
                 # table lookup answers them all
                 stats.arcs_checked += checks_per_pair * len(lefts) * len(rights)
-                rules.arcs(costs, table, best, lefts, rights, offer, bar)
+                rules.arcs(costs, table, lefts, rights, offer, limits)
 
     goal_cost, goal_sig = INF, None
     for sig in by_span.get((1, n + 1), []):

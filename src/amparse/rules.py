@@ -12,10 +12,12 @@ combine rows carry.
 
 Each rule hands a consequence to the decoder's own callback, emit(sig,
 inside cost, rule cost, back-pointer); decoders store ParseItem(cost, back).
-Arc emits only below the decoder's bar(sig, INF): the least cost the decoder
-holds or has pushed for sig, or NO_BAR in a chart recording every hyperedge.
-Edge costs are nonnegative, so Arc drops a consequence whose antecedents
-already reach the bar before it prices the edge or builds the back-pointer.
+Skip and Arc read final items, packed once as (sig, cost, head, type id).
+Arc emits only below the decoder's bar: slot (head - i) * T + type id of
+the list limits(i, k), T the number of type ids, holds what a consequence
+at (i, k, head, type id) has to beat, and the decoder lowers it as it takes
+consequences.  Edge costs are nonnegative, so Arc drops a consequence whose
+antecedents reach its slot before it prices the edge or builds the sig.
 A back-pointer names its rule, then the items it derives from:
 ("init", constant), ("skip", sig), ("arc", left sig, right sig, label).
 Only this module builds or reads them, except A*'s own ("goal", sig).
@@ -38,9 +40,10 @@ Sig = tuple[int, int, int, int]
 # ("goal",) is the virtual parent of all accepted full-span items.
 GOAL_SIG = ("goal",)
 
+# A final item as Skip and Arc read it: (sig, cost, head, type id).
+Packed = tuple[Sig, float, int, int]
 Emit = Callable[[Sig, float, float, tuple], None]
-Bar = Callable[[Sig, float], float]
-NO_BAR: Bar = {}.get  # no bar: every finite consequence is emitted
+Limits = Callable[[int, int], list[float]]
 
 
 class ParseItem(NamedTuple):
@@ -67,44 +70,43 @@ def skip_costs(costs: SentenceCosts) -> list[float]:
     return [INF] + [costs.tag(j, BOTTOM) + ignore(m * m + j, INF) for j in range(1, m)]
 
 
-def skip(skips: Sequence[float], items: Mapping[Sig, ParseItem], sigs: Sequence[Sig],
-         j: int, emit: Emit) -> None:
-    """Skip: extend each item of sigs over the adjacent token j, at the
-    item's cost plus skips[j], from skip_costs."""
+def skip(skips: Sequence[float], items: Sequence[Packed], j: int, emit: Emit) -> None:
+    """Skip: extend each item over the adjacent token j, at the item's cost
+    plus skips[j], from skip_costs."""
     delta = skips[j]
-    for sig in sigs:
-        i, k, head, typ = sig
-        emit((j, k, head, typ) if j < i else (i, j + 1, head, typ), items[sig].cost + delta,
+    for sig, cost, head, typ in items:
+        emit((j, sig[1], head, typ) if j < sig[0] else (sig[0], j + 1, head, typ), cost + delta,
              delta, ("skip", sig))
 
 
-def arcs(costs: SentenceCosts, table: TypeTable, items: Mapping[Sig, ParseItem],
-         lefts: Sequence[Sig], rights: Sequence[Sig], emit: Emit, bar: Bar) -> None:
+def arcs(costs: SentenceCosts, table: TypeTable, lefts: Sequence[Packed],
+         rights: Sequence[Packed], emit: Emit, limits: Limits) -> None:
     """Arc: every successful edge between an item of lefts and an adjacent
-    item of rights that costs less than bar(sig, INF), pairs in order,
+    item of rights that costs less than its slot in limits, pairs in order,
     labels in the table's order."""
     price = costs.edge_table.get
     m = costs.n + 1
-    for lsig in lefts:
-        li, _, lhead, ltyp = lsig
-        lcost = items[lsig].cost
+    width = len(table.types)
+    for lsig, lcost, lhead, ltyp in lefts:
+        li, rk = lsig[0], 0  # rk: the right end whose slots are loaded
         row = table.combine[ltyp]
-        for rsig in rights:
-            entries = row[rsig[3]]
+        for rsig, rcost, rhead, rtyp in rights:
+            entries = row[rtyp]
             if not entries:
                 continue
-            _, rk, rhead, _ = rsig
-            base = lcost + items[rsig].cost
+            if rsig[1] != rk:
+                rk = rsig[1]
+                slots = limits(li, rk)
+            base = lcost + rcost
             for lbl, lid, typ, head_is_left in entries:
                 hd, dep = (lhead, rhead) if head_is_left else (rhead, lhead)
-                sig = (li, rk, hd, typ)
-                limit = bar(sig, INF)
+                limit = slots[(hd - li) * width + typ]
                 if base >= limit:
                     continue
                 delta = price((lid * m + hd) * m + dep, INF)
                 cost = base + delta
                 if cost < limit:
-                    emit(sig, cost, delta, ("arc", lsig, rsig, lbl))
+                    emit((li, rk, hd, typ), cost, delta, ("arc", lsig, rsig, lbl))
 
 
 def root_cost(costs: SentenceCosts, table: TypeTable, sig: Sig) -> float:

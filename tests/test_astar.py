@@ -86,6 +86,40 @@ def test_dequeue_limit_aborts(costs, lex):
     assert res.stats.limit_hit and not res.ok and res.cost == INF
 
 
+def test_dequeue_limit_below_one_rejected(costs, lex):
+    with pytest.raises(ValueError, match=r"^dequeue_limit must be at least 1, got 0$"):
+        astar_parse(costs, lex, dequeue_limit=0)
+
+
+def thinned_costs(seed, n, lexicon):
+    """Uniform costs with each tag deleted with probability 1/3, so that many
+    sentences have no parse."""
+    c = gen_synthetic(seed, n, lexicon)
+    rng = random.Random(10 * seed + n)
+    for key in list(c.tag_cost):
+        if rng.random() < 1 / 3:
+            del c.tag_cost[key]
+    return c
+
+
+def test_limit_at_exhaustion_is_not_hit(closed_lex):
+    """A no-parse search limited to its own unlimited dequeued count reports
+    no limit: the entries left at the limit are stale ones of settled
+    signatures, which are no work.  It ends exactly as the unlimited run."""
+    checked = 0
+    for seed in range(40):
+        for n in range(2, 7):
+            c = thinned_costs(seed, n, closed_lex)
+            for k in (1, 2, None):
+                full = astar_parse(c, closed_lex, k_tags=k)
+                if full.ok or full.stats.dequeued == 0:
+                    continue
+                at = astar_parse(c, closed_lex, k_tags=k, dequeue_limit=full.stats.dequeued)
+                assert (at.stats, list(at.settled)) == (full.stats, list(full.settled))
+                checked += 1
+    assert checked > 100
+
+
 def test_settle_once(lex):
     # consistent estimates mean no signature is ever popped twice, so the
     # number of dequeues can never exceed the number of settled signatures

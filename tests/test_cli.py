@@ -84,6 +84,27 @@ def test_parse_limit_exit_code(files):
     assert "LIMIT" in out.read_text()
 
 
+def test_parse_limit_at_exhaustion_is_no_parse(files, tmp_path):
+    """A limit reached when only stale queue entries remain is no limit:
+    the sentence has no parse, so the exit code is 2, not 3."""
+    from test_astar import thinned_costs
+
+    from amparse.astar import astar_parse
+
+    lx = augment_closure(demo_lexicon())
+    c = thinned_costs(0, 3, lx)
+    full = astar_parse(c, lx, k_tags=1)
+    assert not full.ok and full.stats.dequeued == 9
+    path, out = tmp_path / "thin.costs", tmp_path / "thin.trees"
+    path.write_text(ff.write_cost_text([c]))
+    rc = main([
+        "parse", str(path), "--lexicon", str(files["closed"]), "--decoder", "astar",
+        "--k-supertags", "1", "--dequeue-limit", "9", "-o", str(out),
+    ])
+    assert rc == 2
+    assert "NO-PARSE" in out.read_text() and "LIMIT" not in out.read_text()
+
+
 def test_parse_rejects_foreign_costs(files, tmp_path):
     bad = tmp_path / "bad.costs"
     bad.write_text("sentence s0 1\ntag 1 gremlin 0.5\nend\n")
