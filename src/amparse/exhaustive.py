@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .costs import SentenceCosts, top_k_tags
+from .costs import INF, SentenceCosts, top_k_tags
 from .lexicon import Lexicon
 from .trees import BOTTOM, IGNORE, ROOT
-
-INF = float("inf")
 
 # a decision is ("tag", j, g) | ("ignore", j) | ("edge", o, j, lbl) | ("root", r)
 Decision = tuple

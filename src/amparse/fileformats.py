@@ -45,7 +45,7 @@ from .costs import SentenceCosts
 from .graphs import AsGraph, GraphError, GraphNode
 from .lexicon import Lexicon
 from .trees import LABELS, AmDepTree, TreeEntry, app, label_id, mod, parse_edge_label
-from .types import EMPTY_TYPE, Type, TypeSyntaxError, parse_type, serialize_type
+from .types import EMPTY_TYPE, NAME_PATTERN, Type, TypeSyntaxError, parse_type, serialize_type
 
 
 class FormatError(ValueError):
@@ -117,6 +117,8 @@ def parse_lexicon_text(text: str, name: str = "lexicon") -> Lexicon:
             elif kw == "source":
                 if len(parts) < 3 or parts[1] not in block.ids:
                     raise FormatError(lineno, "expected: source <id> <name> [request <type>]")
+                if not NAME_PATTERN.fullmatch(parts[2]):
+                    raise FormatError(lineno, f"bad source name {parts[2]!r}")
                 req = None
                 if len(parts) > 3:
                     if parts[3] != "request":
@@ -147,18 +149,19 @@ def parse_lexicon_text(text: str, name: str = "lexicon") -> Lexicon:
         elif kw == "modlabel":
             if len(parts) != 2:
                 raise FormatError(lineno, "expected: modlabel <source>")
+            if not NAME_PATTERN.fullmatch(parts[1]):
+                raise FormatError(lineno, f"bad source name {parts[1]!r}")
             mod_sources.add(parts[1])
         else:
             raise FormatError(lineno, f"unknown directive {kw!r}")
     if block is not None:
         raise FormatError(block.line, f"constant {block.name}: missing end")
 
-    preliminary = Lexicon(constants, frozenset(omega), frozenset(), name=name)
-    source_names = set(preliminary.sources())
-    for t in omega:
-        source_names |= t.nodes
-    labels = {mod(b) for b in mod_sources}
-    labels |= {app(a) for a in source_names}
+    # one app label per source name of omega and of the constants' types
+    names = {s for t in omega for s in t.nodes}
+    names.update(s for g in constants.values() for node in g.nodes
+                 if node.source is not None for s in (node.source, *node.request.nodes))
+    labels = {mod(b) for b in mod_sources} | {app(a) for a in names}
     return Lexicon(constants, frozenset(omega), frozenset(labels), name=name)
 
 
@@ -183,10 +186,9 @@ def _graph_block_lines(name: str, g: AsGraph) -> list[str]:
 
 def write_lexicon_text(lexicon: Lexicon) -> str:
     chunks = []
-    realized = {lexicon.type_of(name) for name in lexicon.constants}
     for name in sorted(lexicon.constants):
         chunks.append("\n".join(_graph_block_lines(name, lexicon.constants[name])))
-    extras = sorted(lexicon.omega - realized, key=serialize_type)
+    extras = sorted(lexicon.omega - lexicon.by_type.keys(), key=serialize_type)
     tail = [f"omega {serialize_type(t)}" for t in extras]
     tail += [f"modlabel {b}" for b in lexicon.mod_sources()]
     if tail:

@@ -239,75 +239,71 @@ def graph_modify(head: AsGraph, source: str, mod: AsGraph) -> AsGraph:
 # --- isomorphism -----------------------------------------------------------
 
 
-def _signature(g: AsGraph, n: GraphNode, indeg, outdeg) -> tuple:
-    # None fields become empty strings so signature tuples stay sortable
-    req = str(n.request) if n.request is not None else ""
-    return (n.label or "", n.source or "", req, indeg[n.id], outdeg[n.id], n.id == g.root)
-
-
 def graphs_isomorphic(g1: AsGraph, g2: AsGraph) -> bool:
     """Root-anchored isomorphism respecting labels, sources, requests, and
-    edge labels."""
+    edge labels.  Nodes are matched only to nodes of the same signature, by
+    backtracking on an explicit stack, so graph size is not bounded by the
+    recursion limit."""
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return False
 
-    def degs(g: AsGraph):
-        indeg = {n.id: 0 for n in g.nodes}
-        outdeg = {n.id: 0 for n in g.nodes}
-        for a, _, b in g.edges:
-            outdeg[a] += 1
-            indeg[b] += 1
-        return indeg, outdeg
+    def index(g: AsGraph):
+        """out- and in-adjacency of g's nodes, and its node ids by signature:
+        label, source, request, incident edge labels, and being the root."""
+        out: dict[str, set[tuple[str, str]]] = {n.id: set() for n in g.nodes}
+        inc: dict[str, set[tuple[str, str]]] = {n.id: set() for n in g.nodes}
+        for a, lbl, b in g.edges:
+            out[a].add((lbl, b))
+            inc[b].add((lbl, a))
+        groups: dict[tuple, list[str]] = {}
+        for n in g.nodes:
+            sig = (n.label, n.source, n.request, tuple(sorted(lbl for lbl, _ in out[n.id])),
+                   tuple(sorted(lbl for lbl, _ in inc[n.id])), n.id == g.root)
+            groups.setdefault(sig, []).append(n.id)
+        return out, inc, groups
 
-    in1, out1 = degs(g1)
-    in2, out2 = degs(g2)
-    sig1 = {n.id: _signature(g1, n, in1, out1) for n in g1.nodes}
-    sig2 = {n.id: _signature(g2, n, in2, out2) for n in g2.nodes}
-    if sorted(sig1.values()) != sorted(sig2.values()):
+    out1, in1, groups1 = index(g1)
+    out2, in2, groups2 = index(g2)
+    if {s: len(ids) for s, ids in groups1.items()} != {s: len(ids) for s, ids in groups2.items()}:
         return False
-
-    out_adj1: dict[str, set[tuple[str, str]]] = {n.id: set() for n in g1.nodes}
-    out_adj2: dict[str, set[tuple[str, str]]] = {n.id: set() for n in g2.nodes}
-    in_adj1: dict[str, set[tuple[str, str]]] = {n.id: set() for n in g1.nodes}
-    in_adj2: dict[str, set[tuple[str, str]]] = {n.id: set() for n in g2.nodes}
-    for a, lbl, b in g1.edges:
-        out_adj1[a].add((lbl, b))
-        in_adj1[b].add((lbl, a))
-    for a, lbl, b in g2.edges:
-        out_adj2[a].add((lbl, b))
-        in_adj2[b].add((lbl, a))
-
-    # Order g1's nodes root-first then by constrainedness for fast failure.
-    ordered = sorted(g1.nodes, key=lambda n: (n.id != g1.root, -in1[n.id] - out1[n.id], n.id))
-    candidates = {
-        n.id: [m.id for m in g2.nodes if sig2[m.id] == sig1[n.id]] for n in g1.nodes
-    }
-
+    sig = {a: s for s, ids in groups1.items() for a in ids}
+    # g1's nodes root-first, then most edges first, for fast failure
+    ordered = sorted(sig, key=lambda a: (a != g1.root, -len(out1[a]) - len(in1[a]), a))
     mapping: dict[str, str] = {}
-    used: set[str] = set()
+    # per signature, g2's candidates with the unmatched ones first: matching
+    # one moves it to the end of that prefix, and undoing swaps it back
+    pools = {s: list(ids) for s, ids in groups2.items()}
+    free = {s: len(ids) for s, ids in groups2.items()}
 
     def consistent(a: str, b: str) -> bool:
-        for lbl, x in out_adj1[a]:
-            if x in mapping and (lbl, mapping[x]) not in out_adj2[b]:
+        for lbl, x in out1[a]:
+            if x in mapping and (lbl, mapping[x]) not in out2[b]:
                 return False
-        for lbl, x in in_adj1[a]:
-            if x in mapping and (lbl, mapping[x]) not in in_adj2[b]:
+        for lbl, x in in1[a]:
+            if x in mapping and (lbl, mapping[x]) not in in2[b]:
                 return False
         return True
 
-    def assign(idx: int) -> bool:
-        if idx == len(ordered):
+    tries = [0]  # per depth d, where ordered[d]'s free candidates resume
+    while tries:
+        d = len(tries) - 1
+        if d == len(ordered):
             return True
-        a = ordered[idx].id
-        for b in candidates[a]:
-            if b in used or not consistent(a, b):
-                continue
-            mapping[a] = b
-            used.add(b)
-            if assign(idx + 1):
-                return True
+        a = ordered[d]
+        s, k = sig[a], tries[d]
+        pool = pools[s]
+        if a in mapping:  # back at depth d: undo its last choice, at k - 1
             del mapping[a]
-            used.remove(b)
-        return False
-
-    return assign(0)
+            pool[k - 1], pool[free[s]] = pool[free[s]], pool[k - 1]
+            free[s] += 1
+        while k < free[s] and not consistent(a, pool[k]):
+            k += 1
+        if k == free[s]:
+            tries.pop()
+        else:
+            free[s] -= 1
+            pool[k], pool[free[s]] = pool[free[s]], pool[k]
+            mapping[a] = pool[free[s]]
+            tries[d] = k + 1
+            tries.append(0)
+    return False

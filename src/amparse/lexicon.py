@@ -57,6 +57,10 @@ class Lexicon:
         self.labels = frozenset(self.labels) | {ROOT, IGNORE}
         # the sorted inventories the guards read at every step, built once
         self._names = sorted(self.constants)
+        # sorted constant names per realized type; its keys are the realized types
+        self.by_type: dict[Type, list[str]] = {}
+        for name in self._names:
+            self.by_type.setdefault(self._types[name], []).append(name)
         self._sources = {kind: sorted(l.source for l in self.labels if l.kind == kind)
                          for kind in ("app", "mod")}
 
@@ -87,10 +91,7 @@ class Lexicon:
     def sources(self) -> frozenset[str]:
         """All source names occurring in the constants (markings and their
         request annotations, i.e. the nodes of the realized types)."""
-        out: set[str] = set()
-        for t in self._types.values():
-            out |= t.nodes
-        return frozenset(out)
+        return frozenset(s for t in self.by_type for s in t.nodes)
 
     def app_sources(self) -> list[str]:
         """Sorted app-label sources; shared like constant_names."""
@@ -105,14 +106,13 @@ def constants_of_type(lexicon: Lexicon, t: Type) -> list[str]:
     """Sorted names of constants realizing t.  t must be a member of omega."""
     if t not in lexicon.omega:
         raise KeyError(f"{t} is not in the lexicon's type inventory")
-    return sorted(name for name in lexicon.constants if lexicon.type_of(name) == t)
+    return list(lexicon.by_type.get(t, ()))
 
 
 def validate_closure(lexicon: Lexicon) -> ClosureReport:
     report = ClosureReport()
-    realized = {lexicon.type_of(name) for name in lexicon.constants}
     for t in sorted(lexicon.omega, key=str):
-        if t not in realized:
+        if t not in lexicon.by_type:
             report.violations.append(
                 ClosureViolation(1, f"type {t} has no realizing constant")
             )
@@ -174,8 +174,7 @@ def augment_closure(lexicon: Lexicon) -> Lexicon:
     """
     omega = _close_omega(lexicon.omega, lexicon.mod_sources())
     constants = dict(lexicon.constants)
-    realized = {graph_type(g) for g in constants.values()}
-    for k, t in enumerate(sorted(omega - realized, key=str), start=1):
+    for k, t in enumerate(sorted(omega - lexicon.by_type.keys(), key=str), start=1):
         name = f"_synth_{k}"
         while name in constants:
             name += "x"

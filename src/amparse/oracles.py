@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .lexicon import Lexicon, constants_of_type
+from .lexicon import Lexicon
 from .transitions import (
     SYSTEMS,
     Configuration,
@@ -84,14 +84,11 @@ def oracle_sequence(tree: AmDepTree, lexicon: Lexicon, system: str) -> list[Tran
     return seq
 
 
-def replay(
-    tree_or_n, transitions, lexicon: Lexicon, system: str, check: bool = True
-) -> Configuration:
-    """Run a transition sequence from the initial configuration."""
-    n = tree_or_n if isinstance(tree_or_n, int) else tree_or_n.n
-    cfg = initial_config(n)
+def replay(tree: AmDepTree, transitions, lexicon: Lexicon, system: str) -> Configuration:
+    """Run transitions from tree's initial configuration, each step checked."""
+    cfg = initial_config(tree.n)
     for tr in transitions:
-        cfg = apply_transition(cfg, tr, lexicon, system, check=check)
+        cfg = apply_transition(cfg, tr, lexicon, system)
     return cfg
 
 
@@ -99,11 +96,9 @@ def replay(
 
 
 def _cheapest_constant(lexicon: Lexicon, t: Type) -> str:
-    names = constants_of_type(lexicon, t)
+    names = lexicon.by_type.get(t)
     if not names:
-        raise TransitionError(
-            f"no constant of type {serialize_type(t)}; lexicon is not closed"
-        )
+        raise TransitionError(f"no constant of type {serialize_type(t)}; lexicon is not closed")
     return names[0]
 
 
@@ -119,7 +114,7 @@ def complete_step(cfg: Configuration, lexicon: Lexicon, system: str) -> list[Tra
 
 def _realized_term(lexicon: Lexicon, terms) -> Type:
     for t in sorted(terms, key=serialize_type):
-        if t in lexicon.omega and constants_of_type(lexicon, t):
+        if t in lexicon.by_type:
             return t
     raise TransitionError("no realizable term type; lexicon is not closed")
 
@@ -184,24 +179,28 @@ def _complete_step_ltl(cfg: Configuration, lexicon: Lexicon) -> list[Transition]
     return out + [Transition("finish", constant=g)]
 
 
-def complete_config(
-    cfg: Configuration, lexicon: Lexicon, system: str, check: bool = True
-) -> tuple[list[Transition], Configuration]:
-    """Drive cfg to a goal; returns the transitions taken and the goal."""
-    taken: list[Transition] = []
+def _completion(cfg: Configuration, lexicon: Lexicon, system: str):
+    """The completion procedure from cfg: yields (configuration, transition,
+    successor) per step, each checked against the guards, and raises
+    TransitionError unless it ends in a goal within 4n + 4 bundles."""
     rounds = 0
-    while True:
-        bundle = complete_step(cfg, lexicon, system)
-        if not bundle:
-            break
+    while bundle := complete_step(cfg, lexicon, system):
         for tr in bundle:
-            cfg = apply_transition(cfg, tr, lexicon, system, check=check)
-            taken.append(tr)
+            before, cfg = cfg, apply_transition(cfg, tr, lexicon, system)
+            yield before, tr, cfg
         rounds += 1
         if rounds > 4 * cfg.n + 4:
             raise TransitionError("completion failed to converge; broken guards")
     if not is_goal(cfg):
         raise TransitionError("completion terminated off-goal")
+
+
+def complete_config(cfg: Configuration, lexicon: Lexicon,
+                    system: str) -> tuple[list[Transition], Configuration]:
+    """Drive cfg to a goal; returns the transitions taken and the goal."""
+    taken: list[Transition] = []
+    for _, tr, cfg in _completion(cfg, lexicon, system):
+        taken.append(tr)
     return taken, cfg
 
 
@@ -233,18 +232,14 @@ def fuzz_episode(
     cfg, trace = random_walk(
         lexicon, system, n, random.Random(seed), bias_apply, max_steps=steps
     )
-    completion, final = complete_config(cfg, lexicon, system, check=False)
-    for tr in completion:
-        trace.append((cfg.digest(), tr))
-        cfg = apply_transition(cfg, tr, lexicon, system, check=False)
-    assert cfg == final
-    reached = is_goal(final)
+    for before, tr, cfg in _completion(cfg, lexicon, system):
+        trace.append((before.digest(), tr))
     return Episode(
         seed=seed,
         system=system,
         n=n,
         lexicon_name=lexicon.name,
         steps=tuple((digest, str(tr)) for digest, tr in trace),
-        goal=reached,
-        tree=config_to_tree(final) if reached else None,
+        goal=True,  # _completion raises off-goal
+        tree=config_to_tree(cfg),
     )

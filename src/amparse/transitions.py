@@ -204,14 +204,6 @@ def total_owed(cfg: Configuration, lexicon: Lexicon) -> float:
     return sum(owed(cfg, i, lexicon) for i in range(1, cfg.n + 1))
 
 
-def poss_lex(
-    omega: Iterable[Type], t: Type, done: frozenset[str], budget: float
-) -> set[Type]:
-    """Lexical types that can still reach term type t given the filled slots
-    and at most budget more argument attachments."""
-    return {lam for lam, _, c in _options(omega, (t,), done) if len(c - done) <= budget}
-
-
 def _options(
     lams: Iterable[Type], ts: Iterable[Type], done: frozenset[str]
 ) -> tuple[tuple[Type, Type, frozenset[str]], ...]:
@@ -275,14 +267,19 @@ class _Guards:
         ltf after Choose:   (G(i), T(i), A(i), W - O >= 1)
 
     cap is lexicon.max_sources.  No consumed set is larger, so every budget
-    from cap up admits the same options.  decode keeps one object for its
-    whole call; every other entry point builds a fresh one per call, so no
-    memo outlives the call that made it.
+    from cap up admits the same options.  The system and type checking are
+    fixed, and an undefined pair rejected, when the object is built.  decode
+    keeps one object for its whole call; every other entry point builds a
+    fresh one per call, so no memo outlives the call that made it.
     """
 
     __slots__ = ("lexicon", "system", "type_checked", "_memo")
 
     def __init__(self, lexicon: Lexicon, system: str = "ltl", type_checked: bool = True):
+        if system not in SYSTEMS:
+            raise TransitionError(f"unknown system {system!r}")
+        if not type_checked and system != "ltl":
+            raise TransitionError("the unchecked ablation is defined for ltl only")
         self.lexicon, self.system, self.type_checked = lexicon, system, type_checked
         self._memo: dict = {}
 
@@ -312,10 +309,6 @@ class _Guards:
         return got
 
     def moves(self, cfg: Configuration) -> Moves:
-        if self.system not in SYSTEMS:
-            raise TransitionError(f"unknown system {self.system!r}")
-        if not self.type_checked and self.system != "ltl":
-            raise TransitionError("the unchecked ablation is defined for ltl only")
         if cfg.is_initial:
             return Moves(rest=tuple(Transition("init", token=i) for i in range(1, cfg.n + 1)))
         if not cfg.stack:

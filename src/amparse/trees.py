@@ -219,7 +219,11 @@ def check_well_typed(t: AmDepTree, lexicon) -> TypingReport:
 
     def fold(i: int) -> Optional[Type]:
         """i's term type from its children's, or None on failure."""
-        tau = lexicon.type_of(t.token(i).constant)
+        try:
+            tau = lexicon.type_of(t.token(i).constant)
+        except KeyError:
+            fail(i, f"unknown constant {t.token(i).constant!r}")
+            return None
         plan = _FoldPlan()
         plans[i] = plan
         kids = children.get(i, [])

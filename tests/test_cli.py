@@ -197,6 +197,33 @@ def test_evaluate_ill_typed_exits_one(files, tmp_path, capsys):
     assert line["index"] == 0
 
 
+@pytest.mark.parametrize("command", ["evaluate", "oracle"])
+def test_unknown_constant_in_trees_is_input_error(files, tmp_path, capsys, command):
+    bad = tmp_path / "unknown.trees"
+    bad.write_text("1\twriter\twriter\t0\tROOT\n2\tsoundly\tnosuch\t1\tMOD_m\n")
+    argv = [command, str(bad), "--lexicon", str(files["lex"])]
+    if command == "oracle":
+        argv += ["--augment", "--system", "ltf"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    if command == "evaluate":
+        assert json.loads(err) == {"index": 0, "failure": [2, "unknown constant 'nosuch'"]}
+    else:
+        assert err.startswith("error: ") and "(2, \"unknown constant 'nosuch'\")" in err
+
+
+@pytest.mark.parametrize("line,bad", [("source a1 S", "'S'"), ("modlabel Big", "'Big'")])
+def test_bad_source_name_in_lexicon_names_its_line(files, tmp_path, capsys, line, bad):
+    lex = tmp_path / "bad.lexicon"
+    lex.write_text("constant x\nnode a0 lbl\nnode a1 _\nroot a0\nedge a0 ARG0 a1\n"
+                   + ("source a1 S\nend\n" if line.startswith("source") else
+                      "source a1 s\nend\n" + line + "\n"))
+    assert main(["validate-lexicon", "--lexicon", str(lex)]) == 1
+    lineno = 6 if line.startswith("source") else 8
+    assert capsys.readouterr().err == f"error: line {lineno}: bad source name {bad}\n"
+
+
 def test_oracle_outputs_gold_sequence(files, capsys):
     rc = main([
         "oracle", str(files["trees"]), "--lexicon", str(files["lex"]),

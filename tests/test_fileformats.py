@@ -145,6 +145,104 @@ def test_graph_text_rejects_trailing_blocks(expected_graph):
         ff.parse_graph_text(text + "\n" + text)
 
 
+# --- lexicon, graph and tree files: every fault, where and how ---------------
+
+_BLOCK = "constant x\nnode a lbl\n"
+_ROOT_ROW = "1\tw1\twriter\t0\tROOT\n"
+
+# (id, reader, text, FormatError.line, str(FormatError))
+FILE_FAULTS = [
+    ("constant-nested", "lexicon", _BLOCK + "constant y\n", 3,
+     "line 3: constant block opened inside another block"),
+    ("constant-fields", "lexicon", "constant\n", 1, "line 1: expected: constant <name>"),
+    ("constant-duplicate", "lexicon", _BLOCK + "root a\nend\n" + _BLOCK + "root a\nend\n", 5,
+     "line 5: duplicate constant x"),
+    ("node-outside", "lexicon", "node a lbl\n", 1, "line 1: node line outside a constant block"),
+    ("end-outside", "lexicon", _BLOCK + "root a\nend\nend\n", 5,
+     "line 5: end line outside a constant block"),
+    ("node-fields", "lexicon", "constant x\nnode a\n", 2, "line 2: expected: node <id> <label|_>"),
+    ("node-duplicate", "lexicon", _BLOCK + "node a _\n", 3, "line 3: duplicate node id a"),
+    ("root-undeclared", "lexicon", _BLOCK + "root b\n", 3, "line 3: root must name a declared node"),
+    ("root-fields", "lexicon", _BLOCK + "root\n", 3, "line 3: root must name a declared node"),
+    ("source-fields", "lexicon", _BLOCK + "source a\n", 3,
+     "line 3: expected: source <id> <name> [request <type>]"),
+    ("source-undeclared", "lexicon", _BLOCK + "source b s\n", 3,
+     "line 3: expected: source <id> <name> [request <type>]"),
+    ("source-name", "lexicon", _BLOCK + "root a\nnode a1 _\nsource a1 S\nend\n", 5,
+     "line 5: bad source name 'S'"),
+    ("source-request-keyword", "lexicon", _BLOCK + "node b _\nsource b s req [o]\n", 4,
+     "line 4: expected 'request' before the type"),
+    ("source-request-syntax", "lexicon", _BLOCK + "node b _\nsource b s request [o\n", 4,
+     "line 4: expected ']' at offset 2 in '[o'"),
+    ("edge-fields", "lexicon", _BLOCK + "edge a ARG0\n", 3, "line 3: expected: edge <from> <label> <to>"),
+    ("edge-undeclared", "lexicon", _BLOCK + "edge a ARG0 b\n", 3,
+     "line 3: edge endpoints must be declared nodes"),
+    # checks made when the block closes, reported at its `end` line
+    ("no-root", "lexicon", _BLOCK + "end\n", 3, "line 3: constant x: no root line"),
+    ("disconnected", "lexicon", _BLOCK + "node b _\nroot a\nend\n", 5,
+     "line 5: constant x: graph must be weakly connected"),
+    ("source-twice", "lexicon", _BLOCK + "node b _\nnode c _\nroot a\nedge a ARG0 b\n"
+     "edge a ARG1 c\nsource b s\nsource c s\nend\n", 10,
+     "line 10: constant x: source names must be unique across the graph"),
+    ("missing-end", "lexicon", "# head\n" + _BLOCK + "root a\n", 2, "line 2: constant x: missing end"),
+    ("omega-syntax", "lexicon", "omega [s\n", 1, "line 1: expected ']' at offset 2 in '[s'"),
+    ("modlabel-fields", "lexicon", "modlabel m n\n", 1, "line 1: expected: modlabel <source>"),
+    ("modlabel-name", "lexicon", "modlabel Big\n", 1, "line 1: bad source name 'Big'"),
+    ("unknown-directive", "lexicon", "frobnicate\n", 1, "line 1: unknown directive 'frobnicate'"),
+    ("no-block", "graph", "# nothing\n", 0, "line 0: expected exactly one graph block, got 0"),
+    ("two-blocks", "graph", _BLOCK + "root a\nend\nconstant y\nnode a lbl\nroot a\nend\n", 0,
+     "line 0: expected exactly one graph block, got 2"),
+    ("columns", "trees", "1\tw1\twriter\t0\n", 1, "line 1: expected 5 tab-separated columns, got 4"),
+    ("index", "trees", "2\tw1\twriter\t0\tROOT\n", 1, "line 1: expected index 1, got '2'"),
+    ("head-int", "trees", "1\tw1\twriter\tzero\tROOT\n", 1,
+     "line 1: invalid literal for int() with base 10: 'zero'"),
+    ("label", "trees", "1\tw1\twriter\t0\troot\n", 1, "line 1: bad edge label 'root'"),
+    ("label-source", "trees", _ROOT_ROW + "2\tw2\tsoundly\t1\tMOD_\n", 2,
+     "line 2: mod label needs a source name"),
+    # tree checks, reported at the line that closes the block
+    ("head-range", "trees", _ROOT_ROW + "2\tw2\tsoundly\t3\tMOD_m\n", 2,
+     "line 2: token 2: head 3 out of range"),
+    ("self-headed", "trees", _ROOT_ROW + "2\tw2\tsoundly\t2\tMOD_m\n", 2,
+     "line 2: token 2: self-headed"),
+    ("root-head", "trees", _ROOT_ROW + "2\tw2\twriter\t1\tROOT\n", 2,
+     "line 2: token 2: ROOT label with head 1"),
+    ("root-bottom", "trees", "1\tw1\tBOT\t0\tROOT\n", 1, "line 1: token 1: ROOT token cannot be BOT"),
+    ("ignore-head", "trees", _ROOT_ROW + "2\tw2\tBOT\t1\tIGNORE\n", 2,
+     "line 2: token 2: IGNORE label with head 1"),
+    ("ignore-constant", "trees", _ROOT_ROW + "2\tw2\tsoundly\t0\tIGNORE\n", 2,
+     "line 2: token 2: IGNORE requires constant BOT"),
+    ("edge-from-root", "trees", _ROOT_ROW + "2\tw2\tsoundly\t0\tMOD_m\n", 2,
+     "line 2: token 2: MOD_m edge cannot come from 0"),
+    ("attached-bottom", "trees", _ROOT_ROW + "2\tw2\tBOT\t1\tMOD_m\n", 2,
+     "line 2: token 2: attached token cannot be BOT"),
+    ("no-root-edge", "trees", "1\tw1\tBOT\t0\tIGNORE\n", 1,
+     "line 1: expected exactly one ROOT edge, found 0"),
+    ("two-root-edges", "trees", _ROOT_ROW + "2\tw2\twriter\t0\tROOT\n", 2,
+     "line 2: expected exactly one ROOT edge, found 2"),
+    ("ignored-head", "trees", _ROOT_ROW + "2\tw2\tBOT\t0\tIGNORE\n3\tw3\tsoundly\t2\tMOD_m\n", 3,
+     "line 3: token 3: head 2 is an ignored token"),
+    ("cycle", "trees", _ROOT_ROW + "2\tw2\tsoundly\t3\tMOD_m\n3\tw3\tsoundly\t2\tMOD_m\n", 3,
+     "line 3: head cycle through token 2"),
+    ("first-block", "trees", _ROOT_ROW + "2\tw2\tsoundly\t2\tMOD_m\n\n" + _ROOT_ROW, 3,
+     "line 3: token 2: self-headed"),
+    ("second-block", "trees", _ROOT_ROW + "\n" + _ROOT_ROW + "2\tw2\tsoundly\t2\tMOD_m\n", 4,
+     "line 4: token 2: self-headed"),
+]
+
+_READERS = {"lexicon": ff.parse_lexicon_text, "graph": ff.parse_graph_text,
+            "trees": ff.parse_trees_text}
+
+
+@pytest.mark.parametrize(
+    "reader,text,line,message", [row[1:] for row in FILE_FAULTS], ids=[row[0] for row in FILE_FAULTS]
+)
+def test_file_fault_table(reader, text, line, message):
+    with pytest.raises(ff.FormatError) as exc:
+        _READERS[reader](text)
+    assert exc.value.line == line
+    assert str(exc.value) == message
+
+
 # --- cost files: every fault, where it is reported and how -------------------
 
 _HEAD = "sentence s0 2\n"

@@ -141,3 +141,40 @@ def test_isomorphism_mixed_labeled_unlabeled(lex):
     want = lex.constants["want"]
     assert graphs_isomorphic(want, want)
     assert not graphs_isomorphic(want, lex.constants["sleep"])
+
+
+def test_isomorphism_of_large_graphs_does_not_recurse(closed_lex):
+    """The evaluated graph of a writer with 2,999 soundly MOD_m children,
+    against itself, a renamed copy, and copies with one node or one edge
+    relabelled: the match backtracks on a stack, so 3,000 nodes stay within
+    the recursion limit, and candidates come grouped by signature."""
+    import time
+
+    from amparse.graphs import AsGraph, GraphNode
+    from amparse.trees import ROOT, AmDepTree, TreeEntry, evaluate_tree, mod
+
+    n = 3000
+    tree = AmDepTree((TreeEntry("w1", "writer", 0, ROOT),) + tuple(
+        TreeEntry(f"w{k}", "soundly", 1, mod("m")) for k in range(2, n + 1)
+    ))
+    g = evaluate_tree(tree, closed_lex)
+    assert len(g.nodes) == n
+    rename = {node.id: f"x{n - k}" for k, node in enumerate(g.nodes)}
+    renamed = AsGraph(
+        tuple(GraphNode(rename[v.id], v.label, v.source, v.request) for v in reversed(g.nodes)),
+        frozenset((rename[a], lbl, rename[b]) for a, lbl, b in g.edges),
+        rename[g.root],
+    )
+    a, lbl, b = min(g.edges)
+    edge_relabelled = AsGraph(g.nodes, g.edges - {(a, lbl, b)} | {(a, "time", b)}, g.root)
+    node_relabelled = AsGraph(
+        tuple(GraphNode(v.id, "loud" if v.id == b else v.label, v.source, v.request)
+              for v in g.nodes),
+        g.edges, g.root,
+    )
+    start = time.perf_counter()
+    assert graphs_isomorphic(g, g)
+    assert graphs_isomorphic(g, renamed) and graphs_isomorphic(renamed, g)
+    assert not graphs_isomorphic(g, edge_relabelled)
+    assert not graphs_isomorphic(node_relabelled, g)
+    assert time.perf_counter() - start < 5.0

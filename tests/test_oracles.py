@@ -191,6 +191,29 @@ def test_fuzz_goals_round_trip_through_both_oracles(lx, n, steps, seed):
             assert config_to_tree(final) == ep.tree
 
 
+@pytest.mark.parametrize("system", ["ltf", "ltl"])
+def test_fuzz_applies_each_transition_once(closed_lex, system, monkeypatch):
+    """The walk and the completion each apply a recorded step exactly once,
+    and nothing is applied that is not recorded."""
+    from amparse import oracles
+
+    calls = 0
+
+    def counted(apply):
+        def wrapped(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return apply(*args, **kwargs)
+        return wrapped
+
+    for module in (transitions, oracles):
+        monkeypatch.setattr(module, "apply_transition", counted(module.apply_transition))
+    for seed in range(10):
+        calls = 0
+        ep = fuzz_episode(seed, system, closed_lex, n=5, steps=seed % 4)
+        assert ep.goal and calls == len(ep.steps), seed
+
+
 def test_fuzz_steps_zero_is_pure_completion(closed_lex):
     ep = fuzz_episode(5, "ltl", closed_lex, n=4, steps=0)
     assert ep.goal

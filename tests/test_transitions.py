@@ -20,8 +20,8 @@ from amparse.transitions import (
     is_goal,
     legal_transitions,
     owed,
+    _options,
     parse_transition,
-    poss_lex,
     random_walk,
     render_trace,
     static_scorer,
@@ -106,6 +106,12 @@ def test_tie_break_order():
 
 
 def test_poss_lex_budget(lex):
+    """The paper's PossL, read off _options: the lexical types that still
+    reach term type t given the filled slots and at most budget more
+    argument attachments."""
+    def poss_lex(omega, t, done, budget):
+        return {lam for lam, _, c in _options(omega, (t,), done) if len(c - done) <= budget}
+
     omega = lex.omega
     t = parse_type("[s]")
     assert poss_lex(omega, t, frozenset(), 1) == {
@@ -154,6 +160,19 @@ def test_ablation_only_for_ltl(closed_lex):
 def test_unknown_system_rejected(closed_lex):
     with pytest.raises(TransitionError):
         legal_transitions(initial_config(2), closed_lex, "arc-eager")
+
+
+def test_unchecked_steps_still_reject_undefined_systems(closed_lex):
+    """An unchecked step, and a step table built from unchecked steps, name
+    one system: an unknown name or an unchecked ltf is an error, not a
+    mixture of the two systems' effects."""
+    cfg, init = initial_config(3), parse_transition("Init(1)")
+    with pytest.raises(TransitionError, match="unknown system 'LTF'"):
+        apply_transition(cfg, init, closed_lex, "LTF", check=False)
+    with pytest.raises(TransitionError, match="ltl only"):
+        apply_transition(cfg, init, closed_lex, "ltf", check=False, type_checked=False)
+    with pytest.raises(TransitionError, match="unknown system 'bogus'"):
+        render_trace([init], closed_lex, "bogus", 3)
 
 
 @pytest.mark.parametrize("system", ["ltf", "ltl"])
@@ -534,7 +553,7 @@ def reference_moves(cfg, lexicon, system, type_checked=True):
     """The move set as the guards were first written, with one scan of omega
     per source and per constant: ltl Apply(alpha) needs some t in T(i) that
     some lexical type reaches by consuming A(i) + {alpha} and at most W - 1
-    more sources (poss_lex per source), Finish(g) some t in T(i) that g's
+    more sources (PossL per source), Finish(g) some t in T(i) that g's
     type reaches by consuming exactly A(i) (a witness per constant); ltf
     Choose(t, g) needs g's type to reach t within the budget W - O."""
     from amparse.trees import mod

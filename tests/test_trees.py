@@ -158,6 +158,20 @@ def test_wrong_argument_type_is_ill_typed(lex):
     assert report.failure[0] == 1
 
 
+def test_unknown_constant_is_ill_typed(lex):
+    """A constant the lexicon lacks is a typing failure at its token, and
+    evaluation raises TreeError, not KeyError."""
+    t = AmDepTree((
+        entry("writer", "writer", 0, ROOT),
+        entry("soundly", "nosuch", 1, mod("m")),
+    ))
+    report = check_well_typed(t, lex)
+    assert not report.ok
+    assert report.failure == (2, "unknown constant 'nosuch'")
+    with pytest.raises(TreeError, match="token 2: unknown constant 'nosuch'"):
+        evaluate_tree(t, lex)
+
+
 def test_app_order_is_found_automatically(lex):
     # o requests s inside want's type, so s alone is not consumable first;
     # the fold must discover the o-then-s order regardless of positions
