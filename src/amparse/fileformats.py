@@ -39,12 +39,14 @@ columns index, form, constant (or BOT), head, label; a comment-only block
 
 from __future__ import annotations
 
+import re
+from operator import add
 from typing import Optional, Union
 
 from .costs import SentenceCosts
-from .graphs import AsGraph, GraphError, GraphNode
+from .graphs import AsGraph, GraphError, GraphNode, graph_type
 from .lexicon import Lexicon
-from .trees import LABELS, AmDepTree, TreeEntry, app, label_id, mod, parse_edge_label
+from .trees import LABEL_IDS, LABELS, AmDepTree, TreeEntry, app, label_id, mod, parse_edge_label
 from .types import EMPTY_TYPE, NAME_PATTERN, Type, TypeSyntaxError, parse_type, serialize_type
 
 
@@ -70,11 +72,13 @@ class _GraphBlock:
         if self.root is None:
             raise FormatError(end_line, f"constant {self.name}: no root line")
         try:
-            return AsGraph(
+            g = AsGraph(
                 tuple(GraphNode(i, lbl, src, req) for i, lbl, src, req in self.nodes),
                 frozenset(self.edges),
                 self.root,
             )
+            graph_type(g)  # request annotations that contradict each other
+            return g
         except GraphError as e:
             raise FormatError(end_line, f"constant {self.name}: {e}") from e
 
@@ -211,6 +215,100 @@ def parse_graph_text(text: str) -> AsGraph:
 
 
 def parse_cost_text(text: str) -> list[SentenceCosts]:
+    """The text's sentences.  Text in the writers' layout is read a section
+    at a time; any other text, and every error, comes from the line reader."""
+    out = _read_columns(text)
+    return out if out is not None else _read_lines(text)
+
+
+# Whitespace other than " " and "\n", which includes every line boundary
+# of str.splitlines but "\n"; in ASCII text, one of _ASCII_OTHER_SPACE.
+_OTHER_SPACE = re.compile(r"[^\S \n]")
+_ASCII_OTHER_SPACE = "\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
+    """What _read_lines returns for text in the layout write_cost_text writes,
+    and None on the first doubt: any '#' or whitespace but " " and "\n", or a
+    block that is not `sentence <id> <n>`, then form lines 1..n, then its
+    tag and edge lines, then `end`.  Each section is split once and read as
+    columns; new labels are interned in first-appearance order, per
+    sentence, only once nothing but SentenceCosts' own checks can fail."""
+    if "#" in text or text[-1:] not in ("\n", ""):
+        return None
+    if text.isascii():
+        if any(c in text for c in _ASCII_OTHER_SPACE):
+            return None
+    elif _OTHER_SPACE.search(text):
+        return None
+    out: list[SentenceCosts] = []
+    label_ids: dict[str, int] = {}  # label text -> its process-wide id
+    pos, size = 0, len(text)
+    try:
+        while True:
+            while pos < size and text[pos] == "\n":
+                pos += 1
+            if pos == size:
+                return out
+            nl = text.index("\n", pos)
+            head = text[pos:nl].split()
+            if len(head) != 3 or head[0] != "sentence":
+                return None
+            stop = text.index("\nend\n", nl)  # the block's lines are text[nl:stop], each after a "\n"
+            pos = stop + 5
+            e = text.find("\nedge ", nl, stop)
+            e = stop if e < 0 else e
+            t = text.find("\ntag ", nl, e)
+            t = e if t < 0 else t
+
+            i_col, forms = _columns(text[nl:t], "form", 3)
+            n = int(head[2])
+            m = n + 1
+            # one form line per token, in order, so n is bounded by the text
+            if len(forms) != n or i_col != [str(i) for i in range(1, m)]:
+                return None
+            token = {str(i): i for i in range(1, m)}  # index text -> i, for 1..n
+            origin = {str(o): o * m for o in range(m)}  # origin text -> o * m, for 0..n
+            i_col, g_col, c_col = _columns(text[t:e], "tag", 4)
+            tags = dict(zip(zip(map(token.__getitem__, i_col), g_col), map(float, c_col)))
+            o_col, j_col, l_col, c_col = _columns(text[e:stop], "edge", 5)
+            new: dict = {}  # labels first seen here -> the ids they will get
+            for label_text in dict.fromkeys(l_col):
+                if label_text not in label_ids:
+                    label = parse_edge_label(label_text)
+                    lid = LABEL_IDS.get(label)
+                    if lid is None:
+                        lid = new.setdefault(label, len(LABELS) + len(new))
+                    label_ids[label_text] = lid
+            mm = m * m
+            base = {lt: lid * mm for lt, lid in label_ids.items()}
+            keys = map(add, map(add, map(base.__getitem__, l_col), map(origin.__getitem__, o_col)),
+                       map(token.__getitem__, j_col))
+            edges = dict(zip(keys, map(float, c_col)))  # SentenceCosts.edge_table's keys
+            if len(tags) != len(g_col) or len(edges) != len(c_col):
+                return None  # a duplicate entry
+            for label in new:
+                label_id(label)
+            out.append(SentenceCosts.from_table(n, tuple(forms), tags, edges, sid=head[1]))
+    except (KeyError, ValueError):
+        return None
+
+
+def _columns(section: str, keyword: str, width: int) -> list[list[str]]:
+    """The columns after the keyword of a section of lines, each after a
+    "\n"; ValueError unless every line is the keyword and width - 1 more
+    tokens.  The keyword starts every line and no other token is the
+    keyword, so with width * lines tokens, every width-th of them is a
+    line start exactly when every line has width tokens."""
+    lines = section.count("\n")
+    tokens = section.split()
+    if (section.count(f"\n{keyword} ") != lines or len(tokens) != width * lines
+            or tokens.count(keyword) != lines or tokens[::width].count(keyword) != lines):
+        raise ValueError
+    return [tokens[k::width] for k in range(1, width)]
+
+
+def _read_lines(text: str) -> list[SentenceCosts]:
     out: list[SentenceCosts] = []
     label_ids: dict[str, int] = {}  # label text -> its process-wide id
     tags: Optional[dict] = None  # None outside a sentence block
@@ -345,6 +443,10 @@ def parse_trees_text(text: str) -> list[AmDepTree]:
                     int(head), parse_edge_label(label),
                 ))
             except ValueError as e:
+                try:
+                    int(head)
+                except ValueError:
+                    raise FormatError(lineno, f"expected an integer head, got {head!r}") from None
                 raise FormatError(lineno, str(e)) from e
         try:
             trees.append(AmDepTree(tuple(entries)))

@@ -5,12 +5,14 @@ import importlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amparse import fileformats as ff
 from amparse.costs import gen_synthetic
 from amparse.graphs import graphs_isomorphic
 from amparse.lexicon import augment_closure
-from amparse.trees import IGNORE, ROOT, app, mod
+from amparse.trees import IGNORE, LABELS, ROOT, app, mod
 from amparse.types import parse_type
 
 ROOT_DIR = Path(__file__).resolve().parent.parent
@@ -184,6 +186,9 @@ FILE_FAULTS = [
     ("source-twice", "lexicon", _BLOCK + "node b _\nnode c _\nroot a\nedge a ARG0 b\n"
      "edge a ARG1 c\nsource b s\nsource c s\nend\n", 10,
      "line 10: constant x: source names must be unique across the graph"),
+    ("request-cycle", "lexicon", _BLOCK + "node b _\nnode c _\nroot a\nedge a ARG0 b\n"
+     "edge a ARG1 c\nsource b s request [o]\nsource c o request [s]\nend\n", 10,
+     "line 10: constant x: inconsistent request annotations: cyclic request structure"),
     ("missing-end", "lexicon", "# head\n" + _BLOCK + "root a\n", 2, "line 2: constant x: missing end"),
     ("omega-syntax", "lexicon", "omega [s\n", 1, "line 1: expected ']' at offset 2 in '[s'"),
     ("modlabel-fields", "lexicon", "modlabel m n\n", 1, "line 1: expected: modlabel <source>"),
@@ -195,7 +200,7 @@ FILE_FAULTS = [
     ("columns", "trees", "1\tw1\twriter\t0\n", 1, "line 1: expected 5 tab-separated columns, got 4"),
     ("index", "trees", "2\tw1\twriter\t0\tROOT\n", 1, "line 1: expected index 1, got '2'"),
     ("head-int", "trees", "1\tw1\twriter\tzero\tROOT\n", 1,
-     "line 1: invalid literal for int() with base 10: 'zero'"),
+     "line 1: expected an integer head, got 'zero'"),
     ("label", "trees", "1\tw1\twriter\t0\troot\n", 1, "line 1: bad edge label 'root'"),
     ("label-source", "trees", _ROOT_ROW + "2\tw2\tsoundly\t1\tMOD_\n", 2,
      "line 2: mod label needs a source name"),
@@ -402,3 +407,64 @@ def test_cost_reader_parity_on_benchmark_inputs(monkeypatch):
         wl = workloads.WORKLOADS[name]
         got[name, seed] = _cost_digest(ff.parse_cost_text(wl.input_text(wl.make(seed, lexicon))))
     assert got == COST_PARITY
+
+
+# --- the column reader against the line reader ---------------------------------
+
+
+def _outcome(read, text):
+    """The digest of what read returns, or the FormatError's line and text."""
+    try:
+        return _cost_digest(read(text))
+    except ff.FormatError as e:
+        return e.line, str(e)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_column_reader_reads_the_writers_output(lex, n):
+    text = ff.write_cost_text([gen_synthetic(n, n, lex, sid=f"s{n}"), gen_synthetic(0, 1, lex)])
+    got = ff._read_columns(text)
+    assert got is not None and _cost_digest(got) == _cost_digest(ff._read_lines(text))
+
+
+def test_column_reader_reads_the_benchmark_inputs(monkeypatch):
+    bench = ROOT_DIR / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    lexicon = augment_closure(
+        ff.parse_lexicon_text((bench / "demo.lexicon").read_text(encoding="utf-8"), name="demo")
+    )
+    got = {}
+    for name, seed in COST_PARITY:
+        wl = workloads.WORKLOADS[name]
+        sentences = ff._read_columns(wl.input_text(wl.make(seed, lexicon)))
+        got[name, seed] = sentences and _cost_digest(sentences)
+    assert got == COST_PARITY
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["delete", "insert", "replace"]),
+    st.integers(min_value=0),
+    st.sampled_from([" ", "\t", "\r", "\n", "#", "7", "-", ".", "x", "\u00e9"]),
+)
+def test_one_character_off_the_layout_reads_as_the_line_reader_does(lex, edit, at, char):
+    text = ff.write_cost_text([gen_synthetic(1, 1, lex, sid="a"), gen_synthetic(2, 2, lex, sid="b")])
+    at %= len(text)
+    text = text[:at] + ("" if edit == "delete" else char) + text[at + (edit != "insert"):]
+    assert _outcome(ff.parse_cost_text, text) == _outcome(ff._read_lines, text)
+
+
+def test_both_readers_intern_new_labels_alike():
+    def text(tag):
+        return (f"sentence s0 3\nform 1 a\nform 2 b\nform 3 c\ntag 1 want 0.5\n"
+                f"edge 1 2 MOD_{tag}b 0.5\nedge 2 3 APP_{tag}a 0.5\nedge 1 3 MOD_{tag}b 1\nend\n\n"
+                f"sentence s1 2\nform 1 a\nform 2 b\nedge 2 1 APP_{tag}c 0.5\n"
+                f"edge 1 2 APP_{tag}a 0.5\nend\n")
+
+    grown = []
+    for read, tag in ((ff._read_columns, "columns"), (ff._read_lines, "lines")):
+        before = len(LABELS)
+        assert read(text(tag)) is not None
+        grown.append([str(label).replace(tag, "") for label in LABELS[before:]])
+    assert grown[0] == grown[1] == ["MOD_b", "APP_a", "APP_c"]
