@@ -142,14 +142,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_parse(args) -> int:
+    if args.no_type_check and args.decoder != "ltl":
+        raise ValueError("--no-type-check applies to --decoder ltl only")
     start = time.perf_counter()
     lexicon = _load_lexicon(args.lexicon)
     if args.decoder in SYSTEMS:
         lexicon = _closed_lexicon(lexicon, args.augment)
     sentences = _load_costs(args.costs, lexicon)
     read_s = round(time.perf_counter() - start, 6)
-    if args.no_type_check and args.decoder != "ltl":
-        raise ValueError("--no-type-check applies to --decoder ltl only")
 
     def work(c: SentenceCosts) -> dict:
         t0 = time.perf_counter()

@@ -4,6 +4,10 @@ All formats are UTF-8 text; '#' starts a comment anywhere on a line and
 blank lines separate records.  Parsing and writing round-trip: writing
 always produces the canonical form (sorted ids, sorted entries, requests
 omitted when empty), and parsing canonical text reproduces it bit for bit.
+A writer raises ValueError, naming the field and its value, on a field
+that would not read back as written (a name with whitespace or '#', a
+cost-file form with '#', a line break or surrounding whitespace, a tree
+column with a tab, '#' or a line break), instead of writing it.
 
 Lexicon files hold one block per graph constant:
 
@@ -18,8 +22,9 @@ Lexicon files hold one block per graph constant:
     edge w0 ARG1 w2
     end
 
-followed by optional `omega <type>` lines for types no constant realizes
-and `modlabel <source>` lines naming permitted modifier sources.  Apply
+with one root line and at most one source line per node, followed by
+optional `omega <type>` lines for types no constant realizes and
+`modlabel <source>` lines naming permitted modifier sources.  Apply
 labels are implicit: one per source name occurring anywhere in the
 lexicon's types.  A graph file is a lexicon file with a single block.
 
@@ -56,6 +61,26 @@ class FormatError(ValueError):
         self.line = line
 
 
+# The writers raise ValueError on a field that would not read back as written.
+_TOKEN = re.compile(r"[^\s#]+")  # one field of a whitespace-split line
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' boundaries
+_NOT_IN_FORM = re.compile(f"[#{_LINE_BREAKS}]")  # in a cost file's form line
+_NOT_IN_COLUMN = re.compile(f"[\t#{_LINE_BREAKS}]")  # in a tree file's column
+
+
+def _token(what: str, text: str) -> str:
+    if not _TOKEN.fullmatch(text):
+        raise ValueError(f"cannot write {what} {text!r}: it must be non-empty, "
+                         "with no whitespace or '#'")
+    return text
+
+
+def _column(what: str, text: str) -> str:
+    if _NOT_IN_COLUMN.search(text):
+        raise ValueError(f"cannot write {what} {text!r}: it must hold no tab, '#' or line break")
+    return text
+
+
 # --- lexicon and graph files -------------------------------------------------
 
 
@@ -63,8 +88,7 @@ class _GraphBlock:
     def __init__(self, name: str, line: int):
         self.name = name
         self.line = line
-        self.nodes: list[list] = []  # [id, label, source, request]
-        self.ids: set[str] = set()
+        self.nodes: dict[str, list] = {}  # id -> [label, source, request]
         self.root: Optional[str] = None
         self.edges: list[tuple[str, str, str]] = []
 
@@ -73,7 +97,7 @@ class _GraphBlock:
             raise FormatError(end_line, f"constant {self.name}: no root line")
         try:
             g = AsGraph(
-                tuple(GraphNode(i, lbl, src, req) for i, lbl, src, req in self.nodes),
+                tuple(GraphNode(i, *node) for i, node in self.nodes.items()),
                 frozenset(self.edges),
                 self.root,
             )
@@ -110,20 +134,23 @@ def parse_lexicon_text(text: str, name: str = "lexicon") -> Lexicon:
                 if len(parts) != 3:
                     raise FormatError(lineno, "expected: node <id> <label|_>")
                 node_id, label = parts[1], parts[2]
-                if node_id in block.ids:
+                if node_id in block.nodes:
                     raise FormatError(lineno, f"duplicate node id {node_id}")
-                block.ids.add(node_id)
-                block.nodes.append([node_id, None if label == "_" else label, None, None])
+                block.nodes[node_id] = [None if label == "_" else label, None, None]
             elif kw == "root":
-                if len(parts) != 2 or parts[1] not in block.ids:
+                if len(parts) != 2 or parts[1] not in block.nodes:
                     raise FormatError(lineno, "root must name a declared node")
+                if block.root is not None:
+                    raise FormatError(lineno, "duplicate root line")
                 block.root = parts[1]
             elif kw == "source":
-                if len(parts) < 3 or parts[1] not in block.ids:
+                if len(parts) < 3 or parts[1] not in block.nodes:
                     raise FormatError(lineno, "expected: source <id> <name> [request <type>]")
+                if block.nodes[parts[1]][1] is not None:
+                    raise FormatError(lineno, f"duplicate source line for node {parts[1]}")
                 if not NAME_PATTERN.fullmatch(parts[2]):
                     raise FormatError(lineno, f"bad source name {parts[2]!r}")
-                req = None
+                req = EMPTY_TYPE
                 if len(parts) > 3:
                     if parts[3] != "request":
                         raise FormatError(lineno, "expected 'request' before the type")
@@ -132,13 +159,11 @@ def parse_lexicon_text(text: str, name: str = "lexicon") -> Lexicon:
                         req = parse_type(req_text)
                     except TypeSyntaxError as e:
                         raise FormatError(lineno, str(e)) from e
-                for node in block.nodes:
-                    if node[0] == parts[1]:
-                        node[2], node[3] = parts[2], req if req is not None else EMPTY_TYPE
+                block.nodes[parts[1]][1:] = parts[2], req
             elif kw == "edge":
                 if len(parts) != 4:
                     raise FormatError(lineno, "expected: edge <from> <label> <to>")
-                if parts[1] not in block.ids or parts[3] not in block.ids:
+                if parts[1] not in block.nodes or parts[3] not in block.nodes:
                     raise FormatError(lineno, "edge endpoints must be declared nodes")
                 block.edges.append((parts[1], parts[2], parts[3]))
             else:
@@ -170,10 +195,14 @@ def parse_lexicon_text(text: str, name: str = "lexicon") -> Lexicon:
 
 
 def _graph_block_lines(name: str, g: AsGraph) -> list[str]:
-    lines = [f"constant {name}"]
+    lines = [f"constant {_token('constant name', name)}"]
     nodes = sorted(g.nodes, key=lambda n: n.id)
     for n in nodes:
-        lines.append(f"node {n.id} {n.label if n.label is not None else '_'}")
+        if n.label == "_":
+            raise ValueError(f"cannot write node label '_' of node {n.id!r}: "
+                             "it reads back as no label")
+        label = "_" if n.label is None else _token("node label", n.label)
+        lines.append(f"node {_token('node id', n.id)} {label}")
     lines.append(f"root {g.root}")
     for n in nodes:
         if n.source is None:
@@ -183,7 +212,7 @@ def _graph_block_lines(name: str, g: AsGraph) -> list[str]:
         else:
             lines.append(f"source {n.id} {n.source}")
     for a, lbl, b in sorted(g.edges):
-        lines.append(f"edge {a} {lbl} {b}")
+        lines.append(f"edge {a} {_token('edge label', lbl)} {b}")
     lines.append("end")
     return lines
 
@@ -319,47 +348,29 @@ def _read_lines(text: str) -> list[SentenceCosts]:
         kw = parts[0]
         if tags is None and kw != "sentence":
             raise FormatError(lineno, f"{kw} line outside a sentence block")
-        # Fields convert inline: a failed conversion leaves an index out of
-        # range, so _int_in redoes it to raise, and c = None marks a bad cost,
-        # which is reported after the duplicate test.
         if kw == "edge":
             if len(parts) != 5:
                 raise FormatError(lineno, "expected: edge <o> <j> <label> <cost>")
             _, o_text, j_text, label_text, cost_text = parts
-            try:
-                o, j, c = int(o_text), int(j_text), float(cost_text)
-            except ValueError:
-                o, c = -1, None
-            if not (0 <= o <= n and 1 <= j <= n):
-                o, j = _int_in(o_text, 0, n, lineno), _int_in(j_text, 1, n, lineno)
+            o, j = _int_in(o_text, 0, n, lineno), _int_in(j_text, 1, n, lineno)
             lid = label_ids.get(label_text)
             if lid is None:
                 try:
                     lid = label_ids[label_text] = label_id(parse_edge_label(label_text))
                 except ValueError as e:
                     raise FormatError(lineno, str(e)) from e
-            size = len(edges)
-            edges[(lid * m + o) * m + j] = c  # SentenceCosts.edge_table's key
-            if len(edges) == size:
+            key = (lid * m + o) * m + j  # SentenceCosts.edge_table's key
+            if key in edges:
                 raise FormatError(lineno, f"duplicate edge entry {(o, j, LABELS[lid])}")
-            if c is None:
-                raise FormatError(lineno, f"expected a cost, got {cost_text!r}")
+            edges[key] = _cost(cost_text, lineno)
         elif kw == "tag":
             if len(parts) != 4:
                 raise FormatError(lineno, "expected: tag <i> <constant|BOT> <cost>")
             _, i_text, g, cost_text = parts
-            try:
-                i, c = int(i_text), float(cost_text)
-            except ValueError:
-                i, c = 0, None
-            if not 1 <= i <= n:
-                i = _int_in(i_text, 1, n, lineno)
-            size = len(tags)
-            tags[i, g] = c
-            if len(tags) == size:
+            i = _int_in(i_text, 1, n, lineno)
+            if (i, g) in tags:
                 raise FormatError(lineno, f"duplicate tag entry {(i, g)}")
-            if c is None:
-                raise FormatError(lineno, f"expected a cost, got {cost_text!r}")
+            tags[i, g] = _cost(cost_text, lineno)
         elif kw == "sentence":
             if tags is not None:
                 raise FormatError(lineno, "sentence block opened inside another block")
@@ -401,14 +412,24 @@ def _int_in(text: str, lo: int, hi: int, lineno: int) -> int:
     return v
 
 
+def _cost(text: str, lineno: int) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise FormatError(lineno, f"expected a cost, got {text!r}") from None
+
+
 def write_cost_text(sentences: list[SentenceCosts]) -> str:
     blocks = []
     for c in sentences:
-        lines = [f"sentence {c.sid} {c.n}"]
+        lines = [f"sentence {_token('sentence id', c.sid)} {c.n}"]
         for i, form in enumerate(c.forms, start=1):
+            if not form or form != form.strip() or _NOT_IN_FORM.search(form):
+                raise ValueError(f"cannot write form {i} {form!r}: it must be non-empty, "
+                                 "with no '#', line break or surrounding whitespace")
             lines.append(f"form {i} {form}")
         for (i, g), cost in sorted(c.tag_cost.items()):
-            lines.append(f"tag {i} {g} {cost!r}")
+            lines.append(f"tag {i} {_token('tag constant', g)} {cost!r}")
         for (o, j, lbl), cost in sorted(
             c.edge_cost.items(), key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2]))
         ):
@@ -455,13 +476,12 @@ def parse_trees_text(text: str) -> list[AmDepTree]:
         block.clear()
 
     last = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            flush(lineno)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].rstrip()
+        if line:
+            block.append((lineno, line))
         else:
-            block.append((lineno, line.split("#", 1)[0].rstrip()))
+            flush(lineno)
         last = lineno
     flush(last)
     return trees
@@ -475,7 +495,8 @@ def write_trees_text(items: list[Union[AmDepTree, str]]) -> str:
             blocks.append(f"# {item}")
             continue
         lines = [
-            "\t".join([str(i), e.form, e.constant, str(e.head), str(e.label)])
+            "\t".join([str(i), _column("form", e.form), _column("constant", e.constant),
+                       str(e.head), str(e.label)])
             for i, e in enumerate(item.entries, start=1)
         ]
         blocks.append("\n".join(lines))

@@ -132,6 +132,26 @@ def test_costs_are_checked_against_the_lexicon_each_decoder_runs_on(files, tmp_p
         assert err.startswith("error: sentence s0: tag for unknown constant '_synth_"), argv
 
 
+FOREIGN_EDGE = "sentence s0 2\nform 1 a\nform 2 b\nedge 1 2 APP_zz 0.5\nend\n"
+
+
+def test_foreign_edge_label_is_input_error(files, tmp_path, capsys):
+    costs = tmp_path / "foreign.costs"
+    costs.write_text(FOREIGN_EDGE)
+    assert main(["parse", str(costs), "--lexicon", str(files["lex"])]) == 1
+    assert capsys.readouterr() == ("", "error: sentence s0: edge label APP_zz not in the lexicon\n")
+
+
+@pytest.mark.parametrize("decoder", ["chart", "astar", "ltf"])
+def test_no_type_check_outside_ltl_fails_before_reading_files(files, tmp_path, capsys, decoder):
+    costs = tmp_path / "foreign.costs"
+    costs.write_text(FOREIGN_EDGE)
+    for path in (costs, tmp_path / "missing.costs"):
+        assert main(["parse", str(path), "--lexicon", str(files["closed"]), "--decoder", decoder,
+                     "--no-type-check", "-o", str(tmp_path / "t.trees")]) == 1
+        assert capsys.readouterr() == ("", "error: --no-type-check applies to --decoder ltl only\n")
+
+
 def test_parse_trace_goes_to_stderr(files, capsys):
     out = files["tmp"] / "t.trees"
     rc = main([
@@ -236,6 +256,34 @@ def test_oracle_outputs_gold_sequence(files, capsys):
     assert line["n_transitions"] == 8
 
 
+def test_oracle_trace_writes_the_step_table_to_stderr(files, capsys):
+    rc = main(["oracle", str(files["trees"]), "--lexicon", str(files["lex"]), "--augment",
+               "--system", "ltf", "--trace"])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    transitions = json.loads(out)["transitions"]
+    lines = err.splitlines()
+    assert lines[0] == "# tree 0"
+    assert lines[1].split() == ["step", "E", "T", "A", "G", "stack", "transition"]
+    assert len(lines) == 2 + len(transitions)
+    for k, (line, tr) in enumerate(zip(lines[2:], transitions), start=1):
+        assert line.startswith(f"{k} ") and line.endswith(tr)
+
+
+def test_complete_trace_writes_the_step_table_to_stderr(files, capsys):
+    rc = main(["complete", "--lexicon", str(files["lex"]), "--augment", "--system", "ltl",
+               "--n", "4", "--steps", "2", "--seed", "5", "--trace"])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    line = json.loads(out)
+    transitions = line["prefix"] + line["completion"]
+    lines = err.splitlines()
+    assert lines[0].split() == ["step", "E", "T", "A", "G", "stack", "transition"]
+    assert len(lines) == 1 + len(transitions) and len(line["prefix"]) == 2
+    for k, (row, tr) in enumerate(zip(lines[1:], transitions), start=1):
+        assert row.startswith(f"{k} ") and row.endswith(tr)
+
+
 def test_complete_reaches_goal(files, capsys):
     rc = main([
         "complete", "--lexicon", str(files["lex"]), "--augment",
@@ -268,6 +316,21 @@ def test_gen_costs_output_parses_and_decodes(files, tmp_path, capsys):
     rc = main(["parse", str(out), "--lexicon", str(files["lex"]),
                "--decoder", "chart", "-o", str(tmp_path / "g.trees")])
     assert rc in (0, 2)  # random costs may park some sentences unparsed
+
+
+def test_gen_costs_n_min_above_n_max_is_input_error(files, tmp_path, capsys):
+    out = tmp_path / "gen.costs"
+    assert main(["gen-costs", "--lexicon", str(files["lex"]), "--n-min", "5", "--n-max", "3",
+                 "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: --n-min must not exceed --n-max\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,kind", [("--decoders", "decoder"), ("--heuristics", "heuristic")])
+def test_bench_unknown_decoder_or_heuristic_is_input_error(files, capsys, flag, kind):
+    assert main(["bench", str(files["costs"]), "--lexicon", str(files["lex"]), "--repeat", "1",
+                 flag, "nope"]) == 1
+    assert capsys.readouterr() == ("", f"error: unknown {kind} 'nope'\n")
 
 
 def test_bench_table_and_report(files, tmp_path, capsys):

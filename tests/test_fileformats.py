@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amparse import fileformats as ff
-from amparse.costs import gen_synthetic
-from amparse.graphs import graphs_isomorphic
-from amparse.lexicon import augment_closure
-from amparse.trees import IGNORE, LABELS, ROOT, app, mod
+from amparse.costs import SentenceCosts, gen_synthetic
+from amparse.graphs import graphs_isomorphic, make_graph
+from amparse.lexicon import Lexicon, augment_closure
+from amparse.trees import IGNORE, LABELS, ROOT, AmDepTree, TreeEntry, app, mod
 from amparse.types import parse_type
 
 ROOT_DIR = Path(__file__).resolve().parent.parent
@@ -147,6 +147,99 @@ def test_graph_text_rejects_trailing_blocks(expected_graph):
         ff.parse_graph_text(text + "\n" + text)
 
 
+# --- writers: a field that would not read back as written is refused --------
+
+# (id, sid, forms, tag constant, the ValueError's text up to the rule)
+COST_WRITER_FAULTS = [
+    ("sid-empty", "", ("a",), "writer", "cannot write sentence id ''"),
+    ("sid-space", "s 0", ("a",), "writer", "cannot write sentence id 's 0'"),
+    ("sid-tab", "s\t0", ("a",), "writer", "cannot write sentence id 's\\t0'"),
+    ("sid-hash", "s#0", ("a",), "writer", "cannot write sentence id 's#0'"),
+    ("form-empty", "s0", ("a", ""), "writer", "cannot write form 2 ''"),
+    ("form-leading-space", "s0", (" a",), "writer", "cannot write form 1 ' a'"),
+    ("form-trailing-tab", "s0", ("a\t",), "writer", "cannot write form 1 'a\\t'"),
+    ("form-hash", "s0", ("a#b",), "writer", "cannot write form 1 'a#b'"),
+    ("form-newline", "s0", ("a\nb",), "writer", "cannot write form 1 'a\\nb'"),
+    ("form-line-separator", "s0", ("a\u2028b",), "writer", "cannot write form 1 'a\\u2028b'"),
+    ("tag-empty", "s0", ("a",), "", "cannot write tag constant ''"),
+    ("tag-space", "s0", ("a",), "big dog", "cannot write tag constant 'big dog'"),
+    ("tag-hash", "s0", ("a",), "dog#1", "cannot write tag constant 'dog#1'"),
+]
+
+
+@pytest.mark.parametrize("sid,forms,constant,message", [row[1:] for row in COST_WRITER_FAULTS],
+                         ids=[row[0] for row in COST_WRITER_FAULTS])
+def test_cost_writer_refuses_what_would_not_read_back(sid, forms, constant, message):
+    c = SentenceCosts(len(forms), forms, {(1, constant): 0.5}, {}, sid=sid)
+    with pytest.raises(ValueError) as exc:
+        ff.write_cost_text([c])
+    assert str(exc.value).startswith(message + ": ")
+
+
+def test_cost_writer_keeps_inner_whitespace_and_any_other_character():
+    c = SentenceCosts(3, ("New  York", "a\tb", "\u00e9!"), {(1, "BOT"): 0.5}, {}, sid="s-1.\u00e9")
+    back = ff.parse_cost_text(ff.write_cost_text([c]))
+    assert [(b.sid, b.forms, b.tag_cost) for b in back] == [(c.sid, c.forms, c.tag_cost)]
+
+
+# (id, form, constant, the ValueError's text up to the rule)
+TREE_WRITER_FAULTS = [
+    ("form-tab", "a\tb", "writer", "cannot write form 'a\\tb'"),
+    ("form-hash", "a#b", "writer", "cannot write form 'a#b'"),
+    ("form-newline", "a\nb", "writer", "cannot write form 'a\\nb'"),
+    ("form-carriage-return", "a\rb", "writer", "cannot write form 'a\\rb'"),
+    ("constant-tab", "a", "wri\tter", "cannot write constant 'wri\\tter'"),
+    ("constant-hash", "a", "writer#2", "cannot write constant 'writer#2'"),
+    ("constant-paragraph-separator", "a", "wri\u2029ter", "cannot write constant 'wri\\u2029ter'"),
+]
+
+
+@pytest.mark.parametrize("form,constant,message", [row[1:] for row in TREE_WRITER_FAULTS],
+                         ids=[row[0] for row in TREE_WRITER_FAULTS])
+def test_tree_writer_refuses_what_would_not_read_back(form, constant, message):
+    tree = AmDepTree((TreeEntry(form, constant, 0, ROOT),))
+    with pytest.raises(ValueError) as exc:
+        ff.write_trees_text([tree])
+    assert str(exc.value).startswith(message + ": ")
+
+
+def test_tree_writer_keeps_spaces_and_empty_columns():
+    tree = AmDepTree((TreeEntry(" New York ", "big writer", 0, ROOT),
+                      TreeEntry("", "BOT", 0, IGNORE)))
+    assert ff.parse_trees_text(ff.write_trees_text([tree])) == [tree]
+
+
+# (id, constant name, node id, node label, edge label, the ValueError's text up to the rule)
+GRAPH_WRITER_FAULTS = [
+    ("name-empty", "", "b", "dog", "ARG0", "cannot write constant name ''"),
+    ("name-space", "x y", "b", "dog", "ARG0", "cannot write constant name 'x y'"),
+    ("name-hash", "x#", "b", "dog", "ARG0", "cannot write constant name 'x#'"),
+    ("node-id-empty", "x", "", "dog", "ARG0", "cannot write node id ''"),
+    ("node-id-space", "x", "b 1", "dog", "ARG0", "cannot write node id 'b 1'"),
+    ("node-id-hash", "x", "b#1", "dog", "ARG0", "cannot write node id 'b#1'"),
+    ("label-empty", "x", "b", "", "ARG0", "cannot write node label ''"),
+    ("label-space", "x", "b", "big dog", "ARG0", "cannot write node label 'big dog'"),
+    ("label-hash", "x", "b", "dog#", "ARG0", "cannot write node label 'dog#'"),
+    ("label-placeholder", "x", "b", "_", "ARG0", "cannot write node label '_' of node 'b'"),
+    ("edge-label-empty", "x", "b", "dog", "", "cannot write edge label ''"),
+    ("edge-label-space", "x", "b", "dog", "ARG 0", "cannot write edge label 'ARG 0'"),
+    ("edge-label-hash", "x", "b", "dog", "ARG#0", "cannot write edge label 'ARG#0'"),
+]
+
+
+@pytest.mark.parametrize("name,node_id,label,edge_label,message",
+                         [row[1:] for row in GRAPH_WRITER_FAULTS],
+                         ids=[row[0] for row in GRAPH_WRITER_FAULTS])
+def test_graph_and_lexicon_writers_refuse_what_would_not_read_back(
+        name, node_id, label, edge_label, message):
+    g = make_graph([("a", "want"), (node_id, label)], [("a", edge_label, node_id)], root="a")
+    for write in (lambda: ff.write_graph_text(g, name=name),
+                  lambda: ff.write_lexicon_text(Lexicon({name: g}, frozenset(), frozenset()))):
+        with pytest.raises(ValueError) as exc:
+            write()
+        assert str(exc.value).startswith(message + ": ")
+
+
 # --- lexicon, graph and tree files: every fault, where and how ---------------
 
 _BLOCK = "constant x\nnode a lbl\n"
@@ -176,6 +269,10 @@ FILE_FAULTS = [
      "line 4: expected 'request' before the type"),
     ("source-request-syntax", "lexicon", _BLOCK + "node b _\nsource b s request [o\n", 4,
      "line 4: expected ']' at offset 2 in '[o'"),
+    ("root-again", "lexicon", _BLOCK + "node b _\nedge a ARG0 b\nroot a\nroot b\nend\n", 6,
+     "line 6: duplicate root line"),
+    ("source-again", "lexicon", _BLOCK + "node a1 _\nroot a\nedge a ARG0 a1\nsource a1 s\n"
+     "source a1 o\nend\n", 7, "line 7: duplicate source line for node a1"),
     ("edge-fields", "lexicon", _BLOCK + "edge a ARG0\n", 3, "line 3: expected: edge <from> <label> <to>"),
     ("edge-undeclared", "lexicon", _BLOCK + "edge a ARG0 b\n", 3,
      "line 3: edge endpoints must be declared nodes"),
@@ -440,6 +537,28 @@ def test_column_reader_reads_the_benchmark_inputs(monkeypatch):
         sentences = ff._read_columns(wl.input_text(wl.make(seed, lexicon)))
         got[name, seed] = sentences and _cost_digest(sentences)
     assert got == COST_PARITY
+
+
+def _first_line_twice(text: str, keyword: str) -> str:
+    start = text.index(f"\n{keyword} ") + 1
+    return text[:start] + text[start:text.index("\n", start) + 1] + text[start:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: t.replace("sentence b 2\n", "sentence b 2 x\n"), "expected: sentence <id> <n>"),
+    (lambda t: t.replace("sentence b 2\n", "sentences b 2\n"),
+     "sentences line outside a sentence block"),
+    (lambda t: _first_line_twice(t, "tag"), "duplicate tag entry (1, "),
+    (lambda t: _first_line_twice(t, "edge"), "duplicate edge entry (0, 1, EdgeLabel('"),
+], ids=["header-fields", "header-keyword", "tag-twice", "edge-twice"])
+def test_column_reader_declines_and_the_line_reader_reports(lex, edit, message):
+    text = edit(ff.write_cost_text([gen_synthetic(1, 1, lex, sid="a"),
+                                    gen_synthetic(2, 2, lex, sid="b")]))
+    assert ff._read_columns(text) is None
+    with pytest.raises(ff.FormatError) as exc:
+        ff.parse_cost_text(text)
+    assert message in str(exc.value)
+    assert _outcome(ff.parse_cost_text, text) == _outcome(ff._read_lines, text)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,10 @@
 """Graph constants: construction, typing, apply/modify, isomorphism."""
 
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amparse.graphs import (
     GraphError,
@@ -178,3 +182,64 @@ def test_isomorphism_of_large_graphs_does_not_recurse(closed_lex):
     assert not graphs_isomorphic(g, edge_relabelled)
     assert not graphs_isomorphic(node_relabelled, g)
     assert time.perf_counter() - start < 5.0
+
+
+
+@st.composite
+def _small_graphs(draw, n):
+    """(edges, root) of a weakly connected graph on nodes 0..n-1: a random
+    spanning tree with random edge directions, plus up to n more edges."""
+    edges = set()
+    for k in range(1, n):
+        other = draw(st.integers(0, k - 1))
+        edges.add((k, other) if draw(st.booleans()) else (other, k))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    return edges, draw(st.integers(0, n - 1))
+
+
+def _one_label_graph(edges, root, n, prefix="a"):
+    return make_graph([(f"{prefix}{v}", "x") for v in range(n)],
+                      [(f"{prefix}{a}", "e", f"{prefix}{b}") for a, b in edges],
+                      root=f"{prefix}{root}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_isomorphism_agrees_with_permutation_search(data):
+    """With one node label and one edge label every node of a degree shares
+    a signature, so the match must backtrack.  The second graph is the first
+    renumbered, the same with two edges' targets swapped (every in- and
+    out-degree kept, so only the search tells them apart), or a fresh graph."""
+    n = data.draw(st.integers(2, 6))
+    edges1, root1 = data.draw(_small_graphs(n))
+    edges2, root2 = edges1, root1
+    kind = data.draw(st.sampled_from(["copy", "swap", "fresh"]))
+    if kind == "fresh":
+        edges2, root2 = data.draw(_small_graphs(n))
+    elif kind == "swap" and len(edges1) > 1:
+        (a, b), (c, d) = data.draw(st.permutations(sorted(edges1)))[:2]
+        swapped = edges1 - {(a, b), (c, d)} | {(a, d), (c, b)}
+        if a != d and c != b and len(swapped) == len(edges1):
+            try:
+                _one_label_graph(swapped, root1, n)
+                edges2 = swapped
+            except GraphError:  # the swap disconnected the graph
+                pass
+    p = data.draw(st.permutations(range(n)))
+    edges2, root2 = {(p[a], p[b]) for a, b in edges2}, p[root2]
+    expected = any(q[root1] == root2 and {(q[a], q[b]) for a, b in edges1} == edges2
+                   for q in permutations(range(n)))
+    g1, g2 = _one_label_graph(edges1, root1, n), _one_label_graph(edges2, root2, n, prefix="b")
+    assert graphs_isomorphic(g1, g2) is expected
+    assert graphs_isomorphic(g2, g1) is expected
+
+
+def test_isomorphism_fails_after_trying_every_candidate():
+    """Paths 3 -> 0 -> 1 -> 2 and 3 -> 2 -> 0 -> 1, both rooted at 0: every
+    node has its match's in- and out-degree, and only the search finds
+    that the root's neighbours cannot be matched."""
+    nodes = [(v, "x") for v in "0123"]
+    g1 = make_graph(nodes, [("3", "e", "0"), ("0", "e", "1"), ("1", "e", "2")], root="0")
+    g2 = make_graph(nodes, [("3", "e", "2"), ("2", "e", "0"), ("0", "e", "1")], root="0")
+    assert not graphs_isomorphic(g1, g2) and not graphs_isomorphic(g2, g1)

@@ -12,7 +12,7 @@ from amparse.lexicon import (
     validate_closure,
 )
 from amparse.trees import app, mod
-from amparse.types import parse_type
+from amparse.types import EMPTY_TYPE, parse_type
 
 
 def test_demo_types(lex):
@@ -38,6 +38,20 @@ def test_raw_demo_lexicon_is_open(lex):
     report = validate_closure(lex)
     assert not report.ok
     assert any("[m, s]" in str(v) for v in report.violations)
+
+
+@pytest.mark.parametrize("constants,omega,labels,violations", [
+    (["want"], [], [app("o"), app("s")],
+     ["assumption 2: request [s] of o in [o[s], s] missing from omega",
+      "assumption 2: request [] of s in [o[s], s] missing from omega"]),
+    (["writer"], [], [mod("m")], ["assumption 3: [m] missing from omega for MOD_m"]),
+    (["sleep", "writer"], [EMPTY_TYPE], [], ["assumption 4: no APP_s label for source s"]),
+], ids=["requests", "mod-singleton", "app-label"])
+def test_validate_closure_names_each_assumption(lex, constants, omega, labels, violations):
+    lx = Lexicon({name: lex.constants[name] for name in constants}, frozenset(omega),
+                 frozenset(labels))
+    assert [str(v) for v in validate_closure(lx).violations] == violations
+    assert validate_closure(augment_closure(lx)).ok
 
 
 def test_augment_closes_and_is_idempotent(lex, closed_lex):
