@@ -492,6 +492,8 @@ def write_trees_text(items: list[Union[AmDepTree, str]]) -> str:
     blocks = []
     for item in items:
         if isinstance(item, str):
+            if any(c in item for c in _LINE_BREAKS):
+                raise ValueError(f"cannot write marker {item!r}: it must hold no line break")
             blocks.append(f"# {item}")
             continue
         lines = [

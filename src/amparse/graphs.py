@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .types import EMPTY_TYPE, Type, parse_type, request
+from .types import EMPTY_TYPE, NAME_PATTERN, Type, parse_type, request
 
 
 class GraphError(ValueError):
@@ -32,6 +32,8 @@ class GraphNode:
     def __post_init__(self) -> None:
         if self.request is not None and self.source is None:
             raise GraphError(f"node {self.id}: request annotation without a source marking")
+        if self.source is not None and not NAME_PATTERN.fullmatch(self.source):
+            raise GraphError(f"node {self.id}: bad source name {self.source!r}")
 
 
 @dataclass(eq=False)

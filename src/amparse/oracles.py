@@ -53,13 +53,10 @@ def oracle_sequence(tree: AmDepTree, lexicon: Lexicon, system: str) -> list[Tran
     seq: list[Transition] = [Transition("init", token=root)]
 
     def arcs(i: int) -> list[Transition]:
-        plan = report.plans[i]
+        labels = {j: tree.token(j).label for j in report.plans[i]}
         return [
-            Transition("apply", token=j, source=tree.token(j).label.source)
-            for j in sorted(plan.app_children)
-        ] + [
-            Transition("modify", token=j, source=tree.token(j).label.source)
-            for j in plan.mod_children
+            Transition("apply" if labels[j].kind == "app" else "modify", token=j, source=labels[j].source)
+            for j in sorted(labels, key=lambda j: (labels[j].kind == "mod", j))
         ]
 
     # work stack, not recursion, so deep trees fit: an int is a token still

@@ -7,8 +7,9 @@ token hangs off the virtual root 0 with label ROOT; ignored tokens hang off
 
 Well-typedness folds types bottom-up: at each head, all mod children are
 checked against the full lexical type first (mods never consume sources),
-then app children are consumed in an order where each applied source has no
-incoming request edges left.  Evaluation mirrors the same plan on graphs.
+then app children are consumed one per round, the first by source name whose
+source is still open with no incoming request edge.  Evaluation mirrors the
+same plan on graphs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 
 from .graphs import AsGraph, combine, graph_type
 from .graphs import graph_apply, graph_modify  # noqa: F401  (unused; perfbench/spans.py wraps them)
-from .types import EMPTY_TYPE, Type, request, type_combine
+from .types import EMPTY_TYPE, NAME_PATTERN, Type, request, type_combine
 
 BOTTOM = "BOT"
 
@@ -38,6 +39,8 @@ class EdgeLabel:
         if self.kind in ("app", "mod"):
             if not self.source:
                 raise ValueError(f"{self.kind} label needs a source name")
+            if not NAME_PATTERN.fullmatch(self.source):
+                raise ValueError(f"bad source name {self.source!r}")
         elif self.kind in ("root", "ignore"):
             if self.source is not None:
                 raise ValueError(f"{self.kind} label takes no source")
@@ -145,8 +148,6 @@ class AmDepTree:
                     raise TreeError(f"token {i}: {e.label} edge cannot come from 0")
                 if e.constant == BOTTOM:
                     raise TreeError(f"token {i}: attached token cannot be {BOTTOM}")
-            if e.constant == BOTTOM and e.label != IGNORE:
-                raise TreeError(f"token {i}: {BOTTOM} token must be ignored")
         if roots != 1:
             raise TreeError(f"expected exactly one ROOT edge, found {roots}")
         for i, e in enumerate(self.entries, start=1):
@@ -185,29 +186,24 @@ class TypingReport:
     ok: bool
     term_types: dict[int, Type] = field(default_factory=dict)
     failure: Optional[tuple[int, str]] = None
-    # token -> its fold plan, children before their heads
-    plans: dict[int, _FoldPlan] = field(default_factory=dict, repr=False)
-
-
-@dataclass
-class _FoldPlan:
-    """Per-token evaluation plan shared by the checker and the evaluator."""
-
-    mod_children: list[int] = field(default_factory=list)  # ascending position
-    app_children: list[int] = field(default_factory=list)  # legal apply order
+    # token -> its children in fold order (mods by position, then apps in
+    # apply order), tokens listed children before their heads
+    plans: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
 
 def check_well_typed(t: AmDepTree, lexicon) -> TypingReport:
     """Fold types bottom-up; ok iff every step is defined and the root's term
-    type is empty.  term_types carries whatever was successfully computed.
+    type is empty.  term_types carries whatever was successfully computed;
+    a token whose fold failed is absent from it.
 
     The fold takes the root's subtree bottom-up, each token after its
     children and siblings in ascending position; plans lists the tokens in
     that order."""
     report = TypingReport(ok=True)
-    plans = report.plans
+    term_types, plans = report.term_types, report.plans
+    entries = t.entries
     children: dict[int, list[int]] = {}  # ascending position
-    for j, e in enumerate(t.entries, start=1):
+    for j, e in enumerate(entries, start=1):
         children.setdefault(e.head, []).append(j)
 
     def fail(token: int, why: str) -> None:
@@ -215,56 +211,48 @@ def check_well_typed(t: AmDepTree, lexicon) -> TypingReport:
             report.ok = False
             report.failure = (token, why)
 
-    folded: dict[int, Optional[Type]] = {}  # token -> term type, None on failure
-
-    def fold(i: int) -> Optional[Type]:
-        """i's term type from its children's, or None on failure."""
+    def fold(i: int) -> None:
+        """Set term_types[i] from its children's, unless a step fails."""
+        constant = entries[i - 1].constant
         try:
-            tau = lexicon.type_of(t.token(i).constant)
+            tau = lexicon.type_of(constant)
         except KeyError:
-            fail(i, f"unknown constant {t.token(i).constant!r}")
-            return None
-        plan = _FoldPlan()
-        plans[i] = plan
+            fail(i, f"unknown constant {constant!r}")
+            return
         kids = children.get(i, [])
-        for c in kids:
-            if t.token(c).label.kind == "mod":
-                plan.mod_children.append(c)
-        for c in plan.mod_children:
-            ct = folded[c]
+        plan = plans[i] = [c for c in kids if entries[c - 1].label.kind == "mod"]
+        for c in plan:
+            label = entries[c - 1].label
+            ct = term_types.get(c)
             if ct is None:
-                return None
-            combined = type_combine(t.token(c).label, tau, ct)
+                return
+            combined = type_combine(label, tau, ct)
             if combined is None:
-                fail(c, f"mod edge {t.token(c).label} from {i}: {ct} does not modify {tau}")
-                return None
+                fail(c, f"mod edge {label} from {i}: {ct} does not modify {tau}")
+                return
             tau = combined
-        pending = [c for c in kids if t.token(c).label.kind == "app"]
+        pending = sorted((c for c in kids if entries[c - 1].label.kind == "app"),
+                         key=lambda c: entries[c - 1].label.source)
         while pending:
-            progressed = False
-            for c in sorted(pending, key=lambda c: t.token(c).label.source or ""):
-                label = t.token(c).label
-                src = label.source
-                if src not in tau.nodes or tau.has_incoming(src):
-                    continue
-                ct = folded[c]
-                if ct is None:
-                    return None
-                combined = type_combine(label, tau, ct)
-                if combined is None:
-                    fail(c, f"app edge {label} from {i}: argument type {ct} != {request(tau, src) if src in tau.nodes else '?'}")
-                    return None
-                tau = combined
-                plan.app_children.append(c)
-                pending.remove(c)
-                progressed = True
-                break
-            if not progressed:
-                bad = t.token(pending[0]).label
-                fail(pending[0], f"app edge {bad} from {i}: source not consumable in {tau}")
-                return None
-        report.term_types[i] = tau
-        return tau
+            for k, c in enumerate(pending):
+                label = entries[c - 1].label
+                if label.source in tau.nodes and not tau.has_incoming(label.source):
+                    break
+            else:
+                bad = min(pending)
+                fail(bad, f"app edge {entries[bad - 1].label} from {i}: source not consumable in {tau}")
+                return
+            del pending[k]
+            ct = term_types.get(c)
+            if ct is None:
+                return
+            combined = type_combine(label, tau, ct)
+            if combined is None:
+                fail(c, f"app edge {label} from {i}: argument type {ct} != {request(tau, label.source)}")
+                return
+            tau = combined
+            plan.append(c)
+        term_types[i] = tau
 
     # a work stack, not recursion, so deep trees fit; the reverse of a
     # pre-order that takes the highest child first is the fold order
@@ -275,10 +263,9 @@ def check_well_typed(t: AmDepTree, lexicon) -> TypingReport:
         order.append(i)
         todo.extend(children.get(i, []))
     for i in reversed(order):
-        folded[i] = fold(i)
-    root_type = folded[root]
-    if report.ok and root_type is not None and not root_type.is_empty():
-        fail(root, f"root term type {root_type} is not empty")
+        fold(i)
+    if report.ok and not term_types[root].is_empty():
+        fail(root, f"root term type {term_types[root]} is not empty")
     return report
 
 
@@ -299,11 +286,11 @@ def evaluate_tree(t: AmDepTree, lexicon) -> AsGraph:
         i = todo.pop()
         index[i] = len(graphs)
         graphs.append(lexicon.constants[t.token(i).constant])
-        todo.extend(reversed(plans[i].mod_children + plans[i].app_children))
+        todo.extend(reversed(plans[i]))
     steps = [
         (t.token(c).label.kind, index[i], t.token(c).label.source, index[c])
         for i, plan in plans.items()  # children before their head
-        for c in plan.mod_children + plan.app_children
+        for c in plan
     ]
     result = combine(graphs, steps)
     assert graph_type(result) == EMPTY_TYPE

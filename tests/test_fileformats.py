@@ -203,6 +203,13 @@ def test_tree_writer_refuses_what_would_not_read_back(form, constant, message):
     assert str(exc.value).startswith(message + ": ")
 
 
+@pytest.mark.parametrize("marker", ["a\nb", "a\rb", "a\x0cb", "a\u2028b"])
+def test_tree_writer_refuses_a_marker_with_a_line_break(marker):
+    with pytest.raises(ValueError) as exc:
+        ff.write_trees_text([marker])
+    assert str(exc.value) == f"cannot write marker {marker!r}: it must hold no line break"
+
+
 def test_tree_writer_keeps_spaces_and_empty_columns():
     tree = AmDepTree((TreeEntry(" New York ", "big writer", 0, ROOT),
                       TreeEntry("", "BOT", 0, IGNORE)))
@@ -301,6 +308,8 @@ FILE_FAULTS = [
     ("label", "trees", "1\tw1\twriter\t0\troot\n", 1, "line 1: bad edge label 'root'"),
     ("label-source", "trees", _ROOT_ROW + "2\tw2\tsoundly\t1\tMOD_\n", 2,
      "line 2: mod label needs a source name"),
+    ("label-source-name", "trees", _ROOT_ROW + "2\tw2\tsoundly\t1\tMOD_M\n", 2,
+     "line 2: bad source name 'M'"),
     # tree checks, reported at the line that closes the block
     ("head-range", "trees", _ROOT_ROW + "2\tw2\tsoundly\t3\tMOD_m\n", 2,
      "line 2: token 2: head 3 out of range"),
@@ -394,6 +403,7 @@ COST_FAULTS = [
      "line 2: app label needs a source name"),
     ("edge-mod-no-source", _HEAD + "edge 1 2 MOD_ 0.5\nend\n", 2,
      "line 2: mod label needs a source name"),
+    ("edge-source-name", _HEAD + "edge 1 2 APP_S 0.5\nend\n", 2, "line 2: bad source name 'S'"),
     ("edge-label-before-cost", _HEAD + "edge 1 2 APP_ cheap\nend\n", 2,
      "line 2: app label needs a source name"),
     ("edge-cost", _HEAD + "edge 1 2 APP_s cheap\nend\n", 2, "line 2: expected a cost, got 'cheap'"),

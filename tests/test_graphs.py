@@ -53,6 +53,15 @@ def test_make_graph_rejects_duplicate_sources():
         make_graph([("a", "x"), ("b", None, "s"), ("c", None, "s")], [], root="a")
 
 
+@pytest.mark.parametrize("source", ["S", "x y", "a#b", "1a"])
+def test_graph_node_rejects_a_bad_source_name(source):
+    """A source name follows types.NAME_PATTERN where the node is made, so no
+    graph holds one that its text would not read back."""
+    with pytest.raises(GraphError) as exc:
+        make_graph([("a", "x"), ("b", None, source)], [("a", "ARG0", "b")], root="a")
+    assert str(exc.value) == f"node b: bad source name {source!r}"
+
+
 def test_graph_type_includes_requests():
     g = make_graph(
         [("w0", "want"), ("w1", None, "s"), ("w2", None, "o", "[s]")],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from amparse.chart import chart_parse
 from amparse.costs import gen_synthetic
+from amparse.demo import demo_lexicon
 from amparse.graphs import graph_type, graphs_isomorphic, make_graph
 from amparse.lexicon import augment_closure
 from amparse.transitions import config_to_tree, is_goal, random_walk
@@ -25,7 +26,7 @@ from amparse.trees import (
     mod,
     parse_edge_label,
 )
-from amparse.types import EMPTY_TYPE, parse_type
+from amparse.types import EMPTY_TYPE, Type, apply_set, parse_type, request, type_combine
 
 from test_lexicon import small_lexicons
 
@@ -75,6 +76,16 @@ def test_label_validation():
         app("")
     with pytest.raises(ValueError):
         parse_edge_label("APP_")
+
+
+@pytest.mark.parametrize("make,source", [(app, "S"), (mod, "x y"), (app, "a#b"), (mod, "m-1")])
+def test_label_rejects_a_bad_source_name(make, source):
+    """app and mod sources follow types.NAME_PATTERN, as a type's nodes do."""
+    with pytest.raises(ValueError) as exc:
+        make(source)
+    assert str(exc.value) == f"bad source name {source!r}"
+    with pytest.raises(ValueError, match="bad source name"):
+        parse_edge_label(f"APP_{source}")
 
 
 def test_tree_requires_single_root():
@@ -256,3 +267,108 @@ def test_well_typed_trees_evaluate(lx, n, seed):
     for t in trees:
         if check_well_typed(t, lx).ok:
             assert graph_type(evaluate_tree(t, lx)) == EMPTY_TYPE
+
+
+# --- typing failures: one row per way the fold can fail ----------------------
+
+# (id, entries as (form, constant, head, label), the report's failure)
+TYPING_FAILURES = [
+    ("unknown-constant",
+     [("writer", "writer", 0, ROOT), ("soundly", "nosuch", 1, mod("m"))],
+     (2, "unknown constant 'nosuch'")),
+    ("mod-does-not-modify",
+     [("writer", "writer", 2, mod("s")), ("sleeps", "sleep", 0, ROOT), ("writer", "writer", 2, app("s"))],
+     (1, "mod edge MOD_s from 2: [] does not modify [s]")),
+    ("app-argument-type",
+     [("writer", "writer", 2, app("o")), ("wants", "want", 0, ROOT), ("writer", "writer", 2, app("s"))],
+     (1, "app edge APP_o from 2: argument type [] != [s]")),
+    # o requests s, and want has no m: stuck, reported at the lowest pending
+    # position although APP_m sorts first
+    ("source-requested",
+     [("writer", "writer", 2, app("s")), ("wants", "want", 0, ROOT), ("soundly", "soundly", 2, app("m"))],
+     (1, "app edge APP_s from 2: source not consumable in [o[s], s]")),
+    ("source-twice",
+     [("writer", "writer", 2, app("s")), ("wants", "want", 0, ROOT), ("sleep", "sleep", 2, app("o")),
+      ("writer", "writer", 2, app("s"))],
+     (4, "app edge APP_s from 2: source not consumable in []")),
+    ("root-not-empty", [("sleep", "sleep", 0, ROOT)], (1, "root term type [s] is not empty")),
+]
+
+
+@pytest.mark.parametrize("entries,failure", [row[1:] for row in TYPING_FAILURES],
+                         ids=[row[0] for row in TYPING_FAILURES])
+def test_typing_failure_table(lex, entries, failure):
+    t = AmDepTree(tuple(entry(*e) for e in entries))
+    report = check_well_typed(t, lex)
+    assert (report.ok, report.failure) == (False, failure)
+    with pytest.raises(TreeError, match=f"at token {failure[0]}: "):
+        evaluate_tree(t, lex)
+
+
+# --- the fold against the per-head closed form -------------------------------
+
+
+def _random_tree(rng: random.Random, lx, n: int) -> AmDepTree:
+    """Random constants and arc labels on a random tree shape, projective or
+    not; about one token in five is ignored."""
+    constants, labels = sorted(lx.constants), lx.arc_labels
+    ignored = {i for i in range(1, n + 1) if rng.random() < 0.2}
+    kept = [i for i in range(1, n + 1) if i not in ignored] or [ignored.pop()]
+    rng.shuffle(kept)
+    heads = {kept[0]: (0, ROOT)}
+    for k, i in enumerate(kept[1:], start=1):
+        heads[i] = (rng.choice(kept[:k]), rng.choice(labels))
+    return AmDepTree(tuple(
+        entry(f"w{i}", BOTTOM, 0, IGNORE) if i in ignored
+        else entry(f"w{i}", rng.choice(constants), *heads[i])
+        for i in range(1, n + 1)
+    ))
+
+
+def _closed_form_term_types(t: AmDepTree, lx):
+    """Every head's term type when each head meets the per-head condition, else None.
+
+    At a head of lexical type lam with app sources S: every mod child's type
+    combines with lam; S has no repeats; each app child's type is its
+    source's request in lam; apply_set(lam, tau) == S for tau, lam on the
+    nodes outside S.  The root's tau is empty."""
+    children = {}
+    for j, e in enumerate(t.entries, start=1):
+        children.setdefault(e.head, []).append(j)
+    types = {}
+
+    def term(i):  # trees here are small, so recursion is fine
+        lam = lx.type_of(t.token(i).constant)
+        kids = [(t.token(c).label, term(c)) for c in children.get(i, [])]
+        if any(ct is None for _, ct in kids):
+            return None
+        if any(label.kind == "mod" and type_combine(label, lam, ct) is None for label, ct in kids):
+            return None
+        apps = [(label.source, ct) for label, ct in kids if label.kind == "app"]
+        sources = {s for s, _ in apps}
+        if len(sources) != len(apps):
+            return None
+        if any(s not in lam.nodes or ct != request(lam, s) for s, ct in apps):
+            return None
+        keep = lam.nodes - sources
+        tau = types[i] = Type(keep, frozenset((a, b) for a, b in lam.edges if a in keep and b in keep))
+        return tau if apply_set(lam, tau) == sources else None
+
+    root_type = term(t.root_token())
+    return types if root_type is not None and root_type.is_empty() else None
+
+
+@given(st.one_of(closed_lexicons, st.just(augment_closure(demo_lexicon()))),
+       st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_fold_matches_the_per_head_closed_form(lx, n, seed):
+    """check_well_typed accepts a tree exactly when every head meets the
+    per-head condition, and then with the same term types."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        t = _random_tree(rng, lx, n)
+        report = check_well_typed(t, lx)
+        expected = _closed_form_term_types(t, lx)
+        assert report.ok == (expected is not None)
+        if report.ok:
+            assert report.term_types == expected
