@@ -216,7 +216,7 @@ def astar_parse(
         f, _, _, _, _, _, cost, sig, back = heapq.heappop(heap)
         if sig in settled:
             continue
-        settled[sig] = ParseItem(cost, back)
+        settled[sig] = tuple.__new__(ParseItem, (cost, back))  # skips its Python-level __new__
         if sig == GOAL_SIG:
             tree, goal_cost = rules.extract_tree(costs, settled, back[1]), cost
             break

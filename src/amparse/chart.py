@@ -81,7 +81,7 @@ def chart_parse(
             by_span.setdefault(sig[:2], []).append(sig)
         elif cost >= cur.cost:
             return
-        best[sig] = ParseItem(cost, back)
+        best[sig] = tuple.__new__(ParseItem, (cost, back))  # skips its Python-level __new__
         if not record_hyperedges:
             slots[(sig[2] - sig[0]) * width + sig[3]] = cost
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .costs import INF, SentenceCosts, top_k_tags
+from .costs import INF, SentenceCosts, ranked_tags
 from .lexicon import Lexicon
 from .trees import BOTTOM, IGNORE, ROOT
 
@@ -39,6 +39,7 @@ def enumerate_analyses(
     """All decision sets of complete projective parses of the sentence."""
     n = costs.n
     table = lexicon.type_table
+    tags = ranked_tags(costs, k_tags)
     memo: dict[tuple[int, int], set[Analysis]] = {}
 
     def spans(i: int, k: int) -> set[Analysis]:
@@ -47,7 +48,7 @@ def enumerate_analyses(
             return got
         out: set[Analysis] = set()
         if k - i == 1:
-            for g, c in top_k_tags(costs, i, k_tags):
+            for g, c in tags[i]:
                 if c < INF:
                     out.add((i, table.ids[lexicon.type_of(g)], frozenset({("tag", i, g)})))
         else:

@@ -11,13 +11,16 @@ amparse.costs documents, computed inline from the label ids the table's
 combine rows carry.
 
 Each rule hands a consequence to the decoder's own callback, emit(sig,
-inside cost, rule cost, back-pointer); decoders store ParseItem(cost, back).
+inside cost, rule cost, back-pointer); decoders store ParseItem(cost, back),
+built by tuple.__new__ rather than the namedtuple's Python-level __new__.
 Skip and Arc read final items, packed once as (sig, cost, head, type id).
 Arc emits only below the decoder's bar: slot (head - i) * T + type id of
 the list limits(i, k), T the number of type ids, holds what a consequence
 at (i, k, head, type id) has to beat, and the decoder lowers it as it takes
 consequences.  Edge costs are nonnegative, so Arc drops a consequence whose
 antecedents reach its slot before it prices the edge or builds the sig.
+Arc branches once per entry on its direction, reading the slot and edge key
+at that side's head.
 A back-pointer names its rule, then the items it derives from:
 ("init", constant), ("skip", sig), ("arc", left sig, right sig, label).
 Only this module builds or reads them, except A*'s own ("goal", sig).
@@ -86,9 +89,11 @@ def arcs(costs: SentenceCosts, table: TypeTable, lefts: Sequence[Packed],
     labels in the table's order."""
     price = costs.edge_table.get
     m = costs.n + 1
+    mm = m * m
     width = len(table.types)
     for lsig, lcost, lhead, ltyp in lefts:
         li, rk = lsig[0], 0  # rk: the right end whose slots are loaded
+        lrow, lm = (lhead - li) * width, lhead * m
         row = table.combine[ltyp]
         for rsig, rcost, rhead, rtyp in rights:
             entries = row[rtyp]
@@ -99,14 +104,22 @@ def arcs(costs: SentenceCosts, table: TypeTable, lefts: Sequence[Packed],
                 slots = limits(li, rk)
             base = lcost + rcost
             for lbl, lid, typ, head_is_left in entries:
-                hd, dep = (lhead, rhead) if head_is_left else (rhead, lhead)
-                limit = slots[(hd - li) * width + typ]
-                if base >= limit:
-                    continue
-                delta = price((lid * m + hd) * m + dep, INF)
-                cost = base + delta
-                if cost < limit:
-                    emit((li, rk, hd, typ), cost, delta, ("arc", lsig, rsig, lbl))
+                if head_is_left:
+                    limit = slots[lrow + typ]
+                    if base >= limit:
+                        continue
+                    delta = price(lid * mm + lm + rhead, INF)
+                    cost = base + delta
+                    if cost < limit:
+                        emit((li, rk, lhead, typ), cost, delta, ("arc", lsig, rsig, lbl))
+                else:
+                    limit = slots[(rhead - li) * width + typ]
+                    if base >= limit:
+                        continue
+                    delta = price((lid * m + rhead) * m + lhead, INF)
+                    cost = base + delta
+                    if cost < limit:
+                        emit((li, rk, rhead, typ), cost, delta, ("arc", lsig, rsig, lbl))
 
 
 def root_cost(costs: SentenceCosts, table: TypeTable, sig: Sig) -> float:

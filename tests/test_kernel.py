@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from amparse import rules
 from amparse.astar import HEURISTICS, astar_parse
 from amparse.chart import chart_parse
-from amparse.costs import INF, gen_synthetic
+from amparse.costs import INF, SentenceCosts, gen_synthetic
 from amparse.exhaustive import best_analysis_cost
 from amparse.lexicon import augment_closure
+from amparse.rules import ParseItem
 from amparse.trees import app, label_id
 from amparse.types import EMPTY_TYPE, parse_type, serialize_type, type_combine
 
@@ -150,6 +151,57 @@ def test_arcs_emits_what_beats_the_bar(lx, ties, data):
         return [bar.get((i, k, i + s // width, s % width), INF) for s in range((k - i) * width)]
 
     assert run(limits) == [e for e in everything if e[1] < bar.get(e[0], INF)]
+
+
+def test_arcs_reads_each_direction_at_its_own_head(closed_lex):
+    """A combine cell with a left-headed and a right-headed arc: for one pair,
+    arcs emits both in table order, each at its own head's slot, edge key and
+    cost.  Every edge is priced key / 1000, so a delta names the key it read,
+    and every slot but the open ones bars all, so a wrong slot drops the
+    consequence."""
+    table = closed_lex.type_table
+    width = len(table.types)
+    lt, rt, entries = next(
+        (lt, rt, e) for lt, row in enumerate(table.combine) for rt, e in enumerate(row)
+        if {head_is_left for *_, head_is_left in e} == {True, False}
+    )
+    n, m = 6, 7
+    edges = {(lid * m + o) * m + t: ((lid * m + o) * m + t) / 1000
+             for lid in sorted({lid for _, lid, _, _ in entries})
+             for o in range(1, m) for t in range(1, m) if o != t}
+    c = SentenceCosts.from_table(n, ("w",) * n, {}, edges)
+    lsig, rsig = (2, 4, 3, lt), (4, 7, 5, rt)  # li = 2, rk = 7: slot (head - 2) * width + type
+    want = []
+    for lbl, lid, typ, head_is_left in entries:
+        hd, dep = (3, 5) if head_is_left else (5, 3)
+        delta = ((lid * m + hd) * m + dep) / 1000
+        assert delta == c.edge(hd, dep, lbl) != c.edge(dep, hd, lbl)
+        want.append(((2, 7, hd, typ), 0.5 + 0.25 + delta, delta, ("arc", lsig, rsig, lbl)))
+
+    def run(open_sigs):
+        slots = [0.0] * (5 * width)
+        for sig in open_sigs:
+            slots[(sig[2] - 2) * width + sig[3]] = INF
+        out = []
+        rules.arcs(c, table, [(lsig, 0.5, 3, lt)], [(rsig, 0.25, 5, rt)],
+                   lambda *e: out.append(e), lambda i, k: slots if (i, k) == (2, 7) else None)
+        return out
+
+    assert run([w[0] for w in want]) == want
+    assert [run([w[0]]) for w in want] == [[w] for w in want]
+
+
+@pytest.mark.parametrize("which", ["demo", "uniform"])
+def test_decoders_store_plain_parse_items(which, lex, costs, closed_lex):
+    """The records both deductive decoders store are ParseItem instances equal
+    to the ones the namedtuple constructor builds."""
+    lx, c = (lex, costs) if which == "demo" else (closed_lex, gen_synthetic(7, 5, closed_lex))
+    for items in (chart_parse(c, lx).best, astar_parse(c, lx).settled):
+        assert items
+        for item in items.values():
+            assert type(item) is ParseItem
+            assert item == ParseItem(item.cost, item.back)
+            assert repr(item) == f"ParseItem(cost={item.cost!r}, back={item.back!r})"
 
 
 # --- deduction parity on the benchmark's chart and A* inputs -----------------
