@@ -79,6 +79,13 @@ class Lexicon:
         return build_type_table(self._types.values(), self.arc_labels)
 
     @cached_property
+    def guards(self) -> dict:
+        """The transition guards decode shares, one object per (system,
+        type_checked), built on first use and kept for as long as the
+        lexicon lives (see amparse.transitions._Guards)."""
+        return {}
+
+    @cached_property
     def max_sources(self) -> int:
         """The most sources any type of omega has: no set of sources a
         lexical type consumes is larger."""

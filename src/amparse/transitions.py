@@ -13,13 +13,15 @@ slots, the budget guards that keep O <= W, and Finish's witness all come
 from it, and together they make both systems dead-end free on a closed
 lexicon: any random walk ends in a goal.
 
-A sentence meets only a few distinct token states (T, A, G), so decode
-answers each guard once per state: it keeps one private _Guards object for
-its call, whose memo holds each token state's options, owed slots and
+A lexicon's sentences meet only a few distinct token states (T, A, G), so
+decode answers each guard once per state and lexicon: it reads one _Guards
+object per (system, type_checked) that the lexicon keeps for as long as it
+lives, whose memo holds each token state's options, owed slots and
 dependent term types, and each move set keyed by exactly what its guards
-read.  Every other entry point (legal_transitions, apply_transition, owed,
-and through them replay, the oracles and the fuzzer) builds a fresh object
-per call, so no memo outlives the call that made it.
+read.  No key depends on the sentence, so a batch over one lexicon pays
+for each guard once.  Every other entry point (legal_transitions,
+apply_transition, owed, and through them replay, the oracles and the
+fuzzer) builds a fresh object per call.
 
 The lexical-type-first system (ltf) commits to a constant when a token is
 pushed (Choose) and then works top-down, so the stack is depth-first.  The
@@ -267,10 +269,13 @@ class _Guards:
         ltf after Choose:   (G(i), T(i), A(i), W - O >= 1)
 
     cap is lexicon.max_sources.  No consumed set is larger, so every budget
-    from cap up admits the same options.  The system and type checking are
-    fixed, and an undefined pair rejected, when the object is built.  decode
-    keeps one object for its whole call; every other entry point builds a
-    fresh one per call, so no memo outlives the call that made it.
+    from cap up admits the same options, and the memo stops growing once the
+    lexicon's token states have been met.  The system and type checking are
+    fixed, and an undefined pair rejected, when the object is built; ltl's
+    move key leaves type_checked out, so checked and unchecked ltl never
+    share an object.  decode reads the object the lexicon keeps per
+    (system, type_checked) (see _shared_guards); every other entry point
+    builds a fresh one per call.
     """
 
     __slots__ = ("lexicon", "system", "type_checked", "_memo")
@@ -447,6 +452,18 @@ class _Guards:
         return Configuration(n, edges, stack, terms, applied, graphs, finite, infinite)
 
 
+def _shared_guards(lexicon: Lexicon, system: str, type_checked: bool) -> _Guards:
+    """The guard object lexicon keeps for system and type_checked, built on
+    first use.  It is built before it is stored, so a rejected setting
+    raises on every call and stores nothing.  Threads sharing a lexicon may
+    build an object or a memo entry twice; every copy answers the same."""
+    key = (system, type_checked)
+    guards = lexicon.guards.get(key)
+    if guards is None:
+        guards = lexicon.guards[key] = _Guards(lexicon, system, type_checked)
+    return guards
+
+
 def _dependent_terms(lexicon: Lexicon, lbl: EdgeLabel, head_type: Type) -> frozenset[Type]:
     """T(j) for a dependent j attached by lbl to a head of type head_type:
     the request at an app source (none when the head has no such source),
@@ -579,13 +596,15 @@ def decode(
     compete unchanged.  Move sets are priced without building transitions;
     only the beam's survivors are built and applied.  The returned cost is
     the tree cost of the result under the cost file, not the summed score.
+    The guards come from the lexicon's shared object, so every decode over
+    one lexicon answers each token state once.
     """
     if costs.n < 1:
         raise TransitionError("empty sentence")
     if beam < 1:
         raise TransitionError(f"beam must be at least 1, got {beam}")
     price = static_scorer(costs, lexicon)
-    guards = _Guards(lexicon, system, type_checked)
+    guards = _shared_guards(lexicon, system, type_checked)
     # (summed score, insertion order, cfg, transitions), in beam order
     beams = [(0.0, 0, initial_config(costs.n), [])]
     counter = 1
@@ -600,10 +619,11 @@ def decode(
             if not prices:
                 grown.append((total, tie, cfg, trs, None))
                 continue
-            if beam == 1:  # min keeps the first minimum, sorted equal keys' order
-                keep = [min(range(len(prices)), key=prices.__getitem__)]
+            if beam == 1:  # index finds the first minimum, sorted keeps equal keys' order
+                keep = [prices.index(min(prices))]
             else:
-                keep = sorted(range(len(prices)), key=lambda p: total + prices[p])[:beam]
+                sums = [total + c for c in prices]
+                keep = sorted(range(len(sums)), key=sums.__getitem__)[:beam]
             for p in keep:
                 grown.append((total + prices[p], counter + p, cfg, trs, (moves, free, p)))
             counter += len(prices)

@@ -683,21 +683,120 @@ def test_one_guard_object_answers_like_a_fresh_computation_on_the_demo(
     assert min(ws) < cap < max(ws)  # the budgets met fall on both sides of cap
 
 
-def test_decode_enumerates_each_token_state_once(closed_lex, monkeypatch):
-    """Within one decode, no (lams, T, A) triple reaches _options twice."""
+def test_decode_enumerates_each_token_state_once(monkeypatch):
+    """Across every decode over one lexicon, no (lams, T, A) triple reaches
+    _options twice under one setting: the lexicon keeps one guard object
+    per (system, type_checked), so a first pass over the cases enumerates
+    each triple a setting meets once, and a second pass enumerates none."""
     from amparse import transitions
+    from amparse.demo import demo_lexicon
 
-    real, seen = transitions._options, []
+    real, seen, setting = transitions._options, [], []
 
     def counting(lams, ts, done):
-        seen.append((lams, ts, done))
+        seen.append((*setting, lams, ts, done))
         return real(lams, ts, done)
 
     monkeypatch.setattr(transitions, "_options", counting)
-    for c, system, type_checked, beam in decode_cases(closed_lex):
+    lexicon = augment_closure(demo_lexicon())
+    cases = decode_cases(lexicon)
+    for first in (True, False):
         seen.clear()
-        decode(c, closed_lex, system, beam=beam, type_checked=type_checked)
-        assert seen and len(set(seen)) == len(seen), (system, type_checked, beam)
+        for c, system, type_checked, beam in cases:
+            setting[:] = system, type_checked
+            decode(c, lexicon, system, beam=beam, type_checked=type_checked)
+        if first:
+            assert len(set(seen)) == len(seen)
+            assert {key[:2] for key in seen} == set(DECODE_SETTINGS)
+        else:
+            assert seen == []
+
+
+def fresh_copy(lexicon):
+    """An equal lexicon that has decoded nothing."""
+    return Lexicon(lexicon.constants, lexicon.omega, lexicon.labels, lexicon.name)
+
+
+# checked ltl again at the end: unchecked ltl runs directly after checked
+# ltl with the same beam, and checked ltl directly after unchecked ltl
+INTERLEAVED_SETTINGS = [*DECODE_SETTINGS, ("ltl", True)]
+
+
+def assert_shared_guards_decode_like_fresh_ones(lexicon, sentences, beams):
+    """Decoding every setting in interleaved order on one lexicon gives what
+    each decode gives on a lexicon of its own."""
+    for c in sentences:
+        for beam in beams:
+            for system, type_checked in INTERLEAVED_SETTINGS:
+                shared = decode(c, lexicon, system, beam=beam, type_checked=type_checked)
+                alone = decode(c, fresh_copy(lexicon), system, beam=beam, type_checked=type_checked)
+                assert shared == alone, (c.sid, system, type_checked, beam)
+    assert sorted(lexicon.guards) == sorted(DECODE_SETTINGS)
+
+
+def test_decode_shares_guards_per_system_and_type_checking(closed_lex):
+    from amparse.costs import gen_synthetic
+
+    lexicon = fresh_copy(closed_lex)
+    sentences = [gen_synthetic(seed, 3 + seed, lexicon) for seed in range(6)]
+    assert_shared_guards_decode_like_fresh_ones(lexicon, sentences, (1, 4))
+    # checked and unchecked ltl decode differently here, so a shared object would show
+    assert any(decode(c, lexicon, "ltl", beam=4) != decode(c, lexicon, "ltl", beam=4, type_checked=False)
+               for c in sentences)
+
+
+@given(small_lexicons().map(augment_closure), st.integers(1, 5), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_decode_shares_guards_like_fresh_ones_on_random_lexicons(lx, n, seed):
+    from amparse.costs import gen_synthetic
+
+    sentences = [gen_synthetic(seed + k, n + k, lx) for k in range(2)]
+    assert_shared_guards_decode_like_fresh_ones(lx, sentences, (1, 3))
+
+
+def test_rejected_decode_settings_raise_every_time_and_cache_nothing(closed_lex):
+    from amparse.costs import gen_synthetic
+
+    lexicon = fresh_copy(closed_lex)
+    c = gen_synthetic(0, 4, lexicon)
+    for _ in range(2):
+        with pytest.raises(TransitionError, match="ltl only"):
+            decode(c, lexicon, "ltf", type_checked=False)
+        with pytest.raises(TransitionError, match="unknown system"):
+            decode(c, lexicon, "nosuch")
+    assert lexicon.guards == {}
+
+
+@pytest.mark.parametrize("system", ["ltf", "ltl"])
+def test_entry_points_other_than_decode_keep_their_guards_per_call(closed_lex, gold, system):
+    from amparse.oracles import oracle_sequence, replay
+
+    lexicon = fresh_copy(closed_lex)
+    seq = oracle_sequence(gold, lexicon, system)
+    replay(gold, seq, lexicon, system)
+    cfg = initial_config(gold.n)
+    for tr in seq:
+        assert tr in legal_transitions(cfg, lexicon, system)
+        cfg = apply_transition(cfg, tr, lexicon, system)
+        total_owed(cfg, lexicon)
+        owed(cfg, cfg.active or 1, lexicon)
+    assert lexicon.guards == {}
+
+
+def test_copies_of_a_warm_lexicon(closed_lex):
+    """dataclasses.replace starts an empty memo; a pickled warm lexicon
+    decodes as the original does."""
+    import dataclasses
+    import pickle
+
+    warm = fresh_copy(closed_lex)
+    cases = decode_cases(warm)
+    want = [decode(c, warm, s, beam=b, type_checked=tc) for c, s, tc, b in cases]
+    assert all(warm.guards[key]._memo for key in DECODE_SETTINGS)
+    copy = dataclasses.replace(warm)
+    assert copy == warm and repr(copy) == repr(warm) and copy.guards == {}
+    thawed = pickle.loads(pickle.dumps(warm))
+    assert [decode(c, thawed, s, beam=b, type_checked=tc) for c, s, tc, b in cases] == want
 
 
 HASH_SEED_SCRIPT = """
@@ -792,9 +891,10 @@ def test_decode_parity_on_benchmark_inputs(monkeypatch):
         ff.parse_lexicon_text((bench / "demo.lexicon").read_text(encoding="utf-8"), name="demo")
     )
     wl = workloads.WORKLOADS["transition-peaked"]
-    got = {}
-    for seed in (3, 5):
-        sentences = ff.parse_cost_text(wl.input_text(wl.make(seed, lexicon)))
-        for name, (system, beam, type_checked) in PARITY_DECODES.items():
-            got[seed, name] = _decode_digest(sentences, lexicon, system, beam, type_checked)
-    assert got == DECODE_PARITY
+    inputs = {seed: ff.parse_cost_text(wl.input_text(wl.make(seed, lexicon))) for seed in (3, 5)}
+    # the second pass decodes with the guards the first pass left on the lexicon
+    for _ in ("cold", "warm"):
+        got = {(seed, name): _decode_digest(sentences, lexicon, system, beam, type_checked)
+               for seed, sentences in inputs.items()
+               for name, (system, beam, type_checked) in PARITY_DECODES.items()}
+        assert got == DECODE_PARITY
