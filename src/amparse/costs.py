@@ -110,6 +110,10 @@ class SentenceCosts:
         self._validate()
         self.edge_cost = EdgeCostView(table, n)
 
+    def __reduce__(self):
+        # edge_table's keys hold process-wide label ids, so rebuild from labels
+        return SentenceCosts, (self.n, self.forms, self.tag_cost, dict(self.edge_cost), self.sid)
+
     @classmethod
     def from_table(cls, n: int, forms: tuple[str, ...], tag_cost: dict,
                    edge_table: dict[int, float], sid: str = "0") -> SentenceCosts:

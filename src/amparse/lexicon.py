@@ -80,9 +80,9 @@ class Lexicon:
 
     @cached_property
     def guards(self) -> dict:
-        """The transition guards decode shares, one object per (system,
-        type_checked), built on first use and kept for as long as the
-        lexicon lives (see amparse.transitions._Guards)."""
+        """One memo of transition guard answers that every decode over this
+        lexicon shares, whatever its setting, for as long as the lexicon
+        lives; amparse.transitions._Guards lists its keys."""
         return {}
 
     @cached_property
@@ -90,6 +90,13 @@ class Lexicon:
         """The most sources any type of omega has: no set of sources a
         lexical type consumes is larger."""
         return max((len(t.nodes) for t in self.omega), default=0)
+
+    def __getstate__(self) -> dict:
+        """The state to pickle, without the cached properties above: the type
+        table holds process-wide label ids, which another process assigns
+        differently, and each is rebuilt on first use."""
+        return {name: value for name, value in vars(self).items()
+                if not isinstance(getattr(Lexicon, name, None), cached_property)}
 
     def constant_names(self) -> list[str]:
         """Sorted constant names; the list is shared, so callers copy before changing it."""

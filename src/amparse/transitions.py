@@ -14,14 +14,13 @@ from it, and together they make both systems dead-end free on a closed
 lexicon: any random walk ends in a goal.
 
 A lexicon's sentences meet only a few distinct token states (T, A, G), so
-decode answers each guard once per state and lexicon: it reads one _Guards
-object per (system, type_checked) that the lexicon keeps for as long as it
-lives, whose memo holds each token state's options, owed slots and
-dependent term types, and each move set keyed by exactly what its guards
-read.  No key depends on the sentence, so a batch over one lexicon pays
-for each guard once.  Every other entry point (legal_transitions,
-apply_transition, owed, and through them replay, the oracles and the
-fuzzer) builds a fresh object per call.
+decode answers each guard once per state and lexicon: its _Guards reads
+and fills lexicon.guards, one memo that every system and type checking
+shares.  Each key carries exactly what its answer reads, and none depends
+on the sentence, so a batch over one lexicon pays for each guard once.
+Every other entry point (legal_transitions, apply_transition, owed, and
+through them replay, the oracles and the fuzzer) passes a fresh memo per
+call.
 
 The lexical-type-first system (ltf) commits to a constant when a token is
 pushed (Choose) and then works top-down, so the stack is depth-first.  The
@@ -34,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -41,7 +41,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .costs import INF, SentenceCosts, tree_cost
 from .lexicon import Lexicon
 from .trees import BOTTOM, IGNORE, LABEL_IDS, ROOT, AmDepTree, EdgeLabel, TreeEntry, app, mod
-from .types import EMPTY_TYPE, Type, apply_set, parse_type, request, serialize_type, type_combine
+from .types import (EMPTY_TYPE, NAME_PATTERN, Type, apply_set, parse_type, request,
+                    serialize_type, type_combine)
 
 SYSTEMS = ("ltf", "ltl")
 
@@ -158,24 +159,29 @@ class Transition:
         return "Pop"
 
 
+# A token index, and a constant name: any token without whitespace or '#'.
+_INDEX = re.compile(r"[0-9]+")
+_CONSTANT = re.compile(r"[^\s#]+")
+
+
 def parse_transition(text: str) -> Transition:
-    """Inverse of str(); types inside Choose are re-parsed."""
+    """Inverse of str(); types inside Choose are re-parsed.  A constant may
+    hold parentheses and commas, so exactly one closing parenthesis ends
+    the text, and Choose splits on its last ", "."""
     text = text.strip()
     if text == "Pop":
         return Transition("pop")
     name, _, body = text.partition("(")
-    body = body.rstrip(")")
-    if name == "Init":
+    body = body[:-1] if text.endswith(")") else ""
+    head, comma, tail = body.rpartition(", ")
+    if name == "Init" and _INDEX.fullmatch(body):
         return Transition("init", token=int(body))
-    if name == "Finish":
+    if name == "Finish" and _CONSTANT.fullmatch(body):
         return Transition("finish", constant=body)
-    if name == "Choose":
-        tstr, g = body.rsplit(",", 1)
-        return Transition("choose", term_type=parse_type(tstr.strip()), constant=g.strip())
-    if name in ("Apply", "Modify"):
-        src, j = body.split(",")
-        kind = "apply" if name == "Apply" else "modify"
-        return Transition(kind, token=int(j), source=src.strip())
+    if name == "Choose" and comma and _CONSTANT.fullmatch(tail):
+        return Transition("choose", term_type=parse_type(head), constant=tail)
+    if name in ("Apply", "Modify") and NAME_PATTERN.fullmatch(head) and _INDEX.fullmatch(tail):
+        return Transition("apply" if name == "Apply" else "modify", token=int(tail), source=head)
     raise TransitionError(f"cannot parse transition {text!r}")
 
 
@@ -191,7 +197,8 @@ def owed(cfg: Configuration, i: int, lexicon: Lexicon) -> float:
     when nothing qualifies, which poisons every budget guard downstream
     rather than crashing.
     """
-    return _Guards(lexicon).owed(cfg.terms[i], cfg.applied[i], cfg.graphs[i])
+    # owed reads no setting, so any valid one will do
+    return _Guards(lexicon, "ltl", True, {}).owed(cfg.terms[i], cfg.applied[i], cfg.graphs[i])
 
 
 def _owed(guards: _Guards, ts: frozenset[Type], done: frozenset[str], g: Optional[str]) -> float:
@@ -244,7 +251,7 @@ def legal_transitions(cfg: Configuration, lexicon: Lexicon, system: str,
     Transition.sort_key (Init < Apply < Modify < Choose/Finish < Pop, then
     token, source, type, constant).  type_checked=False drops every type
     guard (ltl only)."""
-    moves = _Guards(lexicon, system, type_checked).moves(cfg)
+    moves = _Guards(lexicon, system, type_checked, {}).moves(cfg)
     free = _headless_tokens(cfg) if moves.apply or moves.modify else ()
     count = len(free) * (len(moves.apply) + len(moves.modify)) + len(moves.rest)
     return [_move_at(moves, free, p) for p in range(count)]
@@ -259,34 +266,36 @@ def _headless_tokens(cfg: Configuration) -> list[int]:
 
 
 class _Guards:
-    """The guards and effects of one system over one lexicon, each answer
-    computed once per token state and kept in one memo: the options of a
-    (lams, T, A) triple, owed slots per (T, A, G), T(j) per (label, head
-    type), and the move set keyed by exactly what its guards read:
+    """The guards and effects of one system over one lexicon, as a view over
+    a memo the caller passes in.  Each answer is computed once per memo, and
+    each key carries exactly what the answer reads:
 
-        ltl:                (T(i), A(i), min(W, cap), Modify allowed)
-        ltf before Choose:  (T(i), min(W - O, cap))
-        ltf after Choose:   (G(i), T(i), A(i), W - O >= 1)
+        ("options", lams, T, A)       the options of a token state
+        ("owed", T, A, G)             its owed slots
+        ("dependent", label, type)    T(j) below a head of that type
+        ("ltl", T(i), A(i), min(W, cap), Modify allowed, type_checked)
+        ("choose", T(i), min(W - O, cap))              ltf before Choose
+        ("ltf", G(i), T(i), A(i), W - O >= 1)          ltf after Choose
 
-    cap is lexicon.max_sources.  No consumed set is larger, so every budget
-    from cap up admits the same options, and the memo stops growing once the
-    lexicon's token states have been met.  The system and type checking are
-    fixed, and an undefined pair rejected, when the object is built; ltl's
-    move key leaves type_checked out, so checked and unchecked ltl never
-    share an object.  decode reads the object the lexicon keeps per
-    (system, type_checked) (see _shared_guards); every other entry point
-    builds a fresh one per call.
+    Only the ltl move set reads type_checked, and it takes it from its key,
+    so one memo serves every setting; ltf is always checked.  cap is
+    lexicon.max_sources.  No consumed set is larger, so every budget from
+    cap up admits the same options, and the memo stops growing once the
+    lexicon's token states have been met.  An unknown system or unchecked
+    ltf is rejected before the memo is touched.  decode passes
+    lexicon.guards; every other entry point passes a fresh dict.  Threads
+    sharing a memo may compute an entry twice; every copy answers the same.
     """
 
     __slots__ = ("lexicon", "system", "type_checked", "_memo")
 
-    def __init__(self, lexicon: Lexicon, system: str = "ltl", type_checked: bool = True):
+    def __init__(self, lexicon: Lexicon, system: str, type_checked: bool, memo: dict):
         if system not in SYSTEMS:
             raise TransitionError(f"unknown system {system!r}")
         if not type_checked and system != "ltl":
             raise TransitionError("the unchecked ablation is defined for ltl only")
         self.lexicon, self.system, self.type_checked = lexicon, system, type_checked
-        self._memo: dict = {}
+        self._memo = memo
 
     def options(self, lams, ts, done) -> tuple[tuple[Type, Type, frozenset[str]], ...]:
         key = ("options", lams, ts, done)
@@ -321,7 +330,8 @@ class _Guards:
         i, w = cfg.stack[-1], cfg.free_tokens()
         if self.system == "ltl":
             mods_ok = not self.type_checked or w - cfg.owed_total >= 1
-            key = ("ltl", cfg.terms[i], cfg.applied[i], min(w, self.lexicon.max_sources), mods_ok)
+            key = ("ltl", cfg.terms[i], cfg.applied[i], min(w, self.lexicon.max_sources), mods_ok,
+                   self.type_checked)
             build = self._ltl
         elif cfg.graphs[i] is None:
             key = ("choose", cfg.terms[i], min(w - cfg.owed_total, self.lexicon.max_sources))
@@ -354,12 +364,13 @@ class _Guards:
                        if budget_ok and self.dependent_terms(mod(beta), lex_type))
         return Moves(apply, modify, (Transition("pop"),) if done == consumed else ())
 
-    def _ltl(self, ts: frozenset[Type], done: frozenset[str], w: int, mods_ok: bool) -> Moves:
+    def _ltl(self, ts: frozenset[Type], done: frozenset[str], w: int, mods_ok: bool,
+             type_checked: bool) -> Moves:
         lexicon = self.lexicon
         # unchecked, any source not yet applied and any constant may follow; checked,
         # Apply(alpha) needs an option owing alpha within W, Finish(g) one of g's type owing nothing
         applicable, finishable = set(lexicon.app_sources()) - done, lexicon.omega
-        if self.type_checked:
+        if type_checked:
             applicable, finishable = set(), set()
             for lam, _, consumed in self.options(lexicon.omega, ts, done):
                 missing = consumed - done
@@ -452,18 +463,6 @@ class _Guards:
         return Configuration(n, edges, stack, terms, applied, graphs, finite, infinite)
 
 
-def _shared_guards(lexicon: Lexicon, system: str, type_checked: bool) -> _Guards:
-    """The guard object lexicon keeps for system and type_checked, built on
-    first use.  It is built before it is stored, so a rejected setting
-    raises on every call and stores nothing.  Threads sharing a lexicon may
-    build an object or a memo entry twice; every copy answers the same."""
-    key = (system, type_checked)
-    guards = lexicon.guards.get(key)
-    if guards is None:
-        guards = lexicon.guards[key] = _Guards(lexicon, system, type_checked)
-    return guards
-
-
 def _dependent_terms(lexicon: Lexicon, lbl: EdgeLabel, head_type: Type) -> frozenset[Type]:
     """T(j) for a dependent j attached by lbl to a head of type head_type:
     the request at an app source (none when the head has no such source),
@@ -489,7 +488,7 @@ def apply_transition(
     """The successor configuration.  Unless check=False, raises
     TransitionError when tr is not in legal_transitions(cfg, ...), which it
     tests against cfg's move set without listing the transitions."""
-    return _Guards(lexicon, system, type_checked).apply(cfg, tr, check)
+    return _Guards(lexicon, system, type_checked, {}).apply(cfg, tr, check)
 
 
 def is_goal(cfg: Configuration) -> bool:
@@ -596,15 +595,15 @@ def decode(
     compete unchanged.  Move sets are priced without building transitions;
     only the beam's survivors are built and applied.  The returned cost is
     the tree cost of the result under the cost file, not the summed score.
-    The guards come from the lexicon's shared object, so every decode over
-    one lexicon answers each token state once.
+    The guards read and fill lexicon.guards, so every decode over one
+    lexicon answers each token state once.
     """
     if costs.n < 1:
         raise TransitionError("empty sentence")
     if beam < 1:
         raise TransitionError(f"beam must be at least 1, got {beam}")
     price = static_scorer(costs, lexicon)
-    guards = _shared_guards(lexicon, system, type_checked)
+    guards = _Guards(lexicon, system, type_checked, lexicon.guards)
     # (summed score, insertion order, cfg, transitions), in beam order
     beams = [(0.0, 0, initial_config(costs.n), [])]
     counter = 1

@@ -181,3 +181,53 @@ def test_dict_built_and_parsed_costs_agree_on_every_lookup(lex):
             for j in range(-1, n + 2):
                 assert [a.edge(o, j, lbl) for lbl in labels] == [b.edge(o, j, lbl) for lbl in labels]
         assert a.edge_cost == b.edge_cost and a.tag_cost == b.tag_cost
+
+
+PICKLE_SCRIPT = """
+import pickle, sys
+from amparse.chart import chart_parse
+from amparse.costs import gen_synthetic
+from amparse.demo import demo_lexicon
+from amparse.lexicon import augment_closure
+from amparse.trees import LABEL_IDS, label_id, mod
+
+mode, path = sys.argv[1:]
+if mode == "dump":
+    lexicon = augment_closure(demo_lexicon())
+    costs = gen_synthetic(5, 6, lexicon)
+    cost = chart_parse(costs, lexicon).cost  # builds the lexicon's type table
+    with open(path, "wb") as f:
+        pickle.dump((lexicon, costs, cost), f)
+else:
+    label_id(mod("m"))  # interned before any other label, unlike in the dumping process
+    with open(path, "rb") as f:
+        warm, pickled, cost = pickle.load(f)
+    lexicon = augment_closure(demo_lexicon())
+    regenerated = gen_synthetic(5, 6, lexicon)
+    print(chart_parse(regenerated, warm).cost == cost, chart_parse(pickled, lexicon).cost == cost,
+          pickled == regenerated)
+print(LABEL_IDS[mod("m")])
+"""
+
+
+def test_a_lexicon_and_costs_pickled_to_a_process_with_other_label_ids_price_the_same(tmp_path):
+    """The type table and the edge table key on process-wide label ids, so
+    neither may cross a pickle: a warm lexicon and a sentence's costs
+    loaded by a process that interned its labels in another order parse
+    as they did where they were made."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import amparse
+
+    src = str(Path(amparse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    pickled = str(tmp_path / "warm.pickle")
+    outs = [subprocess.run([sys.executable, "-c", PICKLE_SCRIPT, mode, pickled], env=env,
+                           capture_output=True, text=True, check=True).stdout.split()
+            for mode in ("dump", "load")]
+    assert outs[0][-1] != outs[1][-1]  # MOD_m has another id in each process
+    assert outs[1][:-1] == ["True", "True", "True"]

@@ -29,9 +29,10 @@ from amparse.transitions import (
 )
 from amparse.lexicon import Lexicon, augment_closure
 from amparse.trees import ROOT, app, check_well_typed, mod
-from amparse.types import apply_set, parse_type
+from amparse.types import NAME_PATTERN, apply_set, parse_type
 
 from test_lexicon import small_lexicons
+from test_types import reduced_dags
 
 
 GOLD_LTF = [
@@ -61,6 +62,41 @@ def test_transition_text_round_trip():
         assert str(parse_transition(text)) == text
     with pytest.raises(ValueError):
         parse_transition("Jump(1)")
+
+
+def transitions_with_any_constant():
+    """Transitions of every kind; constants are any token without whitespace
+    or '#', often made of the characters that delimit the text."""
+    constants = st.one_of(st.from_regex(r"[^\s#]+", fullmatch=True),
+                          st.text(st.sampled_from("a,()[]"), min_size=1))
+    sources, tokens = st.from_regex(NAME_PATTERN, fullmatch=True), st.integers(0, 10**4)
+    return st.one_of(
+        st.just(Transition("pop")),
+        st.builds(lambda j: Transition("init", token=j), tokens),
+        st.builds(lambda kind, s, j: Transition(kind, token=j, source=s),
+                  st.sampled_from(["apply", "modify"]), sources, tokens),
+        st.builds(lambda t, g: Transition("choose", term_type=t, constant=g),
+                  reduced_dags(), constants),
+        st.builds(lambda g: Transition("finish", constant=g), constants),
+    )
+
+
+@given(transitions_with_any_constant())
+@settings(max_examples=300)
+def test_transition_text_round_trips_any_constant_name(tr):
+    text = str(tr)
+    assert parse_transition(text) == tr
+    assert str(parse_transition(text)) == text
+
+
+@pytest.mark.parametrize("text", [
+    "Init(3", "Init()", "Init(-1)", "Init(3))", "Finish(want) trailing)", "Finish()",
+    "Finish(a#b)", "Finish(want", "Apply(s,2)", "Apply(s, 2", "Modify(, 6)", "Choose([s],x)",
+    "Choose([s], )", "Pop)", "Pop()", ")",
+])
+def test_parse_transition_rejects_text_no_transition_prints(text):
+    with pytest.raises(TransitionError, match="cannot parse transition"):
+        parse_transition(text)
 
 
 def test_initial_legal_moves_are_inits(closed_lex):
@@ -605,7 +641,7 @@ def guard_walk(lexicon, system, n, rng, type_checked=True):
 
     cfg = initial_config(n)
     for step in range(4 * n + 5):
-        moves = _Guards(lexicon, system, type_checked).moves(cfg)
+        moves = _Guards(lexicon, system, type_checked, {}).moves(cfg)
         assert moves == reference_moves(cfg, lexicon, system, type_checked), (system, cfg)
         legal = legal_transitions(cfg, lexicon, system, type_checked)
         if not legal:
@@ -628,18 +664,39 @@ def test_move_sets_match_the_per_source_reference_on_the_demo(closed_lex, system
         guard_walk(closed_lex, system, rng.randint(1, 7), rng, type_checked)
 
 
-# --- one guard object per decode answers each token state once ---------------
+# --- one memo per lexicon answers each token state once ----------------------
+
+
+def assert_memo_answers_afresh(memo, lexicon):
+    """Every entry of a guard memo equals what its key alone recomputes
+    over an empty memo: options, owed slots and dependent term types with
+    no setting, and each move set through ltl or ltf guards, the ltl ones
+    taking type_checked from the key."""
+    from amparse.transitions import _dependent_terms, _Guards
+
+    ltl, ltf = _Guards(lexicon, "ltl", True, {}), _Guards(lexicon, "ltf", True, {})
+    for key, value in memo.items():
+        kind, *args = key
+        if kind == "options":
+            assert value == _options(*args), key
+        elif kind == "owed":
+            assert value == reference_owed(*args, lexicon), key
+        elif kind == "dependent":
+            assert value == _dependent_terms(lexicon, *args), key
+        else:
+            build = {"ltl": ltl._ltl, "choose": ltf._choose, "ltf": ltf._ltf}[kind]
+            assert value == build(*args), key
 
 
 def memo_walk(lexicon, system, n, rng, type_checked=True):
     """A random legal walk that one guard object drives from start to goal.
     At every configuration its move set must equal the reference and its
-    owed slots for every token a fresh scan; at the end every owed value and
-    every set of dependent term types in its memo must equal a fresh
-    computation.  Returns W at every configuration it stepped from."""
-    from amparse.transitions import _dependent_terms, _Guards
+    owed slots for every token a fresh scan; at the end every entry of its
+    memo must equal a fresh computation.  Returns W at every configuration
+    it stepped from."""
+    from amparse.transitions import _Guards
 
-    guards = _Guards(lexicon, system, type_checked)
+    guards = _Guards(lexicon, system, type_checked, {})
     cfg, ws = initial_config(n), []
     for _ in range(4 * n + 5):
         assert guards.moves(cfg) == reference_moves(cfg, lexicon, system, type_checked), cfg
@@ -657,11 +714,7 @@ def memo_walk(lexicon, system, n, rng, type_checked=True):
         cfg = nxt
     else:
         raise AssertionError("walk did not end")
-    for key, value in guards._memo.items():
-        if key[0] == "owed":
-            assert value == reference_owed(*key[1:], lexicon), key
-        elif key[0] == "dependent":
-            assert value == _dependent_terms(lexicon, *key[1:]), key
+    assert_memo_answers_afresh(guards._memo, lexicon)
     return ws
 
 
@@ -684,30 +737,39 @@ def test_one_guard_object_answers_like_a_fresh_computation_on_the_demo(
 
 
 def test_decode_enumerates_each_token_state_once(monkeypatch):
-    """Across every decode over one lexicon, no (lams, T, A) triple reaches
-    _options twice under one setting: the lexicon keeps one guard object
-    per (system, type_checked), so a first pass over the cases enumerates
-    each triple a setting meets once, and a second pass enumerates none."""
+    """Across every decode over one lexicon, whatever its setting, no
+    (lams, T, A) triple reaches _options twice: the settings share one memo,
+    so a first pass over the cases enumerates exactly the triples that the
+    settings meet each on a lexicon of its own, each once, and a second
+    pass enumerates none."""
     from amparse import transitions
     from amparse.demo import demo_lexicon
 
-    real, seen, setting = transitions._options, [], []
+    real, seen = transitions._options, []
 
     def counting(lams, ts, done):
-        seen.append((*setting, lams, ts, done))
+        seen.append((lams, ts, done))
         return real(lams, ts, done)
 
     monkeypatch.setattr(transitions, "_options", counting)
     lexicon = augment_closure(demo_lexicon())
     cases = decode_cases(lexicon)
+    alone = {}  # the triples each setting enumerates on a lexicon of its own
+    for setting in DECODE_SETTINGS:
+        seen.clear()
+        own = fresh_copy(lexicon)
+        for c, system, type_checked, beam in cases:
+            if (system, type_checked) == setting:
+                decode(c, own, system, beam=beam, type_checked=type_checked)
+        alone[setting] = set(seen)
     for first in (True, False):
         seen.clear()
         for c, system, type_checked, beam in cases:
-            setting[:] = system, type_checked
             decode(c, lexicon, system, beam=beam, type_checked=type_checked)
         if first:
             assert len(set(seen)) == len(seen)
-            assert {key[:2] for key in seen} == set(DECODE_SETTINGS)
+            assert set(seen) == set().union(*alone.values())
+            assert len(seen) < sum(map(len, alone.values()))  # the settings share triples
         else:
             assert seen == []
 
@@ -724,14 +786,17 @@ INTERLEAVED_SETTINGS = [*DECODE_SETTINGS, ("ltl", True)]
 
 def assert_shared_guards_decode_like_fresh_ones(lexicon, sentences, beams):
     """Decoding every setting in interleaved order on one lexicon gives what
-    each decode gives on a lexicon of its own."""
+    each decode gives on a lexicon of its own, and leaves one memo whose
+    every entry a fresh computation reproduces, with ltl move sets of both
+    type checkings."""
     for c in sentences:
         for beam in beams:
             for system, type_checked in INTERLEAVED_SETTINGS:
                 shared = decode(c, lexicon, system, beam=beam, type_checked=type_checked)
                 alone = decode(c, fresh_copy(lexicon), system, beam=beam, type_checked=type_checked)
                 assert shared == alone, (c.sid, system, type_checked, beam)
-    assert sorted(lexicon.guards) == sorted(DECODE_SETTINGS)
+    assert_memo_answers_afresh(lexicon.guards, lexicon)
+    assert {key[-1] for key in lexicon.guards if key[0] == "ltl"} == {True, False}
 
 
 def test_decode_shares_guards_per_system_and_type_checking(closed_lex):
@@ -740,7 +805,9 @@ def test_decode_shares_guards_per_system_and_type_checking(closed_lex):
     lexicon = fresh_copy(closed_lex)
     sentences = [gen_synthetic(seed, 3 + seed, lexicon) for seed in range(6)]
     assert_shared_guards_decode_like_fresh_ones(lexicon, sentences, (1, 4))
-    # checked and unchecked ltl decode differently here, so a shared object would show
+    assert {key[0] for key in lexicon.guards} == {
+        "options", "owed", "dependent", "ltl", "choose", "ltf"}
+    # checked and unchecked ltl decode differently here, so sharing their move sets would show
     assert any(decode(c, lexicon, "ltl", beam=4) != decode(c, lexicon, "ltl", beam=4, type_checked=False)
                for c in sentences)
 
@@ -785,18 +852,45 @@ def test_entry_points_other_than_decode_keep_their_guards_per_call(closed_lex, g
 
 def test_copies_of_a_warm_lexicon(closed_lex):
     """dataclasses.replace starts an empty memo; a pickled warm lexicon
-    decodes as the original does."""
+    carries none of its caches, and decodes as the original does."""
     import dataclasses
     import pickle
 
     warm = fresh_copy(closed_lex)
     cases = decode_cases(warm)
     want = [decode(c, warm, s, beam=b, type_checked=tc) for c, s, tc, b in cases]
-    assert all(warm.guards[key]._memo for key in DECODE_SETTINGS)
+    assert_memo_answers_afresh(warm.guards, warm)
+    assert {key[-1] for key in warm.guards if key[0] == "ltl"} == {True, False}
+    warm.type_table  # the deductive decoders' cache
+    assert {"type_table", "guards", "max_sources"} <= vars(warm).keys()
     copy = dataclasses.replace(warm)
     assert copy == warm and repr(copy) == repr(warm) and copy.guards == {}
     thawed = pickle.loads(pickle.dumps(warm))
+    assert not {"type_table", "guards", "max_sources"} & vars(thawed).keys()
     assert [decode(c, thawed, s, beam=b, type_checked=tc) for c, s, tc, b in cases] == want
+    assert thawed.guards.keys() == warm.guards.keys()
+
+
+def test_a_decoded_lexicon_is_freed_without_the_cycle_collector(closed_lex):
+    """The memo holds nothing that points back at the lexicon, so dropping
+    the last reference frees it with the cyclic garbage collector off."""
+    import gc
+    import weakref
+
+    from amparse.costs import gen_synthetic
+
+    lexicon = fresh_copy(closed_lex)
+    c = gen_synthetic(0, 5, lexicon)
+    for system, type_checked in DECODE_SETTINGS:
+        decode(c, lexicon, system, beam=2, type_checked=type_checked)
+    assert lexicon.guards
+    ref = weakref.ref(lexicon)
+    gc.disable()
+    try:
+        del lexicon
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 HASH_SEED_SCRIPT = """
