@@ -446,12 +446,19 @@ def parse_trees_text(text: str) -> list[AmDepTree]:
     trees: list[AmDepTree] = []
     block: list[tuple[int, str]] = []
     texts: dict[str, str] = {}  # one str per distinct form or constant text
+    # one entry per distinct (position, line): the line holds its index, so
+    # an entry found here passed the index check at this position
+    read: dict[tuple[int, str], TreeEntry] = {}
 
     def flush(end_line: int):
         if not block:
             return
         entries = []
         for pos, (lineno, line) in enumerate(block, start=1):
+            entry = read.get((pos, line))
+            if entry is not None:
+                entries.append(entry)
+                continue
             cols = line.split("\t")
             if len(cols) != 5:
                 raise FormatError(lineno, f"expected 5 tab-separated columns, got {len(cols)}")
@@ -459,16 +466,17 @@ def parse_trees_text(text: str) -> list[AmDepTree]:
             if idx.strip() != str(pos):
                 raise FormatError(lineno, f"expected index {pos}, got {idx!r}")
             try:
-                entries.append(TreeEntry(
+                entry = read[pos, line] = TreeEntry(
                     texts.setdefault(form, form), texts.setdefault(constant, constant),
                     int(head), parse_edge_label(label),
-                ))
+                )
             except ValueError as e:
                 try:
                     int(head)
                 except ValueError:
                     raise FormatError(lineno, f"expected an integer head, got {head!r}") from None
                 raise FormatError(lineno, str(e)) from e
+            entries.append(entry)
         try:
             trees.append(AmDepTree(tuple(entries)))
         except ValueError as e:

@@ -3,7 +3,8 @@
 Decoding needs a closed lexicon:
 
   1. every type in omega is realized by at least one constant,
-  2. omega is closed under requests,
+  2. omega is closed under requests, and holds the empty type [] that the
+     root requests,
   3. [beta] is in omega for every mod_beta label,
   4. app_alpha is a label for every source alpha occurring in the constants.
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .graphs import AsGraph, GraphNode, graph_type
+from .graphs import AsGraph, GraphNode, graph_type, graphs_isomorphic
 from .trees import BOTTOM, EdgeLabel, IGNORE, ROOT, app, mod
 from .types import EMPTY_TYPE, Type, TypeTable, build_type_table, request
 
@@ -64,6 +65,17 @@ class Lexicon:
         self._sources = {kind: sorted(l.source for l in self.labels if l.kind == kind)
                          for kind in ("app", "mod")}
 
+    def __eq__(self, other) -> bool:
+        """Equal names, omega, labels and constant names, and each constant's
+        graph isomorphic to its namesake's: graphs have no __eq__."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name == other.name and self.omega == other.omega
+                and self.labels == other.labels
+                and self.constants.keys() == other.constants.keys()
+                and all(graphs_isomorphic(g, other.constants[name])
+                        for name, g in self.constants.items()))
+
     def type_of(self, constant: str) -> Type:
         return self._types[constant]
 
@@ -80,9 +92,12 @@ class Lexicon:
 
     @cached_property
     def guards(self) -> dict:
-        """One memo of transition guard answers that every decode over this
-        lexicon shares, whatever its setting, for as long as the lexicon
-        lives; amparse.transitions._Guards lists its keys."""
+        """One memo of transition guard answers over this lexicon, shared
+        whatever the setting, for as long as the lexicon lives.  Every entry
+        point fills it with the answers of each token state (options, owed
+        slots, dependents' term types), which read the lexicon alone; only
+        decode adds move sets, which also read the budget.
+        amparse.transitions._Guards lists its keys and says why."""
         return {}
 
     @cached_property
@@ -130,13 +145,18 @@ def validate_closure(lexicon: Lexicon) -> ClosureReport:
             report.violations.append(
                 ClosureViolation(1, f"type {t} has no realizing constant")
             )
+    missing = set()
     for t in sorted(lexicon.omega, key=str):
         for node in sorted(t.nodes):
             req = request(t, node)
             if req not in lexicon.omega:
+                missing.add(req)
                 report.violations.append(
                     ClosureViolation(2, f"request {req} of {node} in {t} missing from omega")
                 )
+    if EMPTY_TYPE not in lexicon.omega and EMPTY_TYPE not in missing:
+        report.violations.append(
+            ClosureViolation(2, f"request {EMPTY_TYPE} of the root missing from omega"))
     for label in sorted(lexicon.labels, key=str):
         if label.kind == "mod":
             singleton = Type(frozenset({label.source}), frozenset())

@@ -14,13 +14,14 @@ from it, and together they make both systems dead-end free on a closed
 lexicon: any random walk ends in a goal.
 
 A lexicon's sentences meet only a few distinct token states (T, A, G), so
-decode answers each guard once per state and lexicon: its _Guards reads
-and fills lexicon.guards, one memo that every system and type checking
-shares.  Each key carries exactly what its answer reads, and none depends
-on the sentence, so a batch over one lexicon pays for each guard once.
-Every other entry point (legal_transitions, apply_transition, owed, and
-through them replay, the oracles and the fuzzer) passes a fresh memo per
-call.
+every entry point answers each token state once per lexicon: a token's
+options, its owed slots and its dependents' term types live in
+lexicon.guards, one memo that every system and type checking shares.
+Each key carries exactly what its answer reads, and none depends on the
+sentence, so a batch over one lexicon pays for each state once.  Move sets
+also read the budget W - O; decode keeps them in lexicon.guards too, and
+every other entry point (legal_transitions, apply_transition, owed, and
+through them replay, the oracles and the fuzzer) in a fresh memo per call.
 
 The lexical-type-first system (ltf) commits to a constant when a token is
 pushed (Choose) and then works top-down, so the stack is depth-first.  The
@@ -266,13 +267,21 @@ def _headless_tokens(cfg: Configuration) -> list[int]:
 
 
 class _Guards:
-    """The guards and effects of one system over one lexicon, as a view over
-    a memo the caller passes in.  Each answer is computed once per memo, and
-    each key carries exactly what the answer reads:
+    """The guards and effects of one system over one lexicon.  Each answer
+    is computed once per memo, and each key carries exactly what the
+    answer reads.  A token state's answers read only the lexicon, so they
+    always live in lexicon.guards, whatever the caller passes:
 
         ("options", lams, T, A)       the options of a token state
         ("owed", T, A, G)             its owed slots
         ("dependent", label, type)    T(j) below a head of that type
+
+    Move sets also read the budget W - O, and live in the memo the caller
+    passes in: lexicon.guards for decode, a fresh dict for every other
+    entry point.  Sharing them in replay too doubles its speed, but the
+    benchmark keeps every pass's operations, so its peak RSS would follow
+    the extra passes past its bound (README, "Transition configurations"):
+
         ("ltl", T(i), A(i), min(W, cap), Modify allowed, type_checked)
         ("choose", T(i), min(W - O, cap))              ltf before Choose
         ("ltf", G(i), T(i), A(i), W - O >= 1)          ltf after Choose
@@ -280,14 +289,13 @@ class _Guards:
     Only the ltl move set reads type_checked, and it takes it from its key,
     so one memo serves every setting; ltf is always checked.  cap is
     lexicon.max_sources.  No consumed set is larger, so every budget from
-    cap up admits the same options, and the memo stops growing once the
+    cap up admits the same options, and the memos stop growing once the
     lexicon's token states have been met.  An unknown system or unchecked
-    ltf is rejected before the memo is touched.  decode passes
-    lexicon.guards; every other entry point passes a fresh dict.  Threads
-    sharing a memo may compute an entry twice; every copy answers the same.
+    ltf is rejected before either memo is touched.  Threads sharing a memo
+    may compute an entry twice; every copy answers the same.
     """
 
-    __slots__ = ("lexicon", "system", "type_checked", "_memo")
+    __slots__ = ("lexicon", "system", "type_checked", "_memo", "_states")
 
     def __init__(self, lexicon: Lexicon, system: str, type_checked: bool, memo: dict):
         if system not in SYSTEMS:
@@ -295,13 +303,13 @@ class _Guards:
         if not type_checked and system != "ltl":
             raise TransitionError("the unchecked ablation is defined for ltl only")
         self.lexicon, self.system, self.type_checked = lexicon, system, type_checked
-        self._memo = memo
+        self._memo, self._states = memo, lexicon.guards
 
     def options(self, lams, ts, done) -> tuple[tuple[Type, Type, frozenset[str]], ...]:
         key = ("options", lams, ts, done)
-        got = self._memo.get(key)
+        got = self._states.get(key)
         if got is None:
-            got = self._memo[key] = _options(lams, ts, done)
+            got = self._states[key] = _options(lams, ts, done)
         return got
 
     def owed(self, ts: Optional[frozenset[Type]], done: Optional[frozenset[str]],
@@ -310,16 +318,16 @@ class _Guards:
         if ts is None or done is None:
             return 0.0
         key = ("owed", ts, done, g)
-        got = self._memo.get(key)
+        got = self._states.get(key)
         if got is None:
-            got = self._memo[key] = _owed(self, ts, done, g)
+            got = self._states[key] = _owed(self, ts, done, g)
         return got
 
     def dependent_terms(self, lbl: EdgeLabel, head_type: Type) -> frozenset[Type]:
         key = ("dependent", lbl, head_type)
-        got = self._memo.get(key)
+        got = self._states.get(key)
         if got is None:
-            got = self._memo[key] = _dependent_terms(self.lexicon, lbl, head_type)
+            got = self._states[key] = _dependent_terms(self.lexicon, lbl, head_type)
         return got
 
     def moves(self, cfg: Configuration) -> Moves:
@@ -595,8 +603,8 @@ def decode(
     compete unchanged.  Move sets are priced without building transitions;
     only the beam's survivors are built and applied.  The returned cost is
     the tree cost of the result under the cost file, not the summed score.
-    The guards read and fill lexicon.guards, so every decode over one
-    lexicon answers each token state once.
+    The guards read and fill lexicon.guards, move sets included, so every
+    decode over one lexicon answers each token state and budget once.
     """
     if costs.n < 1:
         raise TransitionError("empty sentence")

@@ -118,7 +118,7 @@ class TreeEntry:
     label: EdgeLabel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmDepTree:
     """Entries for tokens 1..n in order; validated on construction."""
 

@@ -305,6 +305,21 @@ def test_fuzz_deterministic_lines(files, capsys):
     assert len(lines) == 3 and all(l["goal"] for l in lines)
 
 
+@pytest.mark.parametrize("system", ["ltf", "ltl"])
+def test_empty_lexicon_is_open_and_augments_to_a_goal(files, capsys, system):
+    empty = files["tmp"] / "empty.lexicon"
+    empty.write_text("")
+    assert main(["validate-lexicon", "--lexicon", str(empty)]) == 1
+    line = json.loads(capsys.readouterr().out)
+    assert line["closed"] is False and any("[]" in v for v in line["violations"])
+    argv = ["fuzz", "--lexicon", str(empty), "--system", system, "--episodes", "3", "--n", "4"]
+    assert main(argv) == 1
+    assert "is not closed" in capsys.readouterr().err
+    assert main(argv + ["--augment"]) == 0
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert len(lines) == 3 and all(l["goal"] is True for l in lines)
+
+
 def test_gen_costs_output_parses_and_decodes(files, tmp_path, capsys):
     out = tmp_path / "gen.costs"
     rc = main([

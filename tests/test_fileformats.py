@@ -82,6 +82,13 @@ def test_trees_reader_shares_equal_texts(gold):
     assert len({id(e.form) for e in entries}) == 1
     assert len({id(e.constant) for e in entries if e.constant == "soundly"}) == 1
     assert trees[1].entries[0].constant is trees[2].entries[0].constant
+    # one entry per distinct (position, line) in a call; the same text at
+    # another position is another line, so it is read and checked there
+    assert all(a is b for a, b in zip(trees[1].entries, trees[2].entries, strict=True))
+    assert trees[1].entries[1] is not trees[1].entries[2]
+    assert ff.parse_trees_text(chain)[0].entries[0] is not trees[1].entries[0]
+    with pytest.raises(ff.FormatError, match="expected index 1"):
+        ff.parse_trees_text(chain + "\n" + chain.split("\n", 1)[1])
 
 
 def test_lexicon_error_carries_line_number():

@@ -46,12 +46,34 @@ def test_raw_demo_lexicon_is_open(lex):
       "assumption 2: request [] of s in [o[s], s] missing from omega"]),
     (["writer"], [], [mod("m")], ["assumption 3: [m] missing from omega for MOD_m"]),
     (["sleep", "writer"], [EMPTY_TYPE], [], ["assumption 4: no APP_s label for source s"]),
-], ids=["requests", "mod-singleton", "app-label"])
+    ([], [], [], ["assumption 2: request [] of the root missing from omega"]),
+], ids=["requests", "mod-singleton", "app-label", "empty"])
 def test_validate_closure_names_each_assumption(lex, constants, omega, labels, violations):
     lx = Lexicon({name: lex.constants[name] for name in constants}, frozenset(omega),
                  frozenset(labels))
     assert [str(v) for v in validate_closure(lx).violations] == violations
     assert validate_closure(augment_closure(lx)).ok
+
+
+def test_lexicon_equality_compares_graphs_by_isomorphism():
+    import dataclasses
+    import pickle
+    from pathlib import Path
+
+    from amparse import fileformats as ff
+
+    text = (Path(__file__).resolve().parent.parent / "perfbench" / "demo.lexicon").read_text(
+        encoding="utf-8")
+    first, second = (ff.parse_lexicon_text(text, name="demo") for _ in range(2))
+    assert first.constants["want"] is not second.constants["want"]
+    assert first == second and augment_closure(first) == augment_closure(second)
+    assert pickle.loads(pickle.dumps(first)) == first
+    want = first.constants["want"]
+    a, lbl, b = min(want.edges)
+    relabeled = dataclasses.replace(want, edges=want.edges - {(a, lbl, b)} | {(a, lbl + "x", b)})
+    changed = Lexicon({**first.constants, "want": relabeled}, first.omega, first.labels, "demo")
+    assert changed != first and first != changed
+    assert dataclasses.replace(first, name="other") != first
 
 
 def test_augment_closes_and_is_idempotent(lex, closed_lex):

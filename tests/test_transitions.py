@@ -692,8 +692,8 @@ def memo_walk(lexicon, system, n, rng, type_checked=True):
     """A random legal walk that one guard object drives from start to goal.
     At every configuration its move set must equal the reference and its
     owed slots for every token a fresh scan; at the end every entry of its
-    memo must equal a fresh computation.  Returns W at every configuration
-    it stepped from."""
+    memo and of the lexicon's must equal a fresh computation.  Returns W at
+    every configuration it stepped from."""
     from amparse.transitions import _Guards
 
     guards = _Guards(lexicon, system, type_checked, {})
@@ -715,6 +715,7 @@ def memo_walk(lexicon, system, n, rng, type_checked=True):
     else:
         raise AssertionError("walk did not end")
     assert_memo_answers_afresh(guards._memo, lexicon)
+    assert_memo_answers_afresh(lexicon.guards, lexicon)
     return ws
 
 
@@ -826,17 +827,25 @@ def test_rejected_decode_settings_raise_every_time_and_cache_nothing(closed_lex)
 
     lexicon = fresh_copy(closed_lex)
     c = gen_synthetic(0, 4, lexicon)
+    cfg = apply_transition(initial_config(4), Transition("init", token=1), closed_lex, "ltl")
     for _ in range(2):
         with pytest.raises(TransitionError, match="ltl only"):
             decode(c, lexicon, "ltf", type_checked=False)
         with pytest.raises(TransitionError, match="unknown system"):
             decode(c, lexicon, "nosuch")
+        with pytest.raises(TransitionError, match="ltl only"):
+            legal_transitions(cfg, lexicon, "ltf", type_checked=False)
+        with pytest.raises(TransitionError, match="unknown system"):
+            apply_transition(cfg, Transition("pop"), lexicon, "nosuch")
     assert lexicon.guards == {}
 
 
 @pytest.mark.parametrize("system", ["ltf", "ltl"])
 def test_entry_points_other_than_decode_keep_their_guards_per_call(closed_lex, gold, system):
-    from amparse.oracles import oracle_sequence, replay
+    """Every entry point but decode shares the answers of each token state
+    on the lexicon and keeps its move sets, which read the budget, per
+    call: the lexicon's memo holds no move set afterwards."""
+    from amparse.oracles import complete_config, fuzz_episode, oracle_sequence, replay
 
     lexicon = fresh_copy(closed_lex)
     seq = oracle_sequence(gold, lexicon, system)
@@ -847,7 +856,42 @@ def test_entry_points_other_than_decode_keep_their_guards_per_call(closed_lex, g
         cfg = apply_transition(cfg, tr, lexicon, system)
         total_owed(cfg, lexicon)
         owed(cfg, cfg.active or 1, lexicon)
-    assert lexicon.guards == {}
+    random_walk(lexicon, system, 5, random.Random(0), max_steps=3)
+    complete_config(initial_config(4), lexicon, system)
+    assert fuzz_episode(1, system, lexicon, 5, 4).goal
+    assert {key[0] for key in lexicon.guards} == {"options", "owed", "dependent"}
+    assert_memo_answers_afresh(lexicon.guards, lexicon)
+
+
+def test_a_second_oracle_round_trip_answers_no_token_state(closed_lex, gold, monkeypatch):
+    """Oracle round trips of the same trees on a warm lexicon find every
+    token state's options, owed slots and dependents' term types in its
+    memo, so the second one computes none of them."""
+    from amparse import transitions
+    from amparse.costs import gen_synthetic
+    from amparse.oracles import oracle_sequence, replay
+
+    trees = [gold] + [
+        res.tree for seed in range(6)
+        if (res := decode(gen_synthetic(seed, 4 + seed, closed_lex), fresh_copy(closed_lex), "ltl")).ok
+    ]
+    assert len(trees) > 3
+    calls = {name: 0 for name in ("_options", "_owed", "_dependent_terms")}
+    for name in calls:
+        def counted(*args, real=getattr(transitions, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(transitions, name, counted)
+    lexicon = fresh_copy(closed_lex)
+    for first in (True, False):
+        for system in ("ltf", "ltl"):
+            for tree in trees:
+                final = replay(tree, oracle_sequence(tree, lexicon, system), lexicon, system)
+                assert config_to_tree(final, tuple(e.form for e in tree.entries)) == tree
+        if first:
+            assert all(calls.values()), calls
+            calls.update(dict.fromkeys(calls, 0))
+    assert not any(calls.values()), calls
 
 
 def test_copies_of_a_warm_lexicon(closed_lex):

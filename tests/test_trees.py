@@ -58,6 +58,7 @@ def test_labels_are_shared_per_kind_and_source():
 
 
 def test_tree_entry_is_slotted_and_pickles():
+    import dataclasses
     import pickle
 
     e = TreeEntry("w2", "writer", 3, app("s"))
@@ -67,8 +68,17 @@ def test_tree_entry_is_slotted_and_pickles():
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(e, protocol))
         assert back == e and hash(back) == hash(e)
-    t = AmDepTree((entry("w1", "writer", 0, ROOT),))
-    assert pickle.loads(pickle.dumps(t)) == t
+    t = AmDepTree((entry("w1", "writer", 0, ROOT), entry("w2", "soundly", 1, mod("m"))))
+    assert not hasattr(t, "__dict__")
+    with pytest.raises(AttributeError):
+        t.entries = ()
+    same = AmDepTree(tuple(list(t.entries)))
+    assert same == t and hash(same) == hash(t) == hash((t.entries,))
+    assert dataclasses.replace(t) == t
+    assert dataclasses.replace(t, entries=t.entries[:1]) == AmDepTree(t.entries[:1])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(t, protocol))
+        assert back == t and hash(back) == hash(t)
 
 
 def test_label_validation():
