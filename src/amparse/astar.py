@@ -41,7 +41,7 @@ from operator import add
 from typing import Optional
 
 from . import rules
-from .costs import SentenceCosts, ranked_tags
+from .costs import SentenceCosts
 from .costs import top_k_tags  # noqa: F401  (unused; perfbench/spans.py wraps it)
 from .lexicon import Lexicon
 from .rules import GOAL_SIG, INF, ParseItem, Sig
@@ -89,44 +89,26 @@ class HeuristicTables:
 def build_heuristic(kind: str, costs: SentenceCosts, lexicon: Lexicon) -> HeuristicTables:
     if kind not in HEURISTICS:
         raise ValueError(f"unknown heuristic {kind!r}; expected one of {HEURISTICS}")
-    n = costs.n
+    n, tag = costs.n, costs.tag_cost.get
     zero = (0.0,) * n
     if kind == "trivial":
         return HeuristicTables(kind, zero, zero)
 
-    best_tag_any = [INF] * (n + 1)   # over all constants including BOT
-    best_tag_real = [INF] * (n + 1)  # over non-BOT constants
-    for (j, g), c in costs.tag_cost.items():
-        if c < best_tag_any[j]:
-            best_tag_any[j] = c
-        if g != BOTTOM and c < best_tag_real[j]:
-            best_tag_real[j] = c
+    # The cheapest real tag heads each ranked row; a BOT tag may undercut it.
+    best_real = [tag((j, row[0])) if row else INF for j, row in enumerate(costs.ranked)]
+    best_any = [min(real, tag((j, BOTTOM), INF)) for j, real in enumerate(best_real)]
     if kind == "supertag":
-        return HeuristicTables(kind, tuple(best_tag_any[1:]), zero)
+        return HeuristicTables(kind, tuple(best_any[1:]), zero)
 
-    # Edge keys are (label id * m + origin) * m + target (see amparse.costs):
-    # the target is key % m, ROOT edges are keyed by their target alone,
-    # IGNORE edges by m * m + target, and apply/modify labels, ids from 2
-    # on, hold the keys from 2 * m * m on.
+    # ROOT edges are keyed by their target alone, IGNORE edges by m * m + target.
     m = n + 1
-    first_arc = 2 * m * m
-    best_in_attach = [INF] * (n + 1)  # apply/modify edges only
-    for key, c in costs.edge_table.items():
-        if key >= first_arc and c < best_in_attach[key % m]:
-            best_in_attach[key % m] = c
-
-    edge = costs.edge_table.get
-    floor = tuple(min(best_in_attach[j], edge(j, INF)) for j in range(1, m))
-    if kind == "edge":
-        # the cheapest in-edge of any origin and label
-        per = tuple(best_tag_any[j] + min(floor[j - 1], edge(m * m + j, INF))
-                    for j in range(1, m))
+    attach, edge, skips = costs.attach_in, costs.edge_table.get, costs.skips
+    floor = tuple(min(attach[j], edge(j, INF)) for j in range(1, m))
+    if kind == "edge":  # the cheapest in-edge of any origin and label
+        per = tuple(best_any[j] + min(floor[j - 1], edge(m * m + j, INF)) for j in range(1, m))
     else:
-        skips = rules.skip_costs(costs)
-        per = tuple(
-            min(skips[j], best_tag_real[j] + best_in_attach[j], best_tag_real[j] + edge(j, INF))
-            for j in range(1, m)
-        )
+        per = tuple(min(skips[j], best_real[j] + attach[j], best_real[j] + edge(j, INF))
+                    for j in range(1, m))
     return HeuristicTables(kind, per, floor)
 
 
@@ -183,7 +165,7 @@ def astar_parse(
     bars: dict[tuple[int, int], list[float]] = {}
     unbarred = [INF] * (n * width)
     goal_bar = INF
-    memo, outside, floor = tables._outside, tables.outside, tables.attach_floor
+    memo, outside, floor, skips = tables._outside, tables.outside, tables.attach_floor, costs.skips
     heappush = heapq.heappush
 
     def limits(i: int, k: int) -> list[float]:
@@ -207,9 +189,7 @@ def astar_parse(
         slots[slot] = cost
         heappush(heap, (f, k - i, i, head, typ, next(counter), cost, sig, back))
 
-    for j, tags in enumerate(ranked_tags(costs, k_tags)[1:], 1):
-        rules.init(costs, lexicon, j, tags, push)
-    skips = rules.skip_costs(costs)
+    rules.init(costs, lexicon, k_tags, push)
 
     tree, goal_cost = None, INF
     while heap:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import rules
-from .costs import SentenceCosts, ranked_tags
+from .costs import SentenceCosts
 from .costs import top_k_tags  # noqa: F401  (unused; perfbench/spans.py wraps it)
 from .lexicon import Lexicon
 from .rules import GOAL_SIG, INF, ParseItem, Sig
@@ -93,17 +93,15 @@ def chart_parse(
     def limits(i: int, k: int) -> list[float]:
         return slots  # only the span being built takes consequences
 
-    for j, tags in enumerate(ranked_tags(costs, k_tags)[1:], 1):
-        rules.init(costs, lexicon, j, tags, offer)
-    skips = rules.skip_costs(costs)
+    rules.init(costs, lexicon, k_tags, offer)
 
     for length in range(2, n + 1):
         for i in range(1, n - length + 2):
             k = i + length
             slots = [INF] * (length * width)
             # Skip the leftmost token, then the rightmost.
-            rules.skip(skips, final(i + 1, k), i, offer)
-            rules.skip(skips, final(i, k - 1), k - 1, offer)
+            rules.skip(costs.skips, final(i + 1, k), i, offer)
+            rules.skip(costs.skips, final(i, k - 1), k - 1, offer)
             for j in range(i + 1, k):
                 lefts, rights = final(i, j), final(j, k)
                 # one check per (label, direction) of each pair, though one

@@ -16,6 +16,11 @@ rule kernel, the A* estimates and the transition scorer compute them
 inline.  The constructor takes an {(origin, target, EdgeLabel): cost}
 dict, and edge_cost is a read-only Mapping view of the table with those
 keys, in insertion order.
+
+Three cached rows give each token's cheapest decisions: ranked, skips and
+attach_in (index 0 is the virtual token's).  Each is built by one scan at
+its first read and reflects the costs as they were then, so edit costs
+only before decoding; a copy, a pickle or from_table starts with none.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import math
 import random
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NoReturn, Optional
 
 from .lexicon import Lexicon
@@ -165,6 +171,33 @@ class SentenceCosts:
         """The edge's cost; INF if unpriced, also for a never-interned label."""
         return self.edge_table.get(_table_key(self.n, origin, target, label), INF)
 
+    @cached_property
+    def ranked(self) -> list[tuple[str, ...]]:
+        """Per token, its priced non-BOTTOM constants by cost, then name; names
+        only, as a (name, cost) pair per tag that outlives the decode slows A*."""
+        priced: list[list[tuple[float, str]]] = [[] for _ in range(self.n + 1)]
+        for (j, g), cost in self.tag_cost.items():
+            if g != BOTTOM:
+                priced[j].append((cost, g))
+        return [tuple([g for _, g in sorted(pairs)]) for pairs in priced]
+
+    @cached_property
+    def skips(self) -> list[float]:
+        """Per token, the cost of leaving it out: BOTTOM tag plus ignore edge."""
+        m = self.n + 1  # IGNORE's id is 1, so its edge into j is keyed m * m + j
+        return [INF] + [self.tag(j, BOTTOM) + self.edge_table.get(m * m + j, INF) for j in range(1, m)]
+
+    @cached_property
+    def attach_in(self) -> list[float]:
+        """Per token, its cheapest priced apply or modify in-edge."""
+        m = self.n + 1
+        first_arc = 2 * m * m  # keys of app and mod labels start here
+        best = [INF] * m
+        for key, c in self.edge_table.items():
+            if key >= first_arc and c < best[key % m]:
+                best[key % m] = c
+        return best
+
 
 def tree_cost(t: AmDepTree, c: SentenceCosts) -> float:
     """Sum of all tag and incoming-edge decisions; +inf if any is unpriced."""
@@ -179,25 +212,17 @@ def tree_cost(t: AmDepTree, c: SentenceCosts) -> float:
 
 
 def top_k_tags(c: SentenceCosts, i: int, k: Optional[int]) -> list[tuple[str, float]]:
-    """The k cheapest priced non-BOTTOM constants for token i, as (name, cost).
-
-    Ascending cost, ties broken lexicographically; k=None returns all.
-    """
+    """The first k constants of c.ranked[i] with their costs; all if k is None."""
     if not 1 <= i <= c.n:
         raise IndexError(f"token index {i} out of range 1..{c.n}")
     return ranked_tags(c, k)[i]
 
 
 def ranked_tags(c: SentenceCosts, k: Optional[int]) -> list[list[tuple[str, float]]]:
-    """top_k_tags(c, i, k) at index i for every token i, from one scan of
-    tag_cost; index 0 is empty."""
+    """top_k_tags(c, i, k) at index i for every token i; index 0 is empty."""
     if k is not None and k < 1:
         raise ValueError("k >= 1")
-    priced: list[list[tuple[float, str]]] = [[] for _ in range(c.n + 1)]
-    for (j, g), cost in c.tag_cost.items():
-        if g != BOTTOM:
-            priced[j].append((cost, g))
-    return [[(g, cost) for cost, g in sorted(pairs)[:k]] for pairs in priced]
+    return [[(g, c.tag_cost[j, g]) for g in names[:k]] for j, names in enumerate(c.ranked)]
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,8 @@ from .costs import SentenceCosts
 from .graphs import AsGraph, GraphError, GraphNode, graph_type
 from .lexicon import Lexicon
 from .trees import LABEL_IDS, LABELS, AmDepTree, TreeEntry, app, label_id, mod, parse_edge_label
-from .types import EMPTY_TYPE, NAME_PATTERN, Type, TypeSyntaxError, parse_type, serialize_type
+from .types import (EMPTY_TYPE, NAME_PATTERN, TOKEN_PATTERN, Type, TypeSyntaxError,
+                    parse_type, serialize_type)
 
 
 class FormatError(ValueError):
@@ -62,14 +63,13 @@ class FormatError(ValueError):
 
 
 # The writers raise ValueError on a field that would not read back as written.
-_TOKEN = re.compile(r"[^\s#]+")  # one field of a whitespace-split line
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' boundaries
 _NOT_IN_FORM = re.compile(f"[#{_LINE_BREAKS}]")  # in a cost file's form line
 _NOT_IN_COLUMN = re.compile(f"[\t#{_LINE_BREAKS}]")  # in a tree file's column
 
 
 def _token(what: str, text: str) -> str:
-    if not _TOKEN.fullmatch(text):
+    if not TOKEN_PATTERN.fullmatch(text):
         raise ValueError(f"cannot write {what} {text!r}: it must be non-empty, "
                          "with no whitespace or '#'")
     return text

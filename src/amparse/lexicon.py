@@ -53,9 +53,11 @@ class Lexicon:
         if BOTTOM in self.constants:
             raise ValueError(f"{BOTTOM} is reserved and cannot name a constant")
         self._types = {name: graph_type(g) for name, g in self.constants.items()}
-        # omega always covers the realized types
-        self.omega = frozenset(self.omega) | frozenset(self._types.values())
-        self.labels = frozenset(self.labels) | {ROOT, IGNORE}
+        # omega always covers the realized types, labels ROOT and IGNORE; a set
+        # that already does is kept, so a copy iterates, and prints, as its original
+        omega, labels, realized = map(frozenset, (self.omega, self.labels, self._types.values()))
+        self.omega = omega if realized <= omega else omega | realized
+        self.labels = labels if {ROOT, IGNORE} <= labels else labels | {ROOT, IGNORE}
         # the sorted inventories the guards read at every step, built once
         self._names = sorted(self.constants)
         # sorted constant names per realized type; its keys are the realized types

@@ -1,11 +1,12 @@
 """The deduction rules under the chart and A* decoders.
 
 Items are spans annotated with a head token and the term type still open at
-that head.  Init assigns a supertag to one token; Skip extends a span over
-an adjacent ignored token; Arc joins two adjacent spans with an apply or
-modify edge between their heads, reading the type table's precomputed
-combinations instead of calling type_combine per label and direction.  A
-full-span item of empty type is accepted with a root edge into its head.
+that head.  Init assigns a supertag to one token, from the costs' ranked
+row; Skip extends a span over an adjacent ignored token at the token's cost
+in the skips row; Arc joins two adjacent spans with an apply or modify edge
+between their heads, reading the type table's precomputed combinations
+instead of calling type_combine per label and direction.  A full-span item
+of empty type is accepted with a root edge into its head.
 Edge costs are read from costs.edge_table by the integer key that
 amparse.costs documents, computed inline from the label ids the table's
 combine rows carry.
@@ -28,9 +29,9 @@ Only this module builds or reads them, except A*'s own ("goal", sig).
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .costs import INF, SentenceCosts
+from .costs import INF, SentenceCosts, ranked_tags
 from .lexicon import Lexicon
 from .trees import BOTTOM, IGNORE, ROOT, AmDepTree, EdgeLabel, TreeEntry
 from .types import TypeTable
@@ -54,28 +55,20 @@ class ParseItem(NamedTuple):
     back: tuple
 
 
-def init(costs: SentenceCosts, lexicon: Lexicon, j: int,
-         tags: Sequence[tuple[str, float]], emit: Emit) -> None:
-    """Init: one item covering token j per (constant, cost) of tags."""
-    for g, cost in tags:
-        try:
-            typ = lexicon.type_of(g)
-        except KeyError:
-            raise ValueError(f"sentence {costs.sid}: tag for unknown constant {g!r}") from None
-        emit((j, j + 1, j, lexicon.type_table.ids[typ]), cost, cost, ("init", g))
-
-
-def skip_costs(costs: SentenceCosts) -> list[float]:
-    """At index j, the cost of leaving token j out of the analysis: BOT tag
-    plus ignore edge; index 0 is INF."""
-    m = costs.n + 1  # IGNORE's id is 1, so its edge into j is keyed m * m + j
-    ignore = costs.edge_table.get
-    return [INF] + [costs.tag(j, BOTTOM) + ignore(m * m + j, INF) for j in range(1, m)]
+def init(costs: SentenceCosts, lexicon: Lexicon, k_tags: Optional[int], emit: Emit) -> None:
+    """Init: one item covering token j per (constant, cost) of ranked_tags(costs, k_tags)[j]."""
+    for j, tags in enumerate(ranked_tags(costs, k_tags)):
+        for g, cost in tags:
+            try:
+                typ = lexicon.type_of(g)
+            except KeyError:
+                raise ValueError(f"sentence {costs.sid}: tag for unknown constant {g!r}") from None
+            emit((j, j + 1, j, lexicon.type_table.ids[typ]), cost, cost, ("init", g))
 
 
 def skip(skips: Sequence[float], items: Sequence[Packed], j: int, emit: Emit) -> None:
     """Skip: extend each item over the adjacent token j, at the item's cost
-    plus skips[j], from skip_costs."""
+    plus skips[j], from SentenceCosts.skips."""
     delta = skips[j]
     for sig, cost, head, typ in items:
         emit((j, sig[1], head, typ) if j < sig[0] else (sig[0], j + 1, head, typ), cost + delta,

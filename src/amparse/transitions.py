@@ -42,8 +42,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .costs import INF, SentenceCosts, tree_cost
 from .lexicon import Lexicon
 from .trees import BOTTOM, IGNORE, LABEL_IDS, ROOT, AmDepTree, EdgeLabel, TreeEntry, app, mod
-from .types import (EMPTY_TYPE, NAME_PATTERN, Type, apply_set, parse_type, request,
-                    serialize_type, type_combine)
+from .types import (EMPTY_TYPE, NAME_PATTERN, TOKEN_PATTERN, Type, apply_set, parse_type,
+                    request, serialize_type, type_combine)
 
 SYSTEMS = ("ltf", "ltl")
 
@@ -160,15 +160,13 @@ class Transition:
         return "Pop"
 
 
-# A token index, and a constant name: any token without whitespace or '#'.
-_INDEX = re.compile(r"[0-9]+")
-_CONSTANT = re.compile(r"[^\s#]+")
+_INDEX = re.compile(r"[0-9]+")  # a token index
 
 
 def parse_transition(text: str) -> Transition:
-    """Inverse of str(); types inside Choose are re-parsed.  A constant may
-    hold parentheses and commas, so exactly one closing parenthesis ends
-    the text, and Choose splits on its last ", "."""
+    """Inverse of str(); types inside Choose are re-parsed.  A constant is
+    any text TOKEN_PATTERN matches, parentheses and commas too, so exactly
+    one closing parenthesis ends the text, and Choose splits on its last ", "."""
     text = text.strip()
     if text == "Pop":
         return Transition("pop")
@@ -177,9 +175,9 @@ def parse_transition(text: str) -> Transition:
     head, comma, tail = body.rpartition(", ")
     if name == "Init" and _INDEX.fullmatch(body):
         return Transition("init", token=int(body))
-    if name == "Finish" and _CONSTANT.fullmatch(body):
+    if name == "Finish" and TOKEN_PATTERN.fullmatch(body):
         return Transition("finish", constant=body)
-    if name == "Choose" and comma and _CONSTANT.fullmatch(tail):
+    if name == "Choose" and comma and TOKEN_PATTERN.fullmatch(tail):
         return Transition("choose", term_type=parse_type(head), constant=tail)
     if name in ("Apply", "Modify") and NAME_PATTERN.fullmatch(head) and _INDEX.fullmatch(tail):
         return Transition("apply" if name == "Apply" else "modify", token=int(tail), source=head)

@@ -35,6 +35,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 NAME_PATTERN = re.compile(r"[a-z][a-z0-9_]*")
+TOKEN_PATTERN = re.compile(r"[^\s#]+")  # a constant name or form: one whitespace-split field
 # parse_type recurses twice per bracket level and serialize_type once per level
 # of what it returns; this bound keeps both well inside Python's recursion limit
 MAX_TYPE_DEPTH = 100

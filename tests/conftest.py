@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import amparse
 from amparse.demo import (
     demo_costs,
     demo_expected_graph,
@@ -32,3 +36,11 @@ def costs():
 @pytest.fixture(scope="session")
 def expected_graph():
     return demo_expected_graph()
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment for a child Python process that imports this amparse."""
+    src = str(Path(amparse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

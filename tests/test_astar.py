@@ -13,6 +13,7 @@ from amparse.astar import HEURISTICS, HeuristicTables, astar_parse, build_heuris
 from amparse.chart import GOAL_SIG, chart_parse, outside_costs
 from amparse.costs import INF, CostParams, SentenceCosts, gen_synthetic
 from amparse.trees import BOTTOM, IGNORE, ROOT
+from test_lexicon import small_lexicons
 
 
 def test_gold_zero_all_heuristics(costs, gold, lex):
@@ -100,6 +101,63 @@ def thinned_costs(seed, n, lexicon):
         if rng.random() < 1 / 3:
             del c.tag_cost[key]
     return c
+
+
+def brute_force_estimate(kind, c):
+    """(per_token, attach_floor) of an estimate, from its definition in
+    amparse.astar over tag_cost and the edge_cost view."""
+    per, floor = [], []
+    for j in range(1, c.n + 1):
+        tags = {g: x for (i, g), x in c.tag_cost.items() if i == j}
+        real = min((x for g, x in tags.items() if g != BOTTOM), default=INF)
+        any_tag = min(tags.values(), default=INF)
+        into = [(label, x) for (_, t, label), x in c.edge_cost.items() if t == j]
+        attach = min((x for label, x in into if label.kind in ("app", "mod")), default=INF)
+        root = min((x for label, x in into if label == ROOT), default=INF)
+        ignore = min((x for label, x in into if label == IGNORE), default=INF)
+        per.append({
+            "trivial": 0.0,
+            "supertag": any_tag,
+            "edge": any_tag + min(attach, root, ignore),
+            "ignore-aware": min(tags.get(BOTTOM, INF) + ignore, real + attach, real + root),
+        }[kind])
+        floor.append(0.0 if kind in ("trivial", "supertag") else min(attach, root))
+    return tuple(per), tuple(floor)
+
+
+def thinned_everywhere(seed, n, lexicon):
+    """Uniform costs with each tag and each edge dropped with probability 1/3."""
+    c = gen_synthetic(seed, n, lexicon)
+    rng = random.Random(seed)
+    return SentenceCosts(n, c.forms, {k: x for k, x in c.tag_cost.items() if rng.random() >= 1 / 3},
+                         {k: x for k, x in c.edge_cost.items() if rng.random() >= 1 / 3}, c.sid)
+
+
+def assert_estimates_match_their_definitions(c):
+    for h in HEURISTICS:
+        tables = build_heuristic(h, c, None)  # no estimate reads the lexicon
+        assert (tables.per_token, tables.attach_floor) == brute_force_estimate(h, c), h
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_estimate_is_its_definition_bit_for_bit(lex, closed_lex, costs, seed):
+    """Both tables of every estimate equal the brute-force formula exactly,
+    on uniform and thinned costs, read from rows a decode has built."""
+    if seed == 0:
+        assert_estimates_match_their_definitions(costs)
+    for lexicon in (lex, closed_lex):
+        for n in (1, 3, 6):
+            for c in (gen_synthetic(seed, n, lexicon), thinned_costs(seed, n, lexicon),
+                      thinned_everywhere(seed, n, lexicon)):
+                astar_parse(c, lexicon, k_tags=2 if seed % 2 else None)
+                assert_estimates_match_their_definitions(c)
+
+
+@given(small_lexicons(), st.integers(1, 5), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_every_estimate_is_its_definition_on_random_lexicons(lexicon, n, seed, thin):
+    c = (thinned_everywhere if thin else gen_synthetic)(seed, n, lexicon)
+    assert_estimates_match_their_definitions(c)
 
 
 def test_limit_at_exhaustion_is_not_hit(closed_lex):

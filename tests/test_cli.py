@@ -35,6 +35,19 @@ def test_validate_lexicon_exit_codes(files, capsys):
     assert main(["validate-lexicon", "--lexicon", str(files["closed"])]) == 0
 
 
+def test_python_m_amparse_runs_main(files, capsys, src_env):
+    """python -m amparse prints what main prints and exits with its code,
+    with no warning."""
+    import subprocess
+    import sys
+
+    argv = ["validate-lexicon", "--lexicon", str(files["lex"])]
+    code = main(argv)
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "amparse", *argv], env=src_env,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (code, capsys.readouterr().out, "")
+
+
 def test_deeply_nested_type_is_input_error(files, capsys):
     lex = files["tmp"] / "deep.lexicon"
     lex.write_text("omega " + "".join(f"[a{i}" for i in range(600)) + "]" * 600 + "\n")

@@ -106,6 +106,41 @@ def test_ranked_tags_match_a_filter_and_sort(lex, costs, seed):
                 call()
 
 
+ROWS = ("ranked", "skips", "attach_in")
+
+
+def test_rows_are_read_lazily_once_and_never_copied(lex):
+    """The chart reads the tag and skip rows, A* also the in-edge row; each
+    is built once.  A pickle, dataclasses.replace and from_table start with
+    no rows and build equal ones."""
+    import dataclasses
+    import pickle
+
+    from amparse.astar import astar_parse
+    from amparse.chart import chart_parse
+
+    c = gen_synthetic(4, 5, lex)
+    assert not vars(c).keys() & set(ROWS)
+    chart_parse(c, lex)
+    assert vars(c).keys() & set(ROWS) == {"ranked", "skips"}
+    astar_parse(c, lex)
+    rows = {name: getattr(c, name) for name in ROWS}
+    assert all(vars(c)[name] is row for name, row in rows.items())
+    assert rows["skips"] == [INF] + [c.tag(j, BOTTOM) + c.edge(0, j, IGNORE)
+                                     for j in range(1, c.n + 1)]
+    assert rows["attach_in"] == [INF] + [
+        min(x for (o, t, label), x in c.edge_cost.items() if t == j and label.kind in ("app", "mod"))
+        for j in range(1, c.n + 1)
+    ]
+    ranked_tags(c, None)[1].clear()  # a caller's list, not the row
+    assert rows["ranked"][1] and c.ranked is rows["ranked"]
+    copies = (pickle.loads(pickle.dumps(c)), dataclasses.replace(c),
+              SentenceCosts.from_table(c.n, c.forms, c.tag_cost, c.edge_table, c.sid))
+    for copy in copies:
+        assert copy == c and not vars(copy).keys() & set(ROWS)
+        assert {name: getattr(copy, name) for name in ROWS} == rows
+
+
 def test_gen_synthetic_is_deterministic(lex):
     a = gen_synthetic(42, 5, lex)
     b = gen_synthetic(42, 5, lex)
@@ -210,23 +245,17 @@ print(LABEL_IDS[mod("m")])
 """
 
 
-def test_a_lexicon_and_costs_pickled_to_a_process_with_other_label_ids_price_the_same(tmp_path):
+def test_a_lexicon_and_costs_pickled_to_a_process_with_other_label_ids_price_the_same(
+        tmp_path, src_env):
     """The type table and the edge table key on process-wide label ids, so
     neither may cross a pickle: a warm lexicon and a sentence's costs
     loaded by a process that interned its labels in another order parse
     as they did where they were made."""
-    import os
     import subprocess
     import sys
-    from pathlib import Path
 
-    import amparse
-
-    src = str(Path(amparse.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     pickled = str(tmp_path / "warm.pickle")
-    outs = [subprocess.run([sys.executable, "-c", PICKLE_SCRIPT, mode, pickled], env=env,
+    outs = [subprocess.run([sys.executable, "-c", PICKLE_SCRIPT, mode, pickled], env=src_env,
                            capture_output=True, text=True, check=True).stdout.split()
             for mode in ("dump", "load")]
     assert outs[0][-1] != outs[1][-1]  # MOD_m has another id in each process

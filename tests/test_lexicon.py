@@ -76,6 +76,32 @@ def test_lexicon_equality_compares_graphs_by_isomorphism():
     assert dataclasses.replace(first, name="other") != first
 
 
+COPY_SCRIPT = """
+import dataclasses
+from amparse.demo import demo_lexicon
+from amparse.lexicon import Lexicon, augment_closure
+
+lex = augment_closure(demo_lexicon())
+for copy in (Lexicon(lex.constants, lex.omega, lex.labels, lex.name), dataclasses.replace(lex)):
+    assert copy.omega is lex.omega and copy.labels is lex.labels
+    assert repr(copy) == repr(lex)
+"""
+
+
+@pytest.mark.parametrize("hashseed", ["34", "113"])
+def test_a_copy_keeps_the_inventories_it_is_given(closed_lex, src_env, hashseed):
+    """A lexicon keeps a given omega and label set that already cover its
+    types and ROOT and IGNORE.  A rebuilt frozenset may iterate in another
+    order, as the closed demo lexicon's omega did under these hash seeds,
+    and then a copy printed differently from its original."""
+    import subprocess
+    import sys
+
+    assert Lexicon(closed_lex.constants, closed_lex.omega, closed_lex.labels).omega is closed_lex.omega
+    subprocess.run([sys.executable, "-c", COPY_SCRIPT], env={**src_env, "PYTHONHASHSEED": hashseed},
+                   check=True)
+
+
 def test_augment_closes_and_is_idempotent(lex, closed_lex):
     assert validate_closure(closed_lex).ok
     again = augment_closure(closed_lex)
