@@ -51,9 +51,18 @@ from .transitions import (
     owed,
 )
 from .oracles import complete_config, fuzz_episode, oracle_sequence, replay
-from .cli import main
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # amparse.main is the command line, loaded on first use: importing
+    # amparse.cli with the package would make `python -m amparse.cli` warn
+    if name == "main":
+        from .cli import main
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AmDepTree",

@@ -17,6 +17,10 @@ inline.  The constructor takes an {(origin, target, EdgeLabel): cost}
 dict, and edge_cost is a read-only Mapping view of the table with those
 keys, in insertion order.
 
+Construction validates the edge table with a few tests over the whole
+table, in C, and O(n) probes per label (_edges_valid_in_bulk); only when
+one fails does a per-entry loop run, to name the first offender.
+
 Three cached rows give each token's cheapest decisions: ranked, skips and
 attach_in (index 0 is the virtual token's).  Each is built by one scan at
 its first read and reflects the costs as they were then, so edit costs
@@ -30,6 +34,8 @@ import random
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import lt
 from typing import NoReturn, Optional
 
 from .lexicon import Lexicon
@@ -140,16 +146,48 @@ class SentenceCosts:
         if len(self.forms) != n:
             raise ValueError("one form per token")
         # Inline tests; _check and _edge_fault run only to raise for the
-        # first offender.
+        # first offender.  Tags are few, so each is tested in turn.
         for (i, g), c in self.tag_cost.items():
             if not (1 <= i <= n and 0 <= c < INF):
                 self._check(i, c)
+        if self._edges_valid_in_bulk():
+            return
         m = n + 1
         first_arc = 2 * m * m  # keys of app and mod labels start here
         for key, c in self.edge_table.items():
             o = key // m % m
             if not (0 <= c < INF and (o != 0 and o != key % m if key >= first_arc else o == 0)):
                 self._edge_fault(o, key % m, LABELS[key // (m * m)], c)
+
+    def _edges_valid_in_bulk(self) -> bool:
+        """True only if every edge entry is valid, by tests over the whole
+        table that run no Python step per entry; False calls for the
+        per-entry loop, which names the first offender or, when two huge
+        costs sum to inf, finds none.  Every cost is at least 0 and they sum
+        to a finite value; every root and ignore key is in one of the 2n
+        origin-0 slots; and no arc label has a key in one of its 2n slots
+        with origin 0 or origin equal to the target.  So it costs a few
+        passes in C over the table and 2n probes per arc label id up to the
+        table's largest, never one per possible key."""
+        table = self.edge_table
+        if not table:
+            return True
+        m = self.n + 1
+        mm = m * m
+        first_arc = 2 * mm  # keys of app and mod labels start here
+        try:
+            if not (min(table.values()) >= 0 and sum(table.values()) < INF):
+                return False
+        except (TypeError, OverflowError):  # a cost no float sum takes; the loop judges it
+            return False
+        keys = table.keys()
+        # every root and ignore key is one of those in an origin-0 slot
+        if (sum(map(lt, keys, repeat(first_arc)))
+                != len(keys & range(1, m)) + len(keys & range(mm + 1, mm + m))):
+            return False
+        return all(keys.isdisjoint(range(base + 1, base + m))  # origin 0
+                   and keys.isdisjoint(range(base + m + 1, base + mm, m + 1))  # origin = target
+                   for base in range(first_arc, max(table) + 1, mm))
 
     def _check(self, i: int, c: float) -> None:
         if not 1 <= i <= self.n:

@@ -37,9 +37,13 @@ Cost files hold one block per sentence:
     end
 
 with labels spelled APP_x, MOD_x, ROOT, IGNORE, and origin 0 reserved for
-ROOT/IGNORE edges.  Tree files are TSV blocks, one line per token with
-columns index, form, constant (or BOT), head, label; a comment-only block
-(for example a no-parse marker) is skipped on read.
+ROOT/IGNORE edges.  Text in the layout write_cost_text writes is read a
+section at a time, as columns; the edge section, most of the text, is
+checked only for its line starts and its token count (see _columns).
+
+Tree files are TSV blocks, one line per token with columns index, form,
+constant (or BOT), head, label; a comment-only block (for example a
+no-parse marker) is skipped on read.
 """
 
 from __future__ import annotations
@@ -261,7 +265,9 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
     and None on the first doubt: any '#' or whitespace but " " and "\n", or a
     block that is not `sentence <id> <n>`, then form lines 1..n, then its
     tag and edge lines, then `end`.  Each section is split once and read as
-    columns; new labels are interned in first-appearance order, per
+    columns.  Edge labels are looked up among the label texts this text
+    has shown so far; only when a lookup misses is the label column scanned
+    for new ones, and those are interned in first-appearance order, per
     sentence, only once nothing but SentenceCosts' own checks can fail."""
     if "#" in text or text[-1:] not in ("\n", ""):
         return None
@@ -300,21 +306,29 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
             origin = {str(o): o * m for o in range(m)}  # origin text -> o * m, for 0..n
             i_col, g_col, c_col = _columns(text[t:e], "tag", 4)
             tags = dict(zip(zip(map(token.__getitem__, i_col), g_col), map(float, c_col)))
-            o_col, j_col, l_col, c_col = _columns(text[e:stop], "edge", 5)
-            new: dict = {}  # labels first seen here -> the ids they will get
-            for label_text in dict.fromkeys(l_col):
-                if label_text not in label_ids:
-                    label = parse_edge_label(label_text)
-                    lid = LABEL_IDS.get(label)
-                    if lid is None:
-                        lid = new.setdefault(label, len(LABELS) + len(new))
-                    label_ids[label_text] = lid
+            # no edge column reads "edge", so the edge section need not be counted
+            o_col, j_col, l_col, e_col = _columns(text[e:stop], "edge", 5, counted=False)
             mm = m * m
-            base = {lt: lid * mm for lt, lid in label_ids.items()}
-            keys = map(add, map(add, map(base.__getitem__, l_col), map(origin.__getitem__, o_col)),
-                       map(token.__getitem__, j_col))
-            edges = dict(zip(keys, map(float, c_col)))  # SentenceCosts.edge_table's keys
-            if len(tags) != len(g_col) or len(edges) != len(c_col):
+
+            def edge_table() -> dict[int, float]:  # keyed as SentenceCosts.edge_table is
+                base = {lt: lid * mm for lt, lid in label_ids.items()}
+                keys = map(add, map(add, map(base.__getitem__, l_col), map(origin.__getitem__, o_col)),
+                           map(token.__getitem__, j_col))
+                return dict(zip(keys, map(float, e_col)))
+
+            new: dict = {}  # labels first seen here -> the ids they will get
+            try:
+                edges = edge_table()
+            except KeyError:  # a label new to this text, or an index out of range
+                for label_text in dict.fromkeys(l_col):
+                    if label_text not in label_ids:
+                        label = parse_edge_label(label_text)
+                        lid = LABEL_IDS.get(label)
+                        if lid is None:
+                            lid = new.setdefault(label, len(LABELS) + len(new))
+                        label_ids[label_text] = lid
+                edges = edge_table()
+            if len(tags) != len(g_col) or len(edges) != len(e_col):
                 return None  # a duplicate entry
             for label in new:
                 label_id(label)
@@ -323,16 +337,21 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
         return None
 
 
-def _columns(section: str, keyword: str, width: int) -> list[list[str]]:
+def _columns(section: str, keyword: str, width: int, counted: bool = True) -> list[list[str]]:
     """The columns after the keyword of a section of lines, each after a
-    "\n"; ValueError unless every line is the keyword and width - 1 more
-    tokens.  The keyword starts every line and no other token is the
-    keyword, so with width * lines tokens, every width-th of them is a
-    line start exactly when every line has width tokens."""
+    "\n"; ValueError unless the keyword starts every line and there are
+    width tokens per line.  Then every line has width tokens exactly when
+    each line starts at a multiple of width: a line of any other length
+    puts some line's keyword into another column.  A section whose column
+    readers all reject the keyword is not counted: a misaligned one fails
+    there.  A counted one raises ValueError unless its tokens hold the
+    keyword once per line, all at multiples of width, because a form or
+    constant column accepts any token."""
     lines = section.count("\n")
     tokens = section.split()
-    if (section.count(f"\n{keyword} ") != lines or len(tokens) != width * lines
-            or tokens.count(keyword) != lines or tokens[::width].count(keyword) != lines):
+    if section.count(f"\n{keyword} ") != lines or len(tokens) != width * lines:
+        raise ValueError
+    if counted and (tokens.count(keyword) != lines or tokens[::width].count(keyword) != lines):
         raise ValueError
     return [tokens[k::width] for k in range(1, width)]
 

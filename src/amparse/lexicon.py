@@ -103,6 +103,14 @@ class Lexicon:
         return {}
 
     @cached_property
+    def last_typed(self) -> tuple:
+        """The last (tree, TypingReport) amparse.trees.check_well_typed made
+        over this lexicon, or (None, None).  It answers again only for that
+        very tree object, so checking, evaluating and both oracles on one
+        tree fold it once; a pickle or a copy starts without it."""
+        return None, None
+
+    @cached_property
     def max_sources(self) -> int:
         """The most sources any type of omega has: no set of sources a
         lexical type consumes is larger."""

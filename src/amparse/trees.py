@@ -9,7 +9,9 @@ Well-typedness folds types bottom-up: at each head, all mod children are
 checked against the full lexical type first (mods never consume sources),
 then app children are consumed one per round, the first by source name whose
 source is still open with no incoming request edge.  Evaluation mirrors the
-same plan on graphs.
+same plan on graphs.  A lexicon keeps the report of the last tree checked
+over it, so evaluating or reading the oracle of that same tree object
+reuses its fold.
 """
 
 from __future__ import annotations
@@ -183,6 +185,9 @@ class AmDepTree:
 
 @dataclass
 class TypingReport:
+    """What check_well_typed found.  One report is shared by every later
+    check of the same tree over the same lexicon, so callers only read it."""
+
     ok: bool
     term_types: dict[int, Type] = field(default_factory=dict)
     failure: Optional[tuple[int, str]] = None
@@ -198,7 +203,17 @@ def check_well_typed(t: AmDepTree, lexicon) -> TypingReport:
 
     The fold takes the root's subtree bottom-up, each token after its
     children and siblings in ascending position; plans lists the tokens in
-    that order."""
+    that order.  The report is kept as lexicon.last_typed and returned
+    again, not refolded, while t is the last tree checked over lexicon."""
+    last, report = lexicon.last_typed
+    if last is t:
+        return report
+    report = _fold_types(t, lexicon)
+    lexicon.last_typed = t, report
+    return report
+
+
+def _fold_types(t: AmDepTree, lexicon) -> TypingReport:
     report = TypingReport(ok=True)
     term_types, plans = report.term_types, report.plans
     entries = t.entries

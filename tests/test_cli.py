@@ -48,6 +48,32 @@ def test_python_m_amparse_runs_main(files, capsys, src_env):
     assert (run.returncode, run.stdout, run.stderr) == (code, capsys.readouterr().out, "")
 
 
+
+def test_python_m_amparse_cli_runs_without_a_warning(files, src_env):
+    """The package does not import its command line, so running the module
+    amparse.cli warns of nothing."""
+    import subprocess
+    import sys
+
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "amparse.cli", "validate-lexicon",
+                          "--lexicon", str(files["closed"])], env=src_env,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["closed"] is True
+
+
+def test_importing_amparse_leaves_the_command_line_unloaded(src_env):
+    import subprocess
+    import sys
+
+    code = ("import sys, amparse\n"
+            "print('amparse.cli' in sys.modules)\n"
+            "from amparse.cli import main\n"
+            "print(amparse.main is main)")
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=src_env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False", "True"]
+
 def test_deeply_nested_type_is_input_error(files, capsys):
     lex = files["tmp"] / "deep.lexicon"
     lex.write_text("omega " + "".join(f"[a{i}" for i in range(600)) + "]" * 600 + "\n")

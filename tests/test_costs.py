@@ -1,14 +1,17 @@
 """Cost tables: validation, lookups, tree pricing, synthetic generation."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amparse.costs import (
     INF, CostParams, SentenceCosts, gen_synthetic, ranked_tags, top_k_tags, tree_cost,
 )
 from amparse.fileformats import parse_cost_text, write_cost_text
-from amparse.trees import BOTTOM, IGNORE, LABEL_IDS, LABELS, ROOT, app, mod
+from amparse.trees import BOTTOM, IGNORE, LABEL_IDS, LABELS, ROOT, app, label_id, mod
 
 
 def test_missing_decisions_price_infinite():
@@ -260,3 +263,122 @@ def test_a_lexicon_and_costs_pickled_to_a_process_with_other_label_ids_price_the
             for mode in ("dump", "load")]
     assert outs[0][-1] != outs[1][-1]  # MOD_m has another id in each process
     assert outs[1][:-1] == ["True", "True", "True"]
+
+
+# --- bulk validation against the per-entry loop ---------------------------------
+
+
+def _reference_validate(n, forms, tags, edges) -> None:
+    """The per-entry validation SentenceCosts ran before its bulk tests: the
+    first offender, tags before edges, each edge's target, then cost, then
+    origin.  edges is {(origin, target, EdgeLabel): cost}."""
+    def check(i, c):
+        if not 1 <= i <= n:
+            raise ValueError(f"token index {i} out of range 1..{n}")
+        if not 0 <= c < INF:
+            raise ValueError(f"costs are nonnegative finite, got {c}")
+
+    if n < 1:
+        raise ValueError("a sentence has at least one token")
+    if len(forms) != n:
+        raise ValueError("one form per token")
+    for (i, _), c in tags.items():
+        check(i, c)
+    for (o, j, label), c in edges.items():
+        check(j, c)
+        if label.kind in ("root", "ignore"):
+            if o != 0:
+                raise ValueError(f"{label} edges originate at 0, got {o}")
+        elif o == 0 or o == j:
+            raise ValueError(f"bad edge origin {o} for {label} into {j}")
+
+
+def _outcome(build):
+    try:
+        build()
+    except ValueError as e:
+        return str(e)
+    return "ok"
+
+
+_BAD_COSTS = [float("nan"), INF, -INF, -1.0, -0.0]
+_FAULTS = ["cost", "overflow", "tag-index", "root-origin", "ignore-origin", "arc-from-0",
+           "self-loop"]
+
+
+@st.composite
+def _planted_tables(draw):
+    """Valid tag and edge tables of a random sentence, then a few planted
+    faults, each at a random place in its table's order."""
+    n = draw(st.integers(1, 7))
+    labels = st.sampled_from([app("s"), app("o"), mod("m")])
+    token, cost = st.integers(1, n), st.floats(0.0, 10.0)
+    tags = [((i, g), draw(cost)) for i in range(1, n + 1) for g in ("a", "b", BOTTOM)
+            if draw(st.booleans())]
+    edges = [((0, j, lbl), draw(cost)) for j in range(1, n + 1) for lbl in (ROOT, IGNORE)
+             if draw(st.booleans())]
+    edges += [((o, j, lbl), draw(cost)) for o in range(1, n + 1) for j in range(1, n + 1)
+              if o != j for lbl in (app("s"), app("o"), mod("m")) if draw(st.booleans())]
+
+    def plant(table, key, c):
+        table.insert(draw(st.integers(0, len(table))), (key, c))
+
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=3)):
+        j = draw(token)
+        if fault == "cost":
+            table = draw(st.sampled_from([tags, edges]))
+            if table:
+                k = draw(st.integers(0, len(table) - 1))
+                table[k] = (table[k][0], draw(st.sampled_from(_BAD_COSTS)))
+        elif fault == "overflow":  # two finite costs whose sum is inf
+            for _ in range(2):
+                if draw(st.booleans()):
+                    plant(tags, (draw(token), draw(st.sampled_from(["a", "b"]))), 1e308)
+                else:
+                    plant(edges, (0, draw(token), ROOT), 1e308)
+        elif fault == "tag-index":
+            plant(tags, (draw(st.sampled_from([0, n + 1])), "a"), draw(cost))
+        elif fault == "root-origin":
+            plant(edges, (draw(token), j, ROOT), draw(cost))
+        elif fault == "ignore-origin":
+            plant(edges, (draw(token), j, IGNORE), draw(cost))
+        elif fault == "arc-from-0":
+            plant(edges, (0, j, draw(labels)), draw(cost))
+        else:  # self-loop
+            plant(edges, (j, j, draw(labels)), draw(cost))
+    return n, dict(tags), dict(edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_planted_tables())
+def test_bulk_validation_raises_what_the_per_entry_loop_raises(tables):
+    n, tags, edges = tables
+    forms = tuple(f"w{i}" for i in range(1, n + 1))
+    m = n + 1
+    table = {(label_id(lbl) * m + o) * m + j: c for (o, j, lbl), c in edges.items()}
+    expected = _outcome(lambda: _reference_validate(n, forms, tags, edges))
+    assert _outcome(lambda: SentenceCosts(n, forms, tags, edges)) == expected
+    assert _outcome(lambda: SentenceCosts.from_table(n, forms, tags, table)) == expected
+
+
+def test_bulk_validation_accepts_finite_costs_whose_sum_overflows():
+    c = SentenceCosts(2, ("a", "b"), {(1, "a"): 1e308, (2, "a"): 1e308},
+                      {(0, 1, ROOT): 1e308, (0, 2, IGNORE): 1e308})
+    assert not c._edges_valid_in_bulk()  # the per-entry loop decided
+    assert c.tag(1, "a") == c.edge(0, 2, IGNORE) == 1e308
+
+
+def test_a_long_sparse_sentence_builds_in_linear_time():
+    """The bulk tests probe O(n) slots per label, never the O(n^2) key
+    range: a 20,000-token sentence with a dozen edges builds at once."""
+    n = 20_000
+    label_id(app("s"))
+    arc = LABELS[2]  # the lowest arc label id: probes cover ids 2..the largest in the table
+    edges = {(0, 1, ROOT): 0.5, (0, n, IGNORE): 0.5}
+    edges.update({(j, j + 1, arc): 0.25 for j in range(1, 11)})
+    forms = tuple(f"w{i}" for i in range(1, n + 1))
+    start = time.perf_counter()
+    c = SentenceCosts(n, forms, {(1, "a"): 0.0}, edges)
+    SentenceCosts.from_table(n, forms, c.tag_cost, c.edge_table)
+    assert time.perf_counter() - start < 0.25
+    assert c._edges_valid_in_bulk()

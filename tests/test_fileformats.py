@@ -604,3 +604,42 @@ def test_both_readers_intern_new_labels_alike():
         assert read(text(tag)) is not None
         grown.append([str(label).replace(tag, "") for label in LABELS[before:]])
     assert grown[0] == grown[1] == ["MOD_b", "APP_a", "APP_c"]
+
+
+_TWO_FORMS = "sentence s0 2\nform 1 a\nform 2 b\n"
+
+
+@pytest.mark.parametrize("edges", [
+    "edge 1 2 APP_s 0.5 edge\nedge 2 1 APP_s\n",  # 6 then 4 tokens
+    # misaligned so that only the named column reads an "edge" token, and
+    # every other column reads a value its reader accepts
+    "edge 1 2 APP_s 0.5 7\nedge 1 APP_o 0.5\n",  # 6 then 4
+    "edge 1 2 APP_s 0.5 x 2\nedge APP_o 0.5\n",  # 7 then 3
+    "edge 1 2 APP_s 0.5 x 2 1\nedge 0.5\n",  # 8 then 2
+    "edge 1 2 APP_s\nedge 9 2 1 APP_s 0.5\n",  # 4 then 6
+    "edge 0 1 ROOT 0.5\nedge 1 2 APP_s\nedge 9 2 1 APP_s 0.5\n",  # after a good line
+    "edge edge 2 APP_s 0.5\n",  # aligned, with "edge" in each column
+    "edge 1 edge APP_s 0.5\n",
+    "edge 1 2 edge 0.5\n",
+    "edge 1 2 APP_s edge\n",
+], ids=["six-then-four", "o", "j", "label", "cost", "after-a-good-line",
+        "aligned-o", "aligned-j", "aligned-label", "aligned-cost"])
+def test_misaligned_edge_lines_read_as_the_line_reader_does(edges):
+    """The column reader does not count the edge section's tokens: a line of
+    the wrong length puts some "edge" into another column, whose reader
+    rejects it, so the column reader declines and the line reader reports."""
+    for text in (_TWO_FORMS + edges + "end\n",
+                 # the labels are known from an earlier sentence, so no lookup misses on them
+                 _TWO_FORMS + "edge 1 2 APP_s 0.5\nedge 0 1 ROOT 1\nend\n\n"
+                 + _TWO_FORMS.replace("s0", "s1") + edges + "end\n"):
+        assert ff._read_columns(text) is None
+        outcome = _outcome(ff.parse_cost_text, text)
+        assert outcome == _outcome(ff._read_lines, text)
+        assert isinstance(outcome, tuple)
+
+
+def test_a_misaligned_edge_block_names_its_first_bad_line():
+    text = _TWO_FORMS + "edge 1 2 APP_s 0.5 edge\nedge 2 1 APP_s\nend\n"
+    with pytest.raises(ff.FormatError) as exc:
+        ff.parse_cost_text(text)
+    assert str(exc.value) == "line 4: expected: edge <o> <j> <label> <cost>"

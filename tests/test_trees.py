@@ -382,3 +382,40 @@ def test_fold_matches_the_per_head_closed_form(lx, n, seed):
         assert report.ok == (expected is not None)
         if report.ok:
             assert report.term_types == expected
+
+
+def test_one_tree_is_folded_once_per_lexicon(gold, closed_lex, monkeypatch):
+    """Checking, evaluating and both oracles on one tree object fold it once;
+    a value-equal copy, a pickled lexicon and a replaced one fold afresh."""
+    import dataclasses
+    import pickle
+
+    from amparse import trees
+    from amparse.oracles import oracle_sequence
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return type_combine(*args)
+
+    monkeypatch.setattr(trees, "type_combine", counted)
+    lex = dataclasses.replace(closed_lex)  # a lexicon no other test has checked a tree over
+    report = check_well_typed(gold, lex)
+    one_fold = len(calls)
+    assert report.ok and one_fold > 0
+    evaluate_tree(gold, lex)
+    oracle_sequence(gold, lex, "ltf")
+    oracle_sequence(gold, lex, "ltl")
+    assert len(calls) == one_fold
+    assert check_well_typed(gold, lex) is report and lex.last_typed == (gold, report)
+
+    copy = AmDepTree(tuple(gold.entries))
+    assert copy == gold and copy is not gold
+    assert check_well_typed(copy, lex) is not report
+    assert len(calls) == 2 * one_fold
+
+    for fresh in (pickle.loads(pickle.dumps(lex)), dataclasses.replace(lex)):
+        assert "last_typed" not in vars(fresh) and fresh.last_typed == (None, None)
+        assert check_well_typed(copy, fresh).term_types == report.term_types
+    assert len(calls) == 4 * one_fold
