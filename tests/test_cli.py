@@ -67,12 +67,49 @@ def test_importing_amparse_leaves_the_command_line_unloaded(src_env):
     import sys
 
     code = ("import sys, amparse\n"
-            "print('amparse.cli' in sys.modules)\n"
+            "print([m for m in sys.modules if m.startswith('amparse.')])\n"
             "from amparse.cli import main\n"
             "print(amparse.main is main)")
     run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=src_env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.split() == ["False", "True"]
+    assert run.stdout.split() == ["[]", "True"]
+
+
+LEXICON_LAYER = {"costs", "graphs", "lexicon", "trees", "types"}
+
+
+@pytest.mark.parametrize("code, loaded", [
+    # the benchmark's set-up: read, check and close a lexicon
+    ("import amparse.fileformats; amparse.validate_closure; amparse.augment_closure",
+     LEXICON_LAYER | {"fileformats"}),
+    ("from amparse import astar_parse", LEXICON_LAYER | {"astar", "rules"}),
+    ("from amparse import replay", LEXICON_LAYER | {"oracles", "transitions"}),
+], ids=["set-up", "astar_parse", "replay"])
+def test_a_public_name_loads_only_what_it_needs(src_env, code, loaded):
+    import subprocess
+    import sys
+
+    code += "\nimport sys; print(*sorted(m[8:] for m in sys.modules if m.startswith('amparse.')))"
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=src_env,
+                         capture_output=True, text=True, check=True)
+    assert set(run.stdout.split()) == loaded
+
+
+def test_the_namespace_serves_every_public_name():
+    import importlib
+
+    import amparse
+
+    for name in amparse.__all__:
+        module = importlib.import_module(f"amparse.{amparse._MODULE_OF[name]}")
+        assert getattr(amparse, name) is getattr(module, name), name
+    star: dict = {}
+    exec("from amparse import *", star)
+    assert set(amparse.__all__) <= set(star) and "validate_closure" in star
+    assert set(amparse.__all__) <= set(dir(amparse))
+    with pytest.raises(AttributeError, match="^module 'amparse' has no attribute 'nosuch'$"):
+        amparse.nosuch
+
 
 def test_deeply_nested_type_is_input_error(files, capsys):
     lex = files["tmp"] / "deep.lexicon"
