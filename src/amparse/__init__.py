@@ -28,9 +28,9 @@ _EXPORTS = {
     "costs": ("INF", "CostParams", "SentenceCosts", "gen_synthetic", "top_k_tags", "tree_cost"),
     "chart": ("chart_parse", "outside_costs"),
     "astar": ("HEURISTICS", "astar_parse", "build_heuristic"),
-    "transitions": ("SYSTEMS", "Configuration", "Transition", "TransitionError", "apply_transition",
-                    "config_to_tree", "decode", "initial_config", "is_goal", "legal_transitions",
-                    "owed"),
+    "transitions": ("SYSTEMS", "Configuration", "TokenState", "Transition", "TransitionError",
+                    "apply_transition", "config_to_tree", "decode", "initial_config", "is_goal",
+                    "legal_transitions", "owed"),
     "oracles": ("complete_config", "fuzz_episode", "oracle_sequence", "replay"),
     # loaded on first use: importing amparse.cli with the package would make
     # `python -m amparse.cli` warn

@@ -135,17 +135,17 @@ def _complete_step_ltf(cfg: Configuration, lexicon: Lexicon) -> list[Transition]
         ]
     if not cfg.stack:
         return []
-    i = cfg.active
-    if cfg.graphs[i] is None:
-        t = _realized_term(lexicon, cfg.terms[i])
+    terms, done, g = cfg.states[cfg.active]
+    if g is None:
+        t = _realized_term(lexicon, terms)
         return [
             Transition("choose", term_type=t, constant=_cheapest_constant(lexicon, t)),
             Transition("pop"),
         ]
-    lex_type = lexicon.type_of(cfg.graphs[i])
-    (term,) = cfg.terms[i]
+    lex_type = lexicon.type_of(g)
+    (term,) = terms
     out: list[Transition] = []
-    for alpha, j in _fill(cfg, apply_set(lex_type, term) - cfg.applied[i]):
+    for alpha, j in _fill(cfg, apply_set(lex_type, term) - done):
         rho = request(lex_type, alpha)
         out += [Transition("apply", token=j, source=alpha),
                 Transition("choose", term_type=rho, constant=_cheapest_constant(lexicon, rho)),
@@ -161,10 +161,9 @@ def _complete_step_ltl(cfg: Configuration, lexicon: Lexicon) -> list[Transition]
         ]
     if not cfg.stack:
         return []
-    i = cfg.active
-    done = cfg.applied[i]
+    terms, done, _ = cfg.states[cfg.active]
     best = min(
-        _options(lexicon.omega, cfg.terms[i], done),
+        _options(lexicon.omega, terms, done),
         key=lambda o: (len(o[2] - done), serialize_type(o[0]), serialize_type(o[1])),
         default=None,
     )

@@ -1,7 +1,7 @@
 """Two dead-end-free transition systems for building analyses token by token.
 
 Both systems share the configuration shape: a partial edge set, a stack of
-tokens being worked on, and three per-token annotations: T(i), the set of
+tokens being worked on, and one TokenState per token: T(i), the set of
 term types token i's subtree may still evaluate to; A(i), the argument
 slots already filled at i; and G(i), the constant finally assigned to i.
 W, the number of tokens still headless, is the budget of attachable
@@ -42,8 +42,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .costs import INF, SentenceCosts, tree_cost
 from .lexicon import Lexicon
 from .trees import BOTTOM, IGNORE, LABEL_IDS, ROOT, AmDepTree, EdgeLabel, TreeEntry, app, mod
-from .types import (EMPTY_TYPE, NAME_PATTERN, TOKEN_PATTERN, Type, apply_set, parse_type,
-                    request, serialize_type, type_combine)
+from .types import (EMPTY_TYPE, NAME_PATTERN, TOKEN_PATTERN, Type, TypeSyntaxError, apply_set,
+                    parse_type, request, serialize_type, type_combine)
 
 SYSTEMS = ("ltf", "ltl")
 
@@ -55,24 +55,30 @@ class TransitionError(ValueError):
 # --- configurations ---------------------------------------------------------
 
 
+class TokenState(NamedTuple):
+    """One token's annotations; None marks an undefined one."""
+
+    terms: Optional[frozenset[Type]]  # T(i)
+    applied: Optional[frozenset[str]]  # A(i)
+    graph: Optional[str]  # G(i)
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Immutable parser state, hashed and compared structurally.
 
-    terms, applied and graphs hold T(i), A(i) and G(i) at position i, for
-    tokens 0..n; position 0 is the virtual root and stays undefined.  None
-    marks an undefined annotation.  Build configurations with initial_config
-    and apply_transition, which keep the running owed total O: a finite sum
-    and a count of tokens owing INF, so that adding and removing INF terms
-    never makes it nan.  Equality, hashing and digest() ignore it.
+    states[i] is token i's TokenState, for tokens 0..n; position 0 is the
+    virtual root and stays undefined.  Build configurations with
+    initial_config and apply_transition, which keep the running owed total
+    O: a finite sum and a count of tokens owing INF, so that adding and
+    removing INF terms never makes it nan.  Equality, hashing and digest()
+    ignore it.
     """
 
     n: int
     edges: tuple[tuple[int, int, EdgeLabel], ...] = ()
     stack: tuple[int, ...] = ()
-    terms: tuple[Optional[frozenset[Type]], ...] = ()
-    applied: tuple[Optional[frozenset[str]], ...] = ()
-    graphs: tuple[Optional[str], ...] = ()
+    states: tuple[TokenState, ...] = ()
     owed_finite: float = field(default=0.0, compare=False, repr=False)
     owed_infinite: int = field(default=0, compare=False, repr=False)
 
@@ -104,15 +110,15 @@ class Configuration:
     def digest(self) -> str:
         """Short hash of the configuration's text, which lists the defined
         annotations in token order with type texts and source names sorted."""
+        states = tuple(enumerate(self.states))
         text = repr((
             self.n,
             tuple((h, d, str(lbl)) for h, d, lbl in self.edges),
             self.stack,
-            tuple((i, tuple(sorted(map(serialize_type, ts))))
-                  for i, ts in enumerate(self.terms) if ts is not None),
-            tuple((i, tuple(sorted(names)))
-                  for i, names in enumerate(self.applied) if names is not None),
-            tuple((i, g) for i, g in enumerate(self.graphs) if g is not None),
+            tuple((i, tuple(sorted(map(serialize_type, s.terms))))
+                  for i, s in states if s.terms is not None),
+            tuple((i, tuple(sorted(s.applied))) for i, s in states if s.applied is not None),
+            tuple((i, s.graph) for i, s in states if s.graph is not None),
         ))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -120,13 +126,7 @@ class Configuration:
 def initial_config(n: int) -> Configuration:
     if n < 1:
         raise TransitionError("need at least one token")
-    undefined = (None,) * (n + 1)
-    return Configuration(n=n, terms=undefined, applied=undefined, graphs=undefined)
-
-
-def _put(values: tuple, i: int, value) -> tuple:
-    """values with position i replaced by value."""
-    return values[:i] + (value,) + values[i + 1:]
+    return Configuration(n=n, states=(TokenState(None, None, None),) * (n + 1))
 
 
 # --- transitions ------------------------------------------------------------
@@ -160,13 +160,14 @@ class Transition:
         return "Pop"
 
 
-_INDEX = re.compile(r"[0-9]+")  # a token index
+_INDEX = re.compile(r"0|[1-9][0-9]*")  # a token index, as str() prints it
 
 
 def parse_transition(text: str) -> Transition:
     """Inverse of str(); types inside Choose are re-parsed.  A constant is
     any text TOKEN_PATTERN matches, parentheses and commas too, so exactly
-    one closing parenthesis ends the text, and Choose splits on its last ", "."""
+    one closing parenthesis ends the text, and Choose splits on its last ", ".
+    Any other text raises TransitionError."""
     text = text.strip()
     if text == "Pop":
         return Transition("pop")
@@ -178,7 +179,10 @@ def parse_transition(text: str) -> Transition:
     if name == "Finish" and TOKEN_PATTERN.fullmatch(body):
         return Transition("finish", constant=body)
     if name == "Choose" and comma and TOKEN_PATTERN.fullmatch(tail):
-        return Transition("choose", term_type=parse_type(head), constant=tail)
+        try:
+            return Transition("choose", term_type=parse_type(head), constant=tail)
+        except TypeSyntaxError:
+            pass
     if name in ("Apply", "Modify") and NAME_PATTERN.fullmatch(head) and _INDEX.fullmatch(tail):
         return Transition("apply" if name == "Apply" else "modify", token=int(tail), source=head)
     raise TransitionError(f"cannot parse transition {text!r}")
@@ -197,12 +201,13 @@ def owed(cfg: Configuration, i: int, lexicon: Lexicon) -> float:
     rather than crashing.
     """
     # owed reads no setting, so any valid one will do
-    return _Guards(lexicon, "ltl", True, {}).owed(cfg.terms[i], cfg.applied[i], cfg.graphs[i])
+    return _Guards(lexicon, "ltl", True, {}).owed(cfg.states[i])
 
 
-def _owed(guards: _Guards, ts: frozenset[Type], done: frozenset[str], g: Optional[str]) -> float:
-    """owed from a defined T and A and from G, on a miss of guards' memo."""
+def _owed(guards: _Guards, state: TokenState) -> float:
+    """owed from a state with T and A defined, on a miss of guards' memo."""
     lexicon = guards.lexicon
+    ts, done, g = state
     lams = (lexicon.type_of(g),) if g is not None else lexicon.omega
     return float(min((len(c - done) for *_, c in guards.options(lams, ts, done)), default=INF))
 
@@ -310,15 +315,15 @@ class _Guards:
             got = self._states[key] = _options(lams, ts, done)
         return got
 
-    def owed(self, ts: Optional[frozenset[Type]], done: Optional[frozenset[str]],
-             g: Optional[str]) -> float:
-        """owed from a token's T, A and G."""
+    def owed(self, state: TokenState) -> float:
+        """owed from a token's state."""
+        ts, done, g = state
         if ts is None or done is None:
             return 0.0
         key = ("owed", ts, done, g)
         got = self._states.get(key)
         if got is None:
-            got = self._states[key] = _owed(self, ts, done, g)
+            got = self._states[key] = _owed(self, state)
         return got
 
     def dependent_terms(self, lbl: EdgeLabel, head_type: Type) -> frozenset[Type]:
@@ -333,17 +338,16 @@ class _Guards:
             return Moves(rest=tuple(Transition("init", token=i) for i in range(1, cfg.n + 1)))
         if not cfg.stack:
             return Moves()
-        i, w = cfg.stack[-1], cfg.free_tokens()
+        (ts, done, g), w = cfg.states[cfg.stack[-1]], cfg.free_tokens()
         if self.system == "ltl":
             mods_ok = not self.type_checked or w - cfg.owed_total >= 1
-            key = ("ltl", cfg.terms[i], cfg.applied[i], min(w, self.lexicon.max_sources), mods_ok,
-                   self.type_checked)
+            key = ("ltl", ts, done, min(w, self.lexicon.max_sources), mods_ok, self.type_checked)
             build = self._ltl
-        elif cfg.graphs[i] is None:
-            key = ("choose", cfg.terms[i], min(w - cfg.owed_total, self.lexicon.max_sources))
+        elif g is None:
+            key = ("choose", ts, min(w - cfg.owed_total, self.lexicon.max_sources))
             build = self._choose
         else:
-            key = ("ltf", cfg.graphs[i], cfg.terms[i], cfg.applied[i], w - cfg.owed_total >= 1)
+            key = ("ltf", g, ts, done, w - cfg.owed_total >= 1)
             build = self._ltf
         got = self._memo.get(key)
         if got is None:
@@ -405,59 +409,51 @@ class _Guards:
             if not legal:
                 raise TransitionError(f"illegal transition {tr} in {cfg}")
 
-        n, edges, stack = cfg.n, cfg.edges, cfg.stack
-        terms, applied, graphs = cfg.terms, cfg.applied, cfg.graphs
+        n, edges, stack, states = cfg.n, cfg.edges, cfg.stack, cfg.states
         if kind == "pop":
-            return Configuration(n, edges, stack[:-1], terms, applied, graphs,
-                                 cfg.owed_finite, cfg.owed_infinite)
+            return Configuration(n, edges, stack[:-1], states, cfg.owed_finite, cfg.owed_infinite)
+        # the new state of each token the step changes; a token named twice (an unchecked
+        # self-edge, or Finish with i among its own children) reads its pending state
+        new: dict[int, TokenState] = {}
         if kind == "init":
             i = tr.token
-            touched: Iterable[int] = (i,)
             edges, stack = ((0, i, ROOT),), (i,)
-            terms = _put(terms, i, frozenset([EMPTY_TYPE]))
-            if self.system == "ltl":
-                applied = _put(applied, i, frozenset())
+            _, done, g = states[i]
+            new[i] = tuple.__new__(TokenState, (
+                frozenset([EMPTY_TYPE]), frozenset() if self.system == "ltl" else done, g))
         elif kind == "choose":
-            i = cfg.active
-            touched = (i,)
-            terms = _put(terms, i, frozenset([tr.term_type]))
-            applied = _put(applied, i, frozenset())
-            graphs = _put(graphs, i, tr.constant)
+            new[stack[-1]] = tuple.__new__(TokenState, (
+                frozenset([tr.term_type]), frozenset(), tr.constant))
         elif kind == "apply" or kind == "modify":
-            i, j = cfg.active, tr.token
+            i, j = stack[-1], tr.token
             lbl = (app if kind == "apply" else mod)(tr.source)
             edges += ((i, j, lbl),)
             if kind == "apply":
-                touched = (i, j)  # A(i) grows; in ltf so does T(j)
-                applied = _put(applied, i, (applied[i] or frozenset()) | {tr.source})
-            else:
-                touched = (j,)  # a Modify leaves i's annotations as they are
+                ts, done, g = states[i]
+                new[i] = tuple.__new__(TokenState, (ts, (done or frozenset()) | {tr.source}, g))
             if self.system == "ltf":
-                terms = _put(terms, j, self.dependent_terms(lbl, lexicon.type_of(graphs[i])))
+                _, done, g = new.get(j, states[j])
+                new[j] = tuple.__new__(TokenState, (
+                    self.dependent_terms(lbl, lexicon.type_of(states[i].graph)), done, g))
                 stack += (j,)
         elif kind == "finish":
-            i = cfg.active
+            i = stack[-1]
+            ts, done, _ = states[i]
             lex_type = lexicon.type_of(tr.constant)
-            new_terms, new_applied = list(terms), list(applied)
             # the witness, if any: at most one term type consumes exactly A(i)
-            new_terms[i] = frozenset(
-                t for _, t, c in self.options((lex_type,), terms[i], applied[i]) if c == applied[i]
-            ) or terms[i]
+            witness = frozenset(t for _, t, c in self.options((lex_type,), ts, done) if c == done)
+            new[i] = tuple.__new__(TokenState, (witness or ts, done, tr.constant))
             children = cfg.children(i)
             for j, lbl in children:
-                new_terms[j] = self.dependent_terms(lbl, lex_type)
-                new_applied[j] = frozenset()
-            touched = [i] + [j for j, _ in children]
+                new[j] = tuple.__new__(TokenState, (
+                    self.dependent_terms(lbl, lex_type), frozenset(), new.get(j, states[j]).graph))
             stack = stack[:-1] + tuple(j for j, _ in reversed(children))
-            terms, applied = tuple(new_terms), tuple(new_applied)
-            graphs = _put(graphs, i, tr.constant)
         else:
             raise TransitionError(f"unknown transition kind {kind!r}")
 
         finite, infinite = cfg.owed_finite, cfg.owed_infinite
-        for p in set(touched):  # an unchecked self-edge names a token twice
-            before = self.owed(cfg.terms[p], cfg.applied[p], cfg.graphs[p])
-            after = self.owed(terms[p], applied[p], graphs[p])
+        for p, state in new.items():
+            before, after = self.owed(cfg.states[p]), self.owed(state)
             if before == INF:
                 infinite -= 1
             else:
@@ -466,7 +462,8 @@ class _Guards:
                 infinite += 1
             else:
                 finite += after
-        return Configuration(n, edges, stack, terms, applied, graphs, finite, infinite)
+            states = states[:p] + (state,) + states[p + 1:]
+        return Configuration(n, edges, stack, states, finite, infinite)
 
 
 def _dependent_terms(lexicon: Lexicon, lbl: EdgeLabel, head_type: Type) -> frozenset[Type]:
@@ -499,23 +496,23 @@ def apply_transition(
 
 def is_goal(cfg: Configuration) -> bool:
     """Stack empty with at least one constant assigned."""
-    return not cfg.stack and not cfg.is_initial and any(cfg.graphs)
+    return not cfg.stack and not cfg.is_initial and any(s.graph for s in cfg.states)
 
 
 def check_goal_config(cfg: Configuration, lexicon: Lexicon) -> bool:
     """Full goal definition, for cross-checking is_goal in tests: every
     token is either ignored (headless, unannotated) or fully finished."""
-    if cfg.stack or not any(cfg.graphs):
+    if cfg.stack or not any(s.graph for s in cfg.states):
         return False
     headed = {d for _, d, _ in cfg.edges}
     for i in range(1, cfg.n + 1):
-        g, ts = cfg.graphs[i], cfg.terms[i]
+        ts, done, g = cfg.states[i]
         if i not in headed:
             if ts is not None or g is not None:
                 return False
         elif g is None or ts is None or len(ts) != 1:
             return False
-        elif apply_set(lexicon.type_of(g), next(iter(ts))) != cfg.applied[i]:
+        elif apply_set(lexicon.type_of(g), next(iter(ts))) != done:
             return False
     return True
 
@@ -525,7 +522,7 @@ def config_to_tree(cfg: Configuration, forms: Optional[tuple[str, ...]] = None) 
         forms = tuple(f"w{i}" for i in range(1, cfg.n + 1))
     heads = {d: (h, lbl) for h, d, lbl in reversed(cfg.edges)}  # a token's first edge wins
     return AmDepTree(tuple(
-        TreeEntry(forms[i - 1], cfg.graphs[i] or BOTTOM, *heads[i]) if i in heads
+        TreeEntry(forms[i - 1], cfg.states[i].graph or BOTTOM, *heads[i]) if i in heads
         else TreeEntry(forms[i - 1], BOTTOM, 0, IGNORE)
         for i in range(1, cfg.n + 1)
     ))
@@ -667,21 +664,20 @@ def render_trace(
         e_delta = " ".join(
             f"({h},{d},{lbl})" for h, d, lbl in nxt.edges[len(cfg.edges):]
         )
-        t_delta = " ".join(
-            f"{i}:{{{','.join(sorted(map(serialize_type, ts)))}}}"
-            for i, ts in enumerate(nxt.terms)
-            if ts != cfg.terms[i]
-        )
-        a_delta = " ".join(
-            f"{i}:{{{','.join(sorted(names))}}}"
-            for i, names in enumerate(nxt.applied)
-            if names != cfg.applied[i]
-        )
-        g_delta = " ".join(
-            f"{i}:{g}" for i, g in enumerate(nxt.graphs) if g != cfg.graphs[i]
-        )
+        t_delta, a_delta, g_delta = [], [], []
+        for i, (now, was) in enumerate(zip(nxt.states, cfg.states)):
+            if now == was:
+                continue
+            ts, done, g = now
+            if ts != was.terms:
+                t_delta.append(f"{i}:{{{','.join(sorted(map(serialize_type, ts)))}}}")
+            if done != was.applied:
+                a_delta.append(f"{i}:{{{','.join(sorted(done))}}}")
+            if g != was.graph:
+                g_delta.append(f"{i}:{g}")
         stack = "[" + " ".join(str(x) for x in nxt.stack) + "]"
-        rows.append((str(step), e_delta, t_delta, a_delta, g_delta, stack, str(tr)))
+        rows.append((str(step), e_delta, " ".join(t_delta), " ".join(a_delta), " ".join(g_delta),
+                     stack, str(tr)))
         cfg = nxt
     header = ("step", "E", "T", "A", "G", "stack", "transition")
     widths = [

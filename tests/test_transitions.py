@@ -93,6 +93,8 @@ def test_transition_text_round_trips_any_constant_name(tr):
     "Init(3", "Init()", "Init(-1)", "Init(3))", "Finish(want) trailing)", "Finish()",
     "Finish(a#b)", "Finish(want", "Apply(s,2)", "Apply(s, 2", "Modify(, 6)", "Choose([s],x)",
     "Choose([s], )", "Pop)", "Pop()", ")",
+    "Choose([s, a)", "Choose(x, a)", "Choose([s], a, b)", "Init(00)", "Apply(s, 01)",
+    "Modify(m, 007)",
 ])
 def test_parse_transition_rejects_text_no_transition_prints(text):
     with pytest.raises(TransitionError, match="cannot parse transition"):
@@ -244,7 +246,7 @@ def test_ltl_applied_matches_app_edges(closed_lex):
         cfg = initial_config(rng.randint(2, 6))
         while True:
             for i in range(1, cfg.n + 1):
-                done = cfg.applied[i]
+                done = cfg.states[i].applied
                 if done is None:
                     continue
                 from_edges = {
@@ -491,9 +493,35 @@ def test_checked_step_accepts_exactly_the_legal_list_on_the_demo(closed_lex, sys
 
 def test_running_owed_total_is_ignored_by_equality(closed_lex):
     a = drive(["Init(3)", "Choose([], want)"], closed_lex, "ltf")
-    b = Configuration(a.n, a.edges, a.stack, a.terms, a.applied, a.graphs)
+    b = Configuration(a.n, a.edges, a.stack, a.states)
     assert a.owed_total == 2 and b.owed_total == 0
     assert a == b and hash(a) == hash(b) and a.digest() == b.digest()
+
+
+@pytest.mark.parametrize("system,seq,digest", [
+    ("ltf", ["Init(1)", "Choose([], want)", "Apply(s, 1)"], "40e1330c9577"),
+    ("ltf", ["Init(1)", "Choose([], want)", "Apply(o, 1)"], "8b629adc1538"),
+    ("ltl", ["Init(1)", "Apply(s, 1)", "Finish(sleep)"], "f9120b24cc5d"),
+    ("ltl", ["Init(1)", "Apply(s, 1)", "Finish(want)"], "3aaa40220bd1"),
+], ids=["ltf-apply-s", "ltf-apply-o", "ltl-finish-sleep", "ltl-finish-want"])
+def test_a_step_that_names_one_token_twice_makes_both_updates(closed_lex, system, seq, digest):
+    # unchecked self-edges: ltf's Apply makes the active token its own dependent,
+    # and ltl's Finish meets the active token among its own children
+    from amparse.types import request
+
+    cfg = initial_config(3)
+    for text in seq:
+        before, cfg = cfg, apply_transition(cfg, parse_transition(text), closed_lex, system, False)
+    last = parse_transition(seq[-1])
+    if system == "ltf":  # A(1) gains the source, and T(1) is the request at it
+        _, done, g = before.states[1]
+        expected = (frozenset([request(closed_lex.type_of(g), last.source)]), done | {last.source}, g)
+    else:  # a child's T, A and the active token's G
+        g = last.constant
+        expected = (frozenset([request(closed_lex.type_of(g), "s")]), frozenset(), g)
+    assert cfg.states[1] == expected
+    assert cfg.owed_total == total_owed(cfg, closed_lex)
+    assert cfg.digest() == digest
 
 
 def test_scorer_prices_never_interned_labels_at_inf(closed_lex):
@@ -604,20 +632,20 @@ def reference_moves(cfg, lexicon, system, type_checked=True):
     if not cfg.stack:
         return Moves()
     i, w = cfg.active, cfg.free_tokens()
-    budget = w - sum(reference_owed(cfg.terms[j], cfg.applied[j], cfg.graphs[j], lexicon)
+    budget = w - sum(reference_owed(*cfg.states[j], lexicon)
                      for j in range(1, cfg.n + 1))
     names = sorted(lexicon.constants)
     app_sources = sorted(l.source for l in lexicon.labels if l.kind == "app")
     mod_sources = sorted(l.source for l in lexicon.labels if l.kind == "mod")
-    done, terms = cfg.applied[i], cfg.terms[i]
+    terms, done, g = cfg.states[i]
     if system == "ltf":
-        if cfg.graphs[i] is None:
+        if g is None:
             return Moves(rest=tuple(
                 Transition("choose", term_type=t, constant=g)
                 for t in sorted(terms, key=serialize_type) for g in names
                 if lexicon.type_of(g) in reach(t, frozenset(), budget)
             ))
-        lam = lexicon.type_of(cfg.graphs[i])
+        lam = lexicon.type_of(g)
         consumed = apply_set(lam, next(iter(terms)))
         return Moves(
             tuple(a for a in sorted(consumed - done) if app(a) in lexicon.labels),
@@ -701,8 +729,8 @@ def memo_walk(lexicon, system, n, rng, type_checked=True):
     for _ in range(4 * n + 5):
         assert guards.moves(cfg) == reference_moves(cfg, lexicon, system, type_checked), cfg
         for j in range(1, n + 1):
-            state = cfg.terms[j], cfg.applied[j], cfg.graphs[j]
-            assert guards.owed(*state) == reference_owed(*state, lexicon)
+            state = cfg.states[j]
+            assert guards.owed(state) == reference_owed(*state, lexicon)
         legal = legal_transitions(cfg, lexicon, system, type_checked)
         if not legal:
             break
