@@ -157,6 +157,7 @@ def astar_parse(
     by_left: defaultdict[int, list[rules.Packed]] = defaultdict(list)
     by_right: defaultdict[int, list[rules.Packed]] = defaultdict(list)
     table = lexicon.type_table
+    bases = rules.label_bases(costs, table)
     width = len(table.types)
     # The least cost pushed per signature, in slot lists (see rules.arcs) made
     # once an entry in their span is queued; the goal's apart.  A consequence
@@ -221,8 +222,8 @@ def astar_parse(
             rules.skip(skips, one, i - 1, push)
         if k <= n:
             rules.skip(skips, one, k, push)
-        rules.arcs(costs, table, by_right.get(i, ()), one, push, limits)
-        rules.arcs(costs, table, one, by_left.get(k, ()), push, limits)
+        rules.arcs(costs, table, bases, by_right.get(i, ()), one, push, limits)
+        rules.arcs(costs, table, bases, one, by_left.get(k, ()), push, limits)
 
     stats.pushed = next(counter)  # every queue entry drew one counter value
     return AStarResult(tree, goal_cost, stats, settled)

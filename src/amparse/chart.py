@@ -64,6 +64,7 @@ def chart_parse(
     packed: dict[tuple[int, int], list[rules.Packed]] = {}
     hyper: list[tuple] = []
     table = lexicon.type_table
+    bases = rules.label_bases(costs, table)
     width = len(table.types)
     checks_per_pair = 2 * len(lexicon.arc_labels)
     # The bar of the span being built, slots as rules.arcs reads them: each
@@ -107,7 +108,7 @@ def chart_parse(
                 # one check per (label, direction) of each pair, though one
                 # table lookup answers them all
                 stats.arcs_checked += checks_per_pair * len(lefts) * len(rights)
-                rules.arcs(costs, table, lefts, rights, offer, limits)
+                rules.arcs(costs, table, bases, lefts, rights, offer, limits)
 
     goal_cost, goal_sig = INF, None
     for sig in by_span.get((1, n + 1), []):

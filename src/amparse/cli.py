@@ -3,8 +3,9 @@
 Subcommands: evaluate, parse, oracle, complete, fuzz, validate-lexicon,
 augment-lexicon, gen-costs, bench.  Reports are JSON lines; tree and graph
 outputs use the formats in amparse.fileformats.  Exit codes: 0 success,
-1 input error, 2 no-parse, 3 dequeue limit hit (limit outranks no-parse
-when a batch has both).
+1 input error or out of memory, 2 no-parse, 3 dequeue limit hit (limit
+outranks no-parse when a batch has both).  Each command imports the
+decoders it runs, so a command that runs none loads none.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ from pathlib import Path
 from typing import Optional
 
 from . import fileformats as ff
-from .astar import HEURISTICS, astar_parse
-from .chart import chart_parse
 from .costs import INF, CostParams, SentenceCosts, gen_synthetic
 from .lexicon import Lexicon, augment_closure, validate_closure
-from .oracles import complete_config, fuzz_episode, oracle_sequence, replay
-from .transitions import SYSTEMS, config_to_tree, decode, is_goal, random_walk, render_trace
-from .trees import BOTTOM, LABELS, check_well_typed, evaluate_tree
+from .trees import BOTTOM, check_well_typed, evaluate_tree
 
 EXIT_OK, EXIT_INPUT, EXIT_NOPARSE, EXIT_LIMIT = 0, 1, 2, 3
 
-DECODERS = ("chart", "astar", "ltf", "ltl")
+# amparse.transitions.SYSTEMS and amparse.astar.HEURISTICS, spelled here so
+# that building the parser loads neither module
+SYSTEMS = ("ltf", "ltl")
+HEURISTICS = ("trivial", "supertag", "edge", "ignore-aware")
+DECODERS = ("chart", "astar") + SYSTEMS
 
 # per decoder: the stats key bench sums into its work column, and its name there
 WORK = {"chart": ("items", "chart items"), "astar": ("dequeued", "dequeued items"),
@@ -64,19 +65,18 @@ def _load_lexicon(path: str) -> Lexicon:
 def _load_costs(path: str, lexicon: Lexicon) -> list[SentenceCosts]:
     """The cost file's sentences, checked against the lexicon they are decoded on."""
     sentences = ff.parse_cost_text(_read(path))
-    # Each interned app/mod label (ids from 2 on) is checked once; edge keys
-    # are scanned only when some label is foreign to the lexicon.
-    foreign = {lid for lid in range(2, len(LABELS)) if LABELS[lid] not in lexicon.labels}
     for c in sentences:
         for i, g in c.tag_cost:
             if g != BOTTOM and g not in lexicon.constants:
                 raise ValueError(f"sentence {c.sid}: tag for unknown constant {g!r}")
+        # edge keys are scanned only when some label of the table is foreign
+        foreign = {lid for lid, label in enumerate(c.labels) if label not in lexicon.labels}
         if foreign:
             mm = (c.n + 1) ** 2  # an edge key's label id is key // mm
             for key in c.edge_table:
                 if key // mm in foreign:
                     raise ValueError(
-                        f"sentence {c.sid}: edge label {LABELS[key // mm]} not in the lexicon"
+                        f"sentence {c.sid}: edge label {c.labels[key // mm]} not in the lexicon"
                     )
     return sentences
 
@@ -86,15 +86,21 @@ def _decode(c: SentenceCosts, lexicon: Lexicon, decoder: str, heuristic: Optiona
     """One sentence through one decoder, as parse and bench both run it: (result,
     the work counters parse reports as stats, outcome limit, no-parse or ok)."""
     if decoder == "chart":
+        from .chart import chart_parse
+
         res = chart_parse(c, lexicon, k_tags=args.k_supertags)
         stats = {"items": res.stats.n_items, "arcs": res.stats.arcs_checked}
     elif decoder == "astar":
+        from .astar import astar_parse
+
         res = astar_parse(c, lexicon, heuristic=heuristic, k_tags=args.k_supertags,
                           dequeue_limit=args.dequeue_limit)
         stats = {"dequeued": res.stats.dequeued, "pushed": res.stats.pushed}
         if res.stats.limit_hit:
             return res, stats, "limit"
     else:
+        from .transitions import decode
+
         res = decode(c, lexicon, decoder, beam=args.beam, type_checked=type_checked)
         stats = {"transitions": len(res.transitions)}
     return res, stats, "ok" if res.tree is not None else "no-parse"
@@ -166,6 +172,8 @@ def cmd_parse(args) -> int:
             rec["mode"] = "no-type-check" if args.no_type_check else "typed"
             rec["beam"] = args.beam
             if args.trace:
+                from .transitions import render_trace
+
                 lines = render_trace(res.transitions, lexicon, args.decoder, c.n)
                 sys.stderr.write(f"# sentence {c.sid}\n" + "\n".join(lines) + "\n")
         rec["well_typed"] = res.tree is not None and check_well_typed(res.tree, lexicon).ok
@@ -211,6 +219,9 @@ def cmd_parse(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracles import oracle_sequence, replay
+    from .transitions import config_to_tree, render_trace
+
     lexicon = _closed_lexicon(_load_lexicon(args.lexicon), args.augment)
     trees = ff.parse_trees_text(_read(args.trees))
     for idx, tree in enumerate(trees):
@@ -232,6 +243,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    from .oracles import complete_config
+    from .transitions import is_goal, random_walk, render_trace
+
     lexicon = _closed_lexicon(_load_lexicon(args.lexicon), args.augment)
     cfg, trace = random_walk(
         lexicon, args.system, args.n, random.Random(args.seed), max_steps=args.steps
@@ -254,6 +268,8 @@ def cmd_complete(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .oracles import fuzz_episode
+
     lexicon = _closed_lexicon(_load_lexicon(args.lexicon), args.augment)
     for k in range(args.episodes):
         ep = fuzz_episode(
@@ -489,6 +505,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
+        return EXIT_INPUT
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return EXIT_INPUT
 
 

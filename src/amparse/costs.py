@@ -9,17 +9,17 @@ cost tables prune the search space.
 Tag costs are a plain dict, tag_cost[(token, constant)].  Edge costs are
 stored as one insertion-ordered dict[int, float] per sentence, edge_table,
 keyed (label id * m + origin) * m + target with m = n + 1 and the label's
-process-wide id from amparse.trees.label_id (ROOT 0, IGNORE 1, app and mod
-labels from 2 on).  Int keys are not tracked by the garbage collector and
-hash without a method call; the cost reader writes them directly, and the
-rule kernel, the A* estimates and the transition scorer compute them
-inline.  The constructor takes an {(origin, target, EdgeLabel): cost}
-dict, and edge_cost is a read-only Mapping view of the table with those
-keys, in insertion order.
+index in the sentence's own labels: ROOT 0, IGNORE 1, then arc labels.  Int
+keys are not tracked by the garbage collector and hash without a method
+call; the cost reader writes them directly, and the rule kernel, the A*
+estimates and the transition scorer compute them inline.  The constructor
+takes an {(origin, target, EdgeLabel): cost} dict and numbers its arc
+labels in first-appearance order; edge_cost is a read-only Mapping view of
+the table with those keys, in insertion order.
 
 Construction validates the edge table with a few tests over the whole
-table, in C, and O(n) probes per label (_edges_valid_in_bulk); only when
-one fails does a per-entry loop run, to name the first offender.
+table, in C, and O(n) probes per arc label (_edges_valid_in_bulk); only
+when one fails does a per-entry loop run, to name the first offender.
 
 Three cached rows give each token's cheapest decisions: ranked, skips and
 attach_in (index 0 is the virtual token's).  Each is built by one scan at
@@ -39,44 +39,47 @@ from operator import lt
 from typing import NoReturn, Optional
 
 from .lexicon import Lexicon
-from .trees import LABEL_IDS, LABELS, AmDepTree, BOTTOM, EdgeLabel, IGNORE, ROOT, label_id
+from .trees import AmDepTree, BOTTOM, EdgeLabel, IGNORE, ROOT
 
 INF = math.inf
-
-
-def _table_key(n: int, origin: int, target: int, label: EdgeLabel) -> Optional[int]:
-    """The edge_table key of an edge; None, which no table holds, if the
-    label was never interned or an end is out of range."""
-    lid = LABEL_IDS.get(label)
-    if lid is None or not (0 <= origin <= n and 1 <= target <= n):
-        return None
-    m = n + 1
-    return (lid * m + origin) * m + target
 
 
 class EdgeCostView(Mapping):
     """Read-only {(origin, target, EdgeLabel): cost} view of an edge table."""
 
-    __slots__ = ("_table", "_n")
+    __slots__ = ("_table", "_n", "_labels", "_ids")
 
-    def __init__(self, table: dict[int, float], n: int):
-        self._table, self._n = table, n
+    def __init__(self, table: dict[int, float], n: int, labels: tuple[EdgeLabel, ...]):
+        self._table, self._n, self._labels, self._ids = table, n, labels, None
+
+    def label_index(self, label: EdgeLabel) -> int:
+        """The label's index in labels; -1 if it has none."""
+        if self._ids is None:  # built on first use, as a read table may never be priced
+            self._ids = {lbl: lid for lid, lbl in enumerate(self._labels)}
+        return self._ids.get(label, -1)
+
+    def key(self, origin: int, target: int, label: EdgeLabel) -> Optional[int]:
+        """The edge_table key of an edge; None, which no table holds, if the
+        table has no id for the label or an end is out of range."""
+        lid, n = self.label_index(label), self._n
+        if lid < 0 or not (0 <= origin <= n and 1 <= target <= n):
+            return None
+        return (lid * (n + 1) + origin) * (n + 1) + target
 
     def __getitem__(self, key):
         try:
-            o, j, label = key
-        except (TypeError, ValueError):
+            c = self._table.get(self.key(*key))
+        except TypeError:
             raise KeyError(key) from None
-        c = self._table.get(_table_key(self._n, o, j, label))
         if c is None:
             raise KeyError(key)
         return c
 
     def __iter__(self):
         m = self._n + 1
-        mm = m * m
+        mm, labels = m * m, self._labels
         for key in self._table:
-            yield key // m % m, key % m, LABELS[key // mm]
+            yield key // m % m, key % m, labels[key // mm]
 
     def __len__(self) -> int:
         return len(self._table)
@@ -107,35 +110,42 @@ class SentenceCosts:
     edge_cost: Mapping[tuple[int, int, EdgeLabel], float] = field(default_factory=dict)
     sid: str = "0"
     edge_table: dict[int, float] = field(init=False, repr=False, compare=False)
+    labels: tuple[EdgeLabel, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
         m = n + 1
         self.edge_table = table = {}
+        ids = {ROOT: 0, IGNORE: 1}
         for (o, j, label), c in self.edge_cost.items():
             if not (0 <= o <= n and 1 <= j <= n):
                 # No key holds this edge: report it unless an earlier entry
                 # (tags first) is at fault.
+                self.labels = tuple(ids)
                 self._validate()
                 self._edge_fault(o, j, label, c)
-            table[(label_id(label) * m + o) * m + j] = c
+            table[(ids.setdefault(label, len(ids)) * m + o) * m + j] = c
+        self.labels = tuple(ids)
         self._validate()
-        self.edge_cost = EdgeCostView(table, n)
+        self.edge_cost = EdgeCostView(table, n, self.labels)
 
     def __reduce__(self):
-        # edge_table's keys hold process-wide label ids, so rebuild from labels
-        return SentenceCosts, (self.n, self.forms, self.tag_cost, dict(self.edge_cost), self.sid)
+        # from_table, so that the copy starts with no cached rows
+        return SentenceCosts.from_table, (self.n, self.forms, self.tag_cost, self.edge_table,
+                                          self.labels, self.sid)
 
     @classmethod
     def from_table(cls, n: int, forms: tuple[str, ...], tag_cost: dict,
-                   edge_table: dict[int, float], sid: str = "0") -> SentenceCosts:
-        """Costs over an edge table already keyed as edge_table is, each key's
-        target in 1..n and origin in 0..n; validated as the constructor does."""
+                   edge_table: dict[int, float], labels: tuple[EdgeLabel, ...],
+                   sid: str = "0") -> SentenceCosts:
+        """Costs over an edge table keyed by ids into labels, which a reader
+        may share between sentences, each key's target in 1..n and origin in
+        0..n; validated as the constructor does."""
         self = cls.__new__(cls)
-        self.n, self.forms, self.tag_cost, self.edge_table, self.sid = (
-            n, forms, tag_cost, edge_table, sid)
+        self.n, self.forms, self.tag_cost, self.edge_table, self.labels, self.sid = (
+            n, forms, tag_cost, edge_table, labels, sid)
         self._validate()
-        self.edge_cost = EdgeCostView(edge_table, n)
+        self.edge_cost = EdgeCostView(edge_table, n, labels)
         return self
 
     def _validate(self) -> None:
@@ -157,7 +167,7 @@ class SentenceCosts:
         for key, c in self.edge_table.items():
             o = key // m % m
             if not (0 <= c < INF and (o != 0 and o != key % m if key >= first_arc else o == 0)):
-                self._edge_fault(o, key % m, LABELS[key // (m * m)], c)
+                self._edge_fault(o, key % m, self.labels[key // (m * m)], c)
 
     def _edges_valid_in_bulk(self) -> bool:
         """True only if every edge entry is valid, by tests over the whole
@@ -205,9 +215,13 @@ class SentenceCosts:
     def tag(self, i: int, constant: str) -> float:
         return self.tag_cost.get((i, constant), INF)
 
+    def label_index(self, label: EdgeLabel) -> int:
+        """The label's id in edge_table's keys; -1 if labels lacks it."""
+        return self.edge_cost.label_index(label)
+
     def edge(self, origin: int, target: int, label: EdgeLabel) -> float:
-        """The edge's cost; INF if unpriced, also for a never-interned label."""
-        return self.edge_table.get(_table_key(self.n, origin, target, label), INF)
+        """The edge's cost; INF if unpriced, also for a label the table lacks."""
+        return self.edge_table.get(self.edge_cost.key(origin, target, label), INF)
 
     @cached_property
     def ranked(self) -> list[tuple[str, ...]]:

@@ -55,7 +55,7 @@ from typing import Optional, Union
 from .costs import SentenceCosts
 from .graphs import AsGraph, GraphError, GraphNode, graph_type
 from .lexicon import Lexicon
-from .trees import LABEL_IDS, LABELS, AmDepTree, TreeEntry, app, label_id, mod, parse_edge_label
+from .trees import IGNORE, ROOT, AmDepTree, TreeEntry, app, mod, parse_edge_label
 from .types import (EMPTY_TYPE, NAME_PATTERN, TOKEN_PATTERN, Type, TypeSyntaxError,
                     parse_type, serialize_type)
 
@@ -267,8 +267,8 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
     tag and edge lines, then `end`.  Each section is split once and read as
     columns.  Edge labels are looked up among the label texts this text
     has shown so far; only when a lookup misses is the label column scanned
-    for new ones, and those are interned in first-appearance order, per
-    sentence, only once nothing but SentenceCosts' own checks can fail."""
+    for new ones, which take the next ids in first-appearance order.  Each
+    sentence gets the read's labels as they stand after it."""
     if "#" in text or text[-1:] not in ("\n", ""):
         return None
     if text.isascii():
@@ -277,7 +277,8 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
     elif _OTHER_SPACE.search(text):
         return None
     out: list[SentenceCosts] = []
-    label_ids: dict[str, int] = {}  # label text -> its process-wide id
+    label_ids = {"ROOT": 0, "IGNORE": 1}  # label text -> its id in labels
+    labels = (ROOT, IGNORE)  # the read's labels so far, by id
     pos, size = 0, len(text)
     try:
         while True:
@@ -316,23 +317,17 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
                            map(token.__getitem__, j_col))
                 return dict(zip(keys, map(float, e_col)))
 
-            new: dict = {}  # labels first seen here -> the ids they will get
             try:
                 edges = edge_table()
             except KeyError:  # a label new to this text, or an index out of range
                 for label_text in dict.fromkeys(l_col):
                     if label_text not in label_ids:
-                        label = parse_edge_label(label_text)
-                        lid = LABEL_IDS.get(label)
-                        if lid is None:
-                            lid = new.setdefault(label, len(LABELS) + len(new))
-                        label_ids[label_text] = lid
+                        labels += (parse_edge_label(label_text),)
+                        label_ids[label_text] = len(labels) - 1
                 edges = edge_table()
             if len(tags) != len(g_col) or len(edges) != len(e_col):
                 return None  # a duplicate entry
-            for label in new:
-                label_id(label)
-            out.append(SentenceCosts.from_table(n, tuple(forms), tags, edges, sid=head[1]))
+            out.append(SentenceCosts.from_table(n, tuple(forms), tags, edges, labels, head[1]))
     except (KeyError, ValueError):
         return None
 
@@ -358,7 +353,8 @@ def _columns(section: str, keyword: str, width: int, counted: bool = True) -> li
 
 def _read_lines(text: str) -> list[SentenceCosts]:
     out: list[SentenceCosts] = []
-    label_ids: dict[str, int] = {}  # label text -> its process-wide id
+    label_ids = {"ROOT": 0, "IGNORE": 1}  # label text -> its id in labels
+    labels = (ROOT, IGNORE)  # the read's labels so far, by id
     tags: Optional[dict] = None  # None outside a sentence block
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split("#", 1)[0].split()
@@ -375,12 +371,13 @@ def _read_lines(text: str) -> list[SentenceCosts]:
             lid = label_ids.get(label_text)
             if lid is None:
                 try:
-                    lid = label_ids[label_text] = label_id(parse_edge_label(label_text))
+                    labels += (parse_edge_label(label_text),)
                 except ValueError as e:
                     raise FormatError(lineno, str(e)) from e
+                lid = label_ids[label_text] = len(labels) - 1
             key = (lid * m + o) * m + j  # SentenceCosts.edge_table's key
             if key in edges:
-                raise FormatError(lineno, f"duplicate edge entry {(o, j, LABELS[lid])}")
+                raise FormatError(lineno, f"duplicate edge entry {(o, j, labels[lid])}")
             edges[key] = _cost(cost_text, lineno)
         elif kw == "tag":
             if len(parts) != 4:
@@ -410,7 +407,7 @@ def _read_lines(text: str) -> list[SentenceCosts]:
         elif kw == "end":
             try:
                 forms = tuple([forms.get(i, f"w{i}") for i in range(1, n + 1)])
-                out.append(SentenceCosts.from_table(n, forms, tags, edges, sid=sid))
+                out.append(SentenceCosts.from_table(n, forms, tags, edges, labels, sid))
             except ValueError as e:
                 raise FormatError(lineno, str(e)) from e
             tags = None

@@ -117,9 +117,8 @@ class Lexicon:
         return max((len(t.nodes) for t in self.omega), default=0)
 
     def __getstate__(self) -> dict:
-        """The state to pickle, without the cached properties above: the type
-        table holds process-wide label ids, which another process assigns
-        differently, and each is rebuilt on first use."""
+        """The state to pickle, without the cached properties above: each is
+        a cache that is rebuilt on first use."""
         return {name: value for name, value in vars(self).items()
                 if not isinstance(getattr(Lexicon, name, None), cached_property)}
 

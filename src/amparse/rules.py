@@ -8,8 +8,8 @@ between their heads, reading the type table's precomputed combinations
 instead of calling type_combine per label and direction.  A full-span item
 of empty type is accepted with a root edge into its head.
 Edge costs are read from costs.edge_table by the integer key that
-amparse.costs documents, computed inline from the label ids the table's
-combine rows carry.
+amparse.costs documents, computed inline from label_bases: the type
+table's label ids mapped once per decode onto the cost table's.
 
 Each rule hands a consequence to the decoder's own callback, emit(sig,
 inside cost, rule cost, back-pointer); decoders store ParseItem(cost, back),
@@ -75,14 +75,21 @@ def skip(skips: Sequence[float], items: Sequence[Packed], j: int, emit: Emit) ->
              delta, ("skip", sig))
 
 
-def arcs(costs: SentenceCosts, table: TypeTable, lefts: Sequence[Packed],
+def label_bases(costs: SentenceCosts, table: TypeTable) -> list[int]:
+    """Per label id of the table, its edge keys' base: the label's id in the
+    costs times (n + 1) ** 2, or -(n + 1) ** 2 for a label the costs lack,
+    so that every key it forms is negative and prices INF."""
+    mm = (costs.n + 1) ** 2
+    return [costs.label_index(lbl) * mm for lbl in table.labels]
+
+
+def arcs(costs: SentenceCosts, table: TypeTable, bases: Sequence[int], lefts: Sequence[Packed],
          rights: Sequence[Packed], emit: Emit, limits: Limits) -> None:
     """Arc: every successful edge between an item of lefts and an adjacent
     item of rights that costs less than its slot in limits, pairs in order,
-    labels in the table's order."""
+    labels in the table's order; bases is label_bases(costs, table)."""
     price = costs.edge_table.get
     m = costs.n + 1
-    mm = m * m
     width = len(table.types)
     for lsig, lcost, lhead, ltyp in lefts:
         li, rk = lsig[0], 0  # rk: the right end whose slots are loaded
@@ -101,7 +108,7 @@ def arcs(costs: SentenceCosts, table: TypeTable, lefts: Sequence[Packed],
                     limit = slots[lrow + typ]
                     if base >= limit:
                         continue
-                    delta = price(lid * mm + lm + rhead, INF)
+                    delta = price(bases[lid] + lm + rhead, INF)
                     cost = base + delta
                     if cost < limit:
                         emit((li, rk, lhead, typ), cost, delta, ("arc", lsig, rsig, lbl))
@@ -109,7 +116,7 @@ def arcs(costs: SentenceCosts, table: TypeTable, lefts: Sequence[Packed],
                     limit = slots[(rhead - li) * width + typ]
                     if base >= limit:
                         continue
-                    delta = price((lid * m + rhead) * m + lhead, INF)
+                    delta = price(bases[lid] + rhead * m + lhead, INF)
                     cost = base + delta
                     if cost < limit:
                         emit((li, rk, rhead, typ), cost, delta, ("arc", lsig, rsig, lbl))

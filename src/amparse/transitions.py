@@ -41,7 +41,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .costs import INF, SentenceCosts, tree_cost
 from .lexicon import Lexicon
-from .trees import BOTTOM, IGNORE, LABEL_IDS, ROOT, AmDepTree, EdgeLabel, TreeEntry, app, mod
+from .trees import BOTTOM, IGNORE, ROOT, AmDepTree, EdgeLabel, TreeEntry, app, mod
 from .types import (EMPTY_TYPE, NAME_PATTERN, TOKEN_PATTERN, Type, TypeSyntaxError, apply_set,
                     parse_type, request, serialize_type, type_combine)
 
@@ -547,15 +547,14 @@ def static_scorer(costs: SentenceCosts, lexicon: Lexicon) -> Callable[..., list[
     """price(cfg, moves, free): the cost of each transition legal_transitions
     lists for moves and the headless tokens free, in that order.  That is
     the cost-file entry of its decision: root edge for Init, edge for
-    Apply/Modify (by the edge_table key, each source's label id resolved
-    once), supertag for Choose/Finish, nothing for Pop.  A never-interned
-    label gets id -1, which makes its keys negative: it prices INF, and
-    pricing interns nothing."""
+    Apply/Modify (by the edge_table key, each source's label id in the costs
+    resolved once), supertag for Choose/Finish, nothing for Pop.  A label
+    the costs lack gets id -1, which makes its keys negative: it prices INF."""
     edge = costs.edge_table.get
     tag = costs.tag_cost.get
     m = costs.n + 1
-    app_ids = {s: LABEL_IDS.get(app(s), -1) for s in lexicon.app_sources()}
-    mod_ids = {s: LABEL_IDS.get(mod(s), -1) for s in lexicon.mod_sources()}
+    app_ids = {s: costs.label_index(app(s)) for s in lexicon.app_sources()}
+    mod_ids = {s: costs.label_index(mod(s)) for s in lexicon.mod_sources()}
 
     def price(cfg: Configuration, moves: Moves, free: Sequence[int]) -> list[float]:
         i = cfg.stack[-1] if cfg.stack else 0

@@ -63,23 +63,6 @@ class EdgeLabel:
 ROOT = EdgeLabel("root")
 IGNORE = EdgeLabel("ignore")
 
-# Process-wide label ids: ROOT is 0, IGNORE is 1, and every other label gets
-# the next id the first time label_id sees it, so ids >= 2 are exactly the
-# app and mod labels.  Cost tables and the type table key on these ids; being
-# process-wide, they do not survive pickling into another process.
-LABELS: list[EdgeLabel] = [ROOT, IGNORE]
-LABEL_IDS: dict[EdgeLabel, int] = {ROOT: 0, IGNORE: 1}
-
-
-def label_id(label: EdgeLabel) -> int:
-    """The label's process-wide id, interning it on first sight."""
-    lid = LABEL_IDS.get(label)
-    if lid is None:
-        lid = LABEL_IDS[label] = len(LABELS)
-        LABELS.append(label)
-    return lid
-
-
 # One shared label per (kind, source): trees and configurations holding many
 # edges of a label hold one object for it.
 _APP: dict[str, EdgeLabel] = {}

@@ -350,12 +350,13 @@ class TypeTable:
     id lt and an adjacent right item of type id rt, as (label, label id,
     result id, head_is_left): labels in str order, and for each label the
     left-headed arc (type_combine(label, left, right)) before the
-    right-headed one.  The label id is amparse.trees.label_id's, so the
-    rule kernel can key edge costs without hashing the label.
+    right-headed one.  The label id indexes labels, the arc labels in that
+    order, so a decode maps it onto a cost table's ids once (rules.label_bases).
     """
 
     types: tuple[Type, ...]
     ids: dict[Type, int]
+    labels: tuple
     combine: tuple[tuple[tuple[tuple, ...], ...], ...]
 
     @property
@@ -367,7 +368,7 @@ class TypeTable:
 def build_type_table(lexical: Iterable[Type], labels: Iterable) -> TypeTable:
     """Close the lexical types under type_combine over the given app/mod
     labels, intern them, and tabulate every successful combination."""
-    labels = sorted(labels, key=str)
+    labels = tuple(sorted(labels, key=str))
     closed = set(lexical)
     frontier = list(closed)
     while frontier:
@@ -383,18 +384,16 @@ def build_type_table(lexical: Iterable[Type], labels: Iterable) -> TypeTable:
     types = tuple(sorted(closed, key=serialize_type))
     ids = {t: i for i, t in enumerate(types)}
 
-    from .trees import label_id  # amparse.trees imports this module
-
     def arcs(left: Type, right: Type) -> tuple:
         out = []
-        for lbl in labels:
+        for lid, lbl in enumerate(labels):
             for result, head_is_left in (
                 (type_combine(lbl, left, right), True),
                 (type_combine(lbl, right, left), False),
             ):
                 if result is not None:
-                    out.append((lbl, label_id(lbl), ids[result], head_is_left))
+                    out.append((lbl, lid, ids[result], head_is_left))
         return tuple(out)
 
     combine = tuple(tuple(arcs(lt, rt) for rt in types) for lt in types)
-    return TypeTable(types, ids, combine)
+    return TypeTable(types, ids, labels, combine)

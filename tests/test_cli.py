@@ -95,6 +95,51 @@ def test_a_public_name_loads_only_what_it_needs(src_env, code, loaded):
     assert set(run.stdout.split()) == loaded
 
 
+def test_the_parser_spells_every_system_and_heuristic():
+    from amparse import cli
+    from amparse.astar import HEURISTICS
+    from amparse.transitions import SYSTEMS
+
+    assert cli.SYSTEMS == SYSTEMS and cli.HEURISTICS == HEURISTICS
+    assert cli.DECODERS == ("chart", "astar", *SYSTEMS)
+
+
+def test_validate_lexicon_loads_no_decoder(files, src_env):
+    """A command that decodes nothing imports no decoder module."""
+    import subprocess
+    import sys
+
+    code = ("import sys\nfrom amparse.cli import main\n"
+            f"code = main(['validate-lexicon', '--lexicon', {str(files['closed'])!r}])\n"
+            "print(code, *sorted(m[8:] for m in sys.modules if m.startswith('amparse.')))")
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=src_env,
+                         capture_output=True, text=True, check=True)
+    code, *loaded = run.stdout.split("\n")[-2].split()
+    assert code == "0" and "cli" in loaded
+    assert not {"astar", "chart", "rules", "transitions", "oracles", "exhaustive"} & set(loaded)
+
+
+def test_running_out_of_memory_is_a_one_line_input_error(files, src_env):
+    """A header of 300,000,000 tokens under a 512 MB address-space limit
+    ends in exit 1 with one error line, not a traceback."""
+    import subprocess
+    import sys
+
+    resource = pytest.importorskip("resource")
+    path = files["tmp"] / "huge.costs"
+    path.write_text("sentence s0 300000000\ntag 1 writer 0.5\nend\n")
+    limit = 512 * 2 ** 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    run = subprocess.run([sys.executable, "-m", "amparse", "parse", str(path), "--lexicon",
+                          str(files["lex"]), "--decoder", "astar"], env=src_env,
+                         capture_output=True, text=True, preexec_fn=cap)
+    assert run.returncode == 1 and "Traceback" not in run.stderr
+    assert run.stderr.splitlines() == ["error: out of memory"]
+
+
 def test_the_namespace_serves_every_public_name():
     import importlib
 

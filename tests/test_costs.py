@@ -11,7 +11,7 @@ from amparse.costs import (
     INF, CostParams, SentenceCosts, gen_synthetic, ranked_tags, top_k_tags, tree_cost,
 )
 from amparse.fileformats import parse_cost_text, write_cost_text
-from amparse.trees import BOTTOM, IGNORE, LABEL_IDS, LABELS, ROOT, app, label_id, mod
+from amparse.trees import BOTTOM, IGNORE, ROOT, app, mod
 
 
 def test_missing_decisions_price_infinite():
@@ -138,7 +138,7 @@ def test_rows_are_read_lazily_once_and_never_copied(lex):
     ranked_tags(c, None)[1].clear()  # a caller's list, not the row
     assert rows["ranked"][1] and c.ranked is rows["ranked"]
     copies = (pickle.loads(pickle.dumps(c)), dataclasses.replace(c),
-              SentenceCosts.from_table(c.n, c.forms, c.tag_cost, c.edge_table, c.sid))
+              SentenceCosts.from_table(c.n, c.forms, c.tag_cost, c.edge_table, c.labels, c.sid))
     for copy in copies:
         assert copy == c and not vars(copy).keys() & set(ROWS)
         assert {name: getattr(copy, name) for name in ROWS} == rows
@@ -199,11 +199,11 @@ def test_edge_cost_view_round_trips_through_the_constructor(lex):
 
 def test_edge_lookup_of_a_never_seen_label_does_not_intern_it():
     c = SentenceCosts(2, ("a", "b"), {}, EDGES)
+    assert c.labels == (ROOT, IGNORE, mod("m"), app("s"))  # arc labels in first-appearance order
     stranger = app("never_seen_by_any_cost_table")
-    before = len(LABELS)
     assert c.edge(1, 2, stranger) == INF
     assert stranger not in c.edge_cost
-    assert len(LABELS) == before and stranger not in LABEL_IDS
+    assert c.label_index(stranger) == -1 and c.labels == (ROOT, IGNORE, mod("m"), app("s"))
 
 
 def test_dict_built_and_parsed_costs_agree_on_every_lookup(lex):
@@ -226,8 +226,9 @@ import pickle, sys
 from amparse.chart import chart_parse
 from amparse.costs import gen_synthetic
 from amparse.demo import demo_lexicon
+from amparse.fileformats import parse_cost_text
 from amparse.lexicon import augment_closure
-from amparse.trees import LABEL_IDS, label_id, mod
+from amparse.trees import mod
 
 mode, path = sys.argv[1:]
 if mode == "dump":
@@ -237,23 +238,23 @@ if mode == "dump":
     with open(path, "wb") as f:
         pickle.dump((lexicon, costs, cost), f)
 else:
-    label_id(mod("m"))  # interned before any other label, unlike in the dumping process
+    # labels read before the pickle, in another order than the dumping process met them
+    (costs,) = parse_cost_text("sentence s0 2\\nedge 2 1 MOD_m 0.5\\nedge 1 2 APP_s 0.5\\nend\\n")
     with open(path, "rb") as f:
         warm, pickled, cost = pickle.load(f)
     lexicon = augment_closure(demo_lexicon())
     regenerated = gen_synthetic(5, 6, lexicon)
     print(chart_parse(regenerated, warm).cost == cost, chart_parse(pickled, lexicon).cost == cost,
           pickled == regenerated)
-print(LABEL_IDS[mod("m")])
+print(costs.label_index(mod("m")))
 """
 
 
 def test_a_lexicon_and_costs_pickled_to_a_process_with_other_label_ids_price_the_same(
         tmp_path, src_env):
-    """The type table and the edge table key on process-wide label ids, so
-    neither may cross a pickle: a warm lexicon and a sentence's costs
-    loaded by a process that interned its labels in another order parse
-    as they did where they were made."""
+    """A warm lexicon and a sentence's costs loaded by a process that met its
+    labels in another order parse as they did where they were made: the
+    type table and the edge table each carry their own label ids."""
     import subprocess
     import sys
 
@@ -261,7 +262,7 @@ def test_a_lexicon_and_costs_pickled_to_a_process_with_other_label_ids_price_the
     outs = [subprocess.run([sys.executable, "-c", PICKLE_SCRIPT, mode, pickled], env=src_env,
                            capture_output=True, text=True, check=True).stdout.split()
             for mode in ("dump", "load")]
-    assert outs[0][-1] != outs[1][-1]  # MOD_m has another id in each process
+    assert outs[0][-1] != outs[1][-1]  # MOD_m has another id in each process's costs
     assert outs[1][:-1] == ["True", "True", "True"]
 
 
@@ -355,10 +356,11 @@ def test_bulk_validation_raises_what_the_per_entry_loop_raises(tables):
     n, tags, edges = tables
     forms = tuple(f"w{i}" for i in range(1, n + 1))
     m = n + 1
-    table = {(label_id(lbl) * m + o) * m + j: c for (o, j, lbl), c in edges.items()}
+    labels = (ROOT, IGNORE, app("s"), app("o"), mod("m"))
+    table = {(labels.index(lbl) * m + o) * m + j: c for (o, j, lbl), c in edges.items()}
     expected = _outcome(lambda: _reference_validate(n, forms, tags, edges))
     assert _outcome(lambda: SentenceCosts(n, forms, tags, edges)) == expected
-    assert _outcome(lambda: SentenceCosts.from_table(n, forms, tags, table)) == expected
+    assert _outcome(lambda: SentenceCosts.from_table(n, forms, tags, table, labels)) == expected
 
 
 def test_bulk_validation_accepts_finite_costs_whose_sum_overflows():
@@ -372,13 +374,60 @@ def test_a_long_sparse_sentence_builds_in_linear_time():
     """The bulk tests probe O(n) slots per label, never the O(n^2) key
     range: a 20,000-token sentence with a dozen edges builds at once."""
     n = 20_000
-    label_id(app("s"))
-    arc = LABELS[2]  # the lowest arc label id: probes cover ids 2..the largest in the table
+    arc = app("s")  # the table's only arc label, so probes cover id 2 alone
     edges = {(0, 1, ROOT): 0.5, (0, n, IGNORE): 0.5}
     edges.update({(j, j + 1, arc): 0.25 for j in range(1, 11)})
     forms = tuple(f"w{i}" for i in range(1, n + 1))
     start = time.perf_counter()
     c = SentenceCosts(n, forms, {(1, "a"): 0.0}, edges)
-    SentenceCosts.from_table(n, forms, c.tag_cost, c.edge_table)
+    SentenceCosts.from_table(n, forms, c.tag_cost, c.edge_table, c.labels)
     assert time.perf_counter() - start < 0.25
     assert c._edges_valid_in_bulk()
+
+
+# --- label ids belong to each table -------------------------------------------
+
+
+def _reverse_edges(text: str) -> str:
+    """The cost text with each block's edge lines in reverse order, so that
+    its arc labels first appear in another order."""
+    blocks = []
+    for block in text.rstrip("\n").split("\n\n"):
+        lines = block.split("\n")
+        edges = [line for line in lines if line.startswith("edge ")]
+        rest = [line for line in lines if not line.startswith("edge ")]
+        blocks.append("\n".join(rest[:-1] + edges[::-1] + rest[-1:]))
+    return "\n\n".join(blocks) + "\n"
+
+
+def test_every_decoder_reads_a_sentence_alike_whatever_order_its_labels_come_in(closed_lex):
+    """Two cost texts that differ only in the order their arc labels first
+    appear, decoded on a lexicon with a label the costs lack: every decoder
+    gives the same tree, cost and work counters on both, and the deductive
+    decoders' cost is their tree's, up to the order of summation."""
+    from amparse.astar import HEURISTICS, astar_parse
+    from amparse.chart import chart_parse
+    from amparse.lexicon import Lexicon, augment_closure
+    from amparse.transitions import decode
+
+    lexicon = augment_closure(
+        Lexicon(closed_lex.constants, closed_lex.omega, closed_lex.labels | {mod("s")}))
+    assert mod("s") in lexicon.type_table.labels
+    text = write_cost_text([gen_synthetic(seed, 3 + seed % 4, closed_lex, sid=f"s{seed}")
+                            for seed in range(6)])
+
+    def runs(c):
+        out = []
+        for res in [chart_parse(c, lexicon)] + [
+                astar_parse(c, lexicon, heuristic=h, k_tags=None) for h in HEURISTICS]:
+            assert res.ok and abs(res.cost - tree_cost(res.tree, c)) <= 1e-9
+            out.append((res.tree, res.cost, res.stats))
+        for system in ("ltf", "ltl"):
+            for beam in (1, 4):
+                res = decode(c, lexicon, system, beam=beam)
+                out.append((res.tree, res.cost, res.score, res.transitions))
+        return out
+
+    for a, b in zip(parse_cost_text(text), parse_cost_text(_reverse_edges(text)), strict=True):
+        assert a == b and a.labels != b.labels and mod("s") not in a.labels + b.labels
+        assert runs(a) == runs(b)

@@ -12,7 +12,7 @@ from amparse import fileformats as ff
 from amparse.costs import SentenceCosts, gen_synthetic
 from amparse.graphs import graphs_isomorphic, make_graph
 from amparse.lexicon import Lexicon, augment_closure
-from amparse.trees import IGNORE, LABELS, ROOT, AmDepTree, TreeEntry, app, mod
+from amparse.trees import IGNORE, ROOT, AmDepTree, TreeEntry, app, mod
 from amparse.types import parse_type
 
 ROOT_DIR = Path(__file__).resolve().parent.parent
@@ -592,6 +592,8 @@ def test_one_character_off_the_layout_reads_as_the_line_reader_does(lex, edit, a
 
 
 def test_both_readers_intern_new_labels_alike():
+    """Both readers number a read's labels in first-appearance order, and
+    give each sentence the labels as they stand after it."""
     def text(tag):
         return (f"sentence s0 3\nform 1 a\nform 2 b\nform 3 c\ntag 1 want 0.5\n"
                 f"edge 1 2 MOD_{tag}b 0.5\nedge 2 3 APP_{tag}a 0.5\nedge 1 3 MOD_{tag}b 1\nend\n\n"
@@ -600,10 +602,9 @@ def test_both_readers_intern_new_labels_alike():
 
     grown = []
     for read, tag in ((ff._read_columns, "columns"), (ff._read_lines, "lines")):
-        before = len(LABELS)
-        assert read(text(tag)) is not None
-        grown.append([str(label).replace(tag, "") for label in LABELS[before:]])
-    assert grown[0] == grown[1] == ["MOD_b", "APP_a", "APP_c"]
+        grown.append([[str(label).replace(tag, "") for label in c.labels] for c in read(text(tag))])
+    assert grown[0] == grown[1] == [["ROOT", "IGNORE", "MOD_b", "APP_a"],
+                                    ["ROOT", "IGNORE", "MOD_b", "APP_a", "APP_c"]]
 
 
 _TWO_FORMS = "sentence s0 2\nform 1 a\nform 2 b\n"

@@ -12,7 +12,7 @@ from amparse.costs import INF, SentenceCosts, gen_synthetic
 from amparse.exhaustive import best_analysis_cost
 from amparse.lexicon import augment_closure
 from amparse.rules import ParseItem
-from amparse.trees import app, label_id
+from amparse.trees import IGNORE, ROOT, app
 from amparse.types import EMPTY_TYPE, parse_type, serialize_type, type_combine
 
 from test_golden import _make_fixtures
@@ -35,7 +35,7 @@ def test_demo_table(closed_lex):
     # sleep takes its subject from the left: [] on the left, [s] heads on the right
     sleep, writer = table.ids[parse_type("[s]")], table.ids[parse_type("[]")]
     assert [(str(l), i, r, h) for l, i, r, h in table.combine[writer][sleep]] == [
-        ("APP_s", label_id(app("s")), 0, False)
+        ("APP_s", table.labels.index(app("s")), 0, False)
     ]
     assert closed_lex.type_table is table
 
@@ -54,7 +54,7 @@ def test_combine_agrees_with_type_combine(lx):
                     result = type_combine(lbl, head, arg)
                     if result is not None:
                         assert result in table.ids, "table not closed under combination"
-                        want.append((lbl, label_id(lbl), table.ids[result], head_is_left))
+                        want.append((lbl, table.labels.index(lbl), table.ids[result], head_is_left))
             assert table.combine[lt][rt] == tuple(want)
 
 
@@ -135,7 +135,8 @@ def test_arcs_emits_what_beats_the_bar(lx, ties, data):
 
     def run(limits):
         out = []
-        rules.arcs(c, lx.type_table, lefts, rights, lambda *e: out.append(e), limits)
+        rules.arcs(c, lx.type_table, rules.label_bases(c, lx.type_table), lefts, rights,
+                   lambda *e: out.append(e), limits)
         return out
 
     everything = run(lambda i, k: [INF] * ((k - i) * width))
@@ -166,15 +167,15 @@ def test_arcs_reads_each_direction_at_its_own_head(closed_lex):
         if {head_is_left for *_, head_is_left in e} == {True, False}
     )
     n, m = 6, 7
-    edges = {(lid * m + o) * m + t: ((lid * m + o) * m + t) / 1000
-             for lid in sorted({lid for _, lid, _, _ in entries})
+    edges = {(cid * m + o) * m + t: ((cid * m + o) * m + t) / 1000
+             for cid in sorted({lid + 2 for _, lid, _, _ in entries})  # ids in the costs' labels
              for o in range(1, m) for t in range(1, m) if o != t}
-    c = SentenceCosts.from_table(n, ("w",) * n, {}, edges)
+    c = SentenceCosts.from_table(n, ("w",) * n, {}, edges, (ROOT, IGNORE) + table.labels)
     lsig, rsig = (2, 4, 3, lt), (4, 7, 5, rt)  # li = 2, rk = 7: slot (head - 2) * width + type
     want = []
     for lbl, lid, typ, head_is_left in entries:
         hd, dep = (3, 5) if head_is_left else (5, 3)
-        delta = ((lid * m + hd) * m + dep) / 1000
+        delta = (((lid + 2) * m + hd) * m + dep) / 1000
         assert delta == c.edge(hd, dep, lbl) != c.edge(dep, hd, lbl)
         want.append(((2, 7, hd, typ), 0.5 + 0.25 + delta, delta, ("arc", lsig, rsig, lbl)))
 
@@ -183,7 +184,7 @@ def test_arcs_reads_each_direction_at_its_own_head(closed_lex):
         for sig in open_sigs:
             slots[(sig[2] - 2) * width + sig[3]] = INF
         out = []
-        rules.arcs(c, table, [(lsig, 0.5, 3, lt)], [(rsig, 0.25, 5, rt)],
+        rules.arcs(c, table, rules.label_bases(c, table), [(lsig, 0.5, 3, lt)], [(rsig, 0.25, 5, rt)],
                    lambda *e: out.append(e), lambda i, k: slots if (i, k) == (2, 7) else None)
         return out
 

@@ -526,17 +526,14 @@ def test_a_step_that_names_one_token_twice_makes_both_updates(closed_lex, system
 
 def test_scorer_prices_never_interned_labels_at_inf(closed_lex):
     from amparse.costs import gen_synthetic
-    from amparse.trees import LABEL_IDS, LABELS
 
     c = gen_synthetic(0, 3, closed_lex)
-    labels = len(LABELS)
     never = {app("never_interned_source"), mod("never_interned_source")}
     lx = Lexicon(closed_lex.constants, closed_lex.omega, closed_lex.labels | never)
     price = static_scorer(c, lx)
     cfg = drive(["Init(1)"], closed_lex, "ltl", n=3)
     unknown = Moves(apply=("never_interned_source",), modify=("never_interned_source",))
     assert price(cfg, unknown, [2, 3]) == [math.inf] * 4
-    assert len(LABELS) == len(LABEL_IDS) == labels
     # known labels still price their entries, in legal_transitions' order
     moves = Moves(apply=("o", "s"), rest=(parse_transition("Finish(want)"),))
     assert price(cfg, moves, [2, 3]) == [
