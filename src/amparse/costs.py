@@ -163,22 +163,30 @@ class SentenceCosts:
         if self._edges_valid_in_bulk():
             return
         m = n + 1
-        first_arc = 2 * m * m  # keys of app and mod labels start here
+        mm = m * m
+        first_arc = 2 * mm  # keys of app and mod labels start here
+        size = len(self.labels) * mm  # keys of the labels' ids
         for key, c in self.edge_table.items():
-            o = key // m % m
-            if not (0 <= c < INF and (o != 0 and o != key % m if key >= first_arc else o == 0)):
-                self._edge_fault(o, key % m, self.labels[key // (m * m)], c)
+            if not 0 <= key < size:
+                raise ValueError(
+                    f"edge key {key} out of range 0..{size - 1} of {len(self.labels)} labels")
+            o, j = key // m % m, key % m
+            if not (0 <= c < INF and j != 0
+                    and (o != 0 and o != j if key >= first_arc else o == 0)):
+                self._edge_fault(o, j, self.labels[key // mm], c)
 
     def _edges_valid_in_bulk(self) -> bool:
         """True only if every edge entry is valid, by tests over the whole
         table that run no Python step per entry; False calls for the
         per-entry loop, which names the first offender or, when two huge
         costs sum to inf, finds none.  Every cost is at least 0 and they sum
-        to a finite value; every root and ignore key is in one of the 2n
-        origin-0 slots; and no arc label has a key in one of its 2n slots
-        with origin 0 or origin equal to the target.  So it costs a few
-        passes in C over the table and 2n probes per arc label id up to the
-        table's largest, never one per possible key."""
+        to a finite value; no key lies past the labels' ids; every key
+        below the arc labels' (so none is negative) is in one of the 2n
+        origin-0 root and ignore slots; and no arc label has a key in one of
+        its 3n + 1 slots with target 0, origin 0 or origin equal to the
+        target.  So it costs a few passes in C over the table and 3n + 1
+        probes per arc label id up to the table's largest, never one per
+        possible key."""
         table = self.edge_table
         if not table:
             return True
@@ -191,13 +199,17 @@ class SentenceCosts:
         except (TypeError, OverflowError):  # a cost no float sum takes; the loop judges it
             return False
         keys = table.keys()
-        # every root and ignore key is one of those in an origin-0 slot
+        top = max(keys)
+        if top >= len(self.labels) * mm:
+            return False  # a key past the labels' ids
+        # every key below first_arc is a root or ignore key in an origin-0 slot
         if (sum(map(lt, keys, repeat(first_arc)))
                 != len(keys & range(1, m)) + len(keys & range(mm + 1, mm + m))):
             return False
-        return all(keys.isdisjoint(range(base + 1, base + m))  # origin 0
+        return all(keys.isdisjoint(range(base, base + mm, m))  # target 0
+                   and keys.isdisjoint(range(base + 1, base + m))  # origin 0
                    and keys.isdisjoint(range(base + m + 1, base + mm, m + 1))  # origin = target
-                   for base in range(first_arc, max(table) + 1, mm))
+                   for base in range(first_arc, top + 1, mm))
 
     def _check(self, i: int, c: float) -> None:
         if not 1 <= i <= self.n:

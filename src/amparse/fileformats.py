@@ -265,10 +265,16 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
     and None on the first doubt: any '#' or whitespace but " " and "\n", or a
     block that is not `sentence <id> <n>`, then form lines 1..n, then its
     tag and edge lines, then `end`.  Each section is split once and read as
-    columns.  Edge labels are looked up among the label texts this text
-    has shown so far; only when a lookup misses is the label column scanned
-    for new ones, which take the next ids in first-appearance order.  Each
-    sentence gets the read's labels as they stand after it."""
+    columns.  A sentence's keys depend only on its shapes: n with the tag
+    index and constant columns, and n with the edge origin, target and
+    label columns, each column joined into one string, which is exact
+    because no split token holds whitespace.  So each shape's key list is
+    built once per read and shared by every later sentence of that shape;
+    only the cost columns are converted per sentence.  A new edge shape's
+    labels are looked up among the label texts this text has shown so far;
+    only when a lookup misses is the label column scanned for new ones,
+    which take the next ids in first-appearance order.  Each sentence gets
+    the read's labels as they stand after it."""
     if "#" in text or text[-1:] not in ("\n", ""):
         return None
     if text.isascii():
@@ -279,6 +285,8 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
     out: list[SentenceCosts] = []
     label_ids = {"ROOT": 0, "IGNORE": 1}  # label text -> its id in labels
     labels = (ROOT, IGNORE)  # the read's labels so far, by id
+    tag_keys: dict[tuple, list] = {}  # (n, i, g columns joined) -> the tag keys
+    edge_keys: dict[tuple, list] = {}  # (n, o, j, label columns joined) -> the edge keys
     pos, size = 0, len(text)
     try:
         while True:
@@ -306,25 +314,33 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
             token = {str(i): i for i in range(1, m)}  # index text -> i, for 1..n
             origin = {str(o): o * m for o in range(m)}  # origin text -> o * m, for 0..n
             i_col, g_col, c_col = _columns(text[t:e], "tag", 4)
-            tags = dict(zip(zip(map(token.__getitem__, i_col), g_col), map(float, c_col)))
+            shape = (n, " ".join(i_col), " ".join(g_col))
+            keys = tag_keys.get(shape)
+            if keys is None:
+                keys = tag_keys[shape] = list(zip(map(token.__getitem__, i_col), g_col))
+            tags = dict(zip(keys, map(float, c_col)))
             # no edge column reads "edge", so the edge section need not be counted
             o_col, j_col, l_col, e_col = _columns(text[e:stop], "edge", 5, counted=False)
-            mm = m * m
+            shape = (n, " ".join(o_col), " ".join(j_col), " ".join(l_col))
+            keys = edge_keys.get(shape)
+            if keys is None:
+                mm = m * m
 
-            def edge_table() -> dict[int, float]:  # keyed as SentenceCosts.edge_table is
-                base = {lt: lid * mm for lt, lid in label_ids.items()}
-                keys = map(add, map(add, map(base.__getitem__, l_col), map(origin.__getitem__, o_col)),
-                           map(token.__getitem__, j_col))
-                return dict(zip(keys, map(float, e_col)))
+                def edge_key_list() -> list[int]:  # keyed as SentenceCosts.edge_table is
+                    base = {lt: lid * mm for lt, lid in label_ids.items()}
+                    bases = map(add, map(base.__getitem__, l_col), map(origin.__getitem__, o_col))
+                    return list(map(add, bases, map(token.__getitem__, j_col)))
 
-            try:
-                edges = edge_table()
-            except KeyError:  # a label new to this text, or an index out of range
-                for label_text in dict.fromkeys(l_col):
-                    if label_text not in label_ids:
-                        labels += (parse_edge_label(label_text),)
-                        label_ids[label_text] = len(labels) - 1
-                edges = edge_table()
+                try:
+                    keys = edge_key_list()
+                except KeyError:  # a label new to this text, or an index out of range
+                    for label_text in dict.fromkeys(l_col):
+                        if label_text not in label_ids:
+                            labels += (parse_edge_label(label_text),)
+                            label_ids[label_text] = len(labels) - 1
+                    keys = edge_key_list()
+                edge_keys[shape] = keys
+            edges = dict(zip(keys, map(float, e_col)))
             if len(tags) != len(g_col) or len(edges) != len(e_col):
                 return None  # a duplicate entry
             out.append(SentenceCosts.from_table(n, tuple(forms), tags, edges, labels, head[1]))

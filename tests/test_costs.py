@@ -363,6 +363,21 @@ def test_bulk_validation_raises_what_the_per_entry_loop_raises(tables):
     assert _outcome(lambda: SentenceCosts.from_table(n, forms, tags, table, labels)) == expected
 
 
+@pytest.mark.parametrize("table,labels,message", [
+    ({-8: 0.5}, (ROOT, IGNORE), "edge key -8 out of range 0..17 of 2 labels"),
+    ({23: 0.5}, (ROOT, IGNORE), "edge key 23 out of range 0..17 of 2 labels"),
+    ({1: 0.5, 18: -1.0}, (ROOT, IGNORE), "edge key 18 out of range 0..17 of 2 labels"),
+    ({0: 0.5}, (ROOT, IGNORE), "token index 0 out of range 1..2"),  # (0, 0, ROOT)
+    ({21: 0.5}, (ROOT, IGNORE, app("s")), "token index 0 out of range 1..2"),  # (1, 0, APP_s)
+], ids=["negative", "past-the-labels", "before-its-cost", "root-into-0", "arc-into-0"])
+def test_from_table_rejects_keys_no_label_or_target_explains(table, labels, message):
+    """A key outside the labels' key range is named before any other test
+    of its entry; a key with target 0 fails as an index out of range."""
+    with pytest.raises(ValueError) as exc:
+        SentenceCosts.from_table(2, ("a", "b"), {}, table, labels)
+    assert str(exc.value) == message
+
+
 def test_bulk_validation_accepts_finite_costs_whose_sum_overflows():
     c = SentenceCosts(2, ("a", "b"), {(1, "a"): 1e308, (2, "a"): 1e308},
                       {(0, 1, ROOT): 1e308, (0, 2, IGNORE): 1e308})

@@ -607,6 +607,48 @@ def test_both_readers_intern_new_labels_alike():
                                     ["ROOT", "IGNORE", "MOD_b", "APP_a", "APP_c"]]
 
 
+# --- sentence shapes: the column reader keys each shape once per read ------------
+
+_SHAPE_TAGS = [(1, "want"), (2, "sleep"), (3, "BOT")]
+_SHAPE_EDGES = [(0, 1, "ROOT"), (1, 2, "APP_s"), (2, 3, "MOD_m"), (0, 3, "IGNORE")]
+
+
+def _shape_block(sid, n, tags=_SHAPE_TAGS, edges=_SHAPE_EDGES):
+    """A block in the writers' layout; every cost in it is its own, so that
+    a reader that pairs costs with another sentence's keys shows."""
+    k = sum(map(ord, sid))
+    lines = [f"sentence {sid} {n}", *(f"form {i} w{i}" for i in range(1, n + 1))]
+    lines += [f"tag {i} {g} {(k + q) / 8!r}" for q, (i, g) in enumerate(tags)]
+    lines += [f"edge {o} {j} {lbl} {(k + q) / 16!r}" for q, (o, j, lbl) in enumerate(edges)]
+    return "\n".join(lines + ["end"])
+
+
+def _edges_with(q, edge):
+    return _SHAPE_EDGES[:q] + [edge] + _SHAPE_EDGES[q + 1:]
+
+
+@pytest.mark.parametrize("n,tags,edges", [
+    (3, _SHAPE_TAGS, _SHAPE_EDGES),
+    (3, _SHAPE_TAGS, _SHAPE_EDGES[::-1]),
+    (3, _SHAPE_TAGS, _edges_with(1, (1, 3, "APP_s"))),
+    (3, _SHAPE_TAGS, _edges_with(1, (3, 2, "APP_s"))),
+    (3, _SHAPE_TAGS, _edges_with(1, (1, 2, "MOD_m"))),
+    (3, [(1, "want"), (2, "writer"), (3, "BOT")], _SHAPE_EDGES),
+    (4, _SHAPE_TAGS, _SHAPE_EDGES),
+    (3, _SHAPE_TAGS, _edges_with(2, (2, 3, "APP_o"))),
+], ids=["same", "permuted", "target", "origin", "label", "constant", "other-n", "new-label"])
+def test_column_reader_keys_each_sentence_shape_alike(n, tags, edges):
+    """Blocks of one shape alternate with a variant: the same shape, or one
+    column changed, or another n over the same lines.  The column reader
+    reads them all, each as the line reader does."""
+    text = "\n\n".join([_shape_block("s0", 3), _shape_block("v0", n, tags, edges),
+                        _shape_block("s1", 3), _shape_block("v1", n, tags, edges),
+                        _shape_block("s2", 3)]) + "\n"
+    got, want = ff._read_columns(text), ff._read_lines(text)
+    assert got is not None and _cost_digest(got) == _cost_digest(want)
+    assert [c.labels for c in got] == [c.labels for c in want]
+
+
 _TWO_FORMS = "sentence s0 2\nform 1 a\nform 2 b\n"
 
 
