@@ -97,8 +97,9 @@ class Lexicon:
         """One memo of transition guard answers over this lexicon, shared
         whatever the setting, for as long as the lexicon lives.  Every entry
         point fills it with the answers of each token state (options, owed
-        slots, dependents' term types), which read the lexicon alone; only
-        decode adds move sets, which also read the budget.
+        slots, dependents' term types, Choose and Finish transitions), which
+        read the lexicon alone; only decode adds move sets, which also read
+        the budget.
         amparse.transitions._Guards lists its keys and says why."""
         return {}
 

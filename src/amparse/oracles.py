@@ -116,6 +116,9 @@ def _realized_term(lexicon: Lexicon, terms) -> Type:
     raise TransitionError("no realizable term type; lexicon is not closed")
 
 
+_IMPOSSIBLE = "active token owes the impossible; unreachable state"
+
+
 def _fill(cfg: Configuration, missing: frozenset[str]) -> list[tuple[str, int]]:
     """The missing sources in sorted order, each paired with one of the first
     headless tokens."""
@@ -144,8 +147,11 @@ def _complete_step_ltf(cfg: Configuration, lexicon: Lexicon) -> list[Transition]
         ]
     lex_type = lexicon.type_of(g)
     (term,) = terms
+    consumed = apply_set(lex_type, term)
+    if consumed is None:
+        raise TransitionError(_IMPOSSIBLE)
     out: list[Transition] = []
-    for alpha, j in _fill(cfg, apply_set(lex_type, term) - done):
+    for alpha, j in _fill(cfg, consumed - done):
         rho = request(lex_type, alpha)
         out += [Transition("apply", token=j, source=alpha),
                 Transition("choose", term_type=rho, constant=_cheapest_constant(lexicon, rho)),
@@ -168,7 +174,7 @@ def _complete_step_ltl(cfg: Configuration, lexicon: Lexicon) -> list[Transition]
         default=None,
     )
     if best is None:
-        raise TransitionError("active token owes the impossible; unreachable state")
+        raise TransitionError(_IMPOSSIBLE)
     lam, _, consumed = best
     g = _cheapest_constant(lexicon, lam)
     out = [Transition("apply", token=j, source=alpha) for alpha, j in _fill(cfg, consumed - done)]

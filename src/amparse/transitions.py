@@ -15,13 +15,14 @@ lexicon: any random walk ends in a goal.
 
 A lexicon's sentences meet only a few distinct token states (T, A, G), so
 every entry point answers each token state once per lexicon: a token's
-options, its owed slots and its dependents' term types live in
-lexicon.guards, one memo that every system and type checking shares.
-Each key carries exactly what its answer reads, and none depends on the
-sentence, so a batch over one lexicon pays for each state once.  Move sets
-also read the budget W - O; decode keeps them in lexicon.guards too, and
-every other entry point (legal_transitions, apply_transition, owed, and
-through them replay, the oracles and the fuzzer) in a fresh memo per call.
+options, its owed slots, its dependents' term types and the Choose and
+Finish transitions it may take live in lexicon.guards, one memo that every
+system and type checking shares.  Each key carries exactly what its answer
+reads, and none depends on the sentence, so a batch over one lexicon pays
+for each state once.  Move sets also read the budget W - O; decode keeps
+them in lexicon.guards too, and every other entry point (legal_transitions,
+apply_transition, owed, and through them replay, the oracles and the
+fuzzer) builds them per call from those answers, applying only the budget.
 
 The lexical-type-first system (ltf) commits to a constant when a token is
 pushed (Choose) and then works top-down, so the stack is depth-first.  The
@@ -160,6 +161,8 @@ class Transition:
         return "Pop"
 
 
+_POP = (Transition("pop"),)  # the rest of every ltf move set that may pop
+
 _INDEX = re.compile(r"0|[1-9][0-9]*")  # a token index, as str() prints it
 
 
@@ -278,12 +281,17 @@ class _Guards:
         ("options", lams, T, A)       the options of a token state
         ("owed", T, A, G)             its owed slots
         ("dependent", label, type)    T(j) below a head of that type
+        ("choices", T)                (slots owed, Choose) per admitted constant
+        ("finishes",)                 (type, Finish) per constant
 
-    Move sets also read the budget W - O, and live in the memo the caller
-    passes in: lexicon.guards for decode, a fresh dict for every other
-    entry point.  Sharing them in replay too doubles its speed, but the
-    benchmark keeps every pass's operations, so its peak RSS would follow
-    the extra passes past its bound (README, "Transition configurations"):
+    ltf after Choose reads its consumed set from ("options", (G's type,),
+    T, {}).  Move sets also read the budget W - O, and live in the memo the
+    caller passes in: lexicon.guards for decode, a fresh dict for every
+    other entry point, whose builds then only apply the budget to the
+    answers above.  Sharing them in replay too would speed the oracle round
+    trips up by more than half, but the benchmark keeps every pass's
+    operations, so its peak RSS would follow the extra passes past its
+    bound (README, "Transition configurations"):
 
         ("ltl", T(i), A(i), min(W, cap), Modify allowed, type_checked)
         ("choose", T(i), min(W - O, cap))              ltf before Choose
@@ -354,25 +362,36 @@ class _Guards:
             got = self._memo[key] = build(*key[1:])
         return got
 
+    def choices(self, ts: frozenset[Type]) -> tuple[tuple[int, Transition], ...]:
+        key = ("choices", ts)
+        got = self._states.get(key)
+        if got is None:
+            got = self._states[key] = _choices(self, ts)
+        return got
+
+    def finishes(self) -> tuple[tuple[Type, Transition], ...]:
+        key = ("finishes",)
+        got = self._states.get(key)
+        if got is None:
+            lexicon = self.lexicon
+            got = self._states[key] = tuple((lexicon.type_of(g), Transition("finish", constant=g))
+                                            for g in lexicon.constant_names())
+        return got
+
     def _choose(self, ts: frozenset[Type], budget: float) -> Moves:
-        lexicon = self.lexicon
-        chooses = []
-        for t in sorted(ts, key=serialize_type):
-            allowed = {lam for lam, _, c in self.options(lexicon.omega, (t,), frozenset())
-                       if len(c) <= budget}
-            chooses += [Transition("choose", term_type=t, constant=g)
-                        for g in lexicon.constant_names() if lexicon.type_of(g) in allowed]
-        return Moves(rest=tuple(chooses))
+        return Moves(rest=tuple(tr for need, tr in self.choices(ts) if need <= budget))
 
     def _ltf(self, g: str, ts: frozenset[Type], done: frozenset[str], budget_ok: bool) -> Moves:
         lexicon = self.lexicon
         lex_type = lexicon.type_of(g)
-        (term,) = ts
-        consumed = apply_set(lex_type, term)
+        options = self.options((lex_type,), ts, frozenset())
+        if not options:  # only an unchecked Choose gets here: the token owes INF, no move is legal
+            return Moves()
+        ((_, _, consumed),) = options
         apply = tuple(alpha for alpha in sorted(consumed - done) if app(alpha) in lexicon.labels)
         modify = tuple(beta for beta in lexicon.mod_sources()
                        if budget_ok and self.dependent_terms(mod(beta), lex_type))
-        return Moves(apply, modify, (Transition("pop"),) if done == consumed else ())
+        return Moves(apply, modify, _POP if done == consumed else ())
 
     def _ltl(self, ts: frozenset[Type], done: frozenset[str], w: int, mods_ok: bool,
              type_checked: bool) -> Moves:
@@ -391,8 +410,7 @@ class _Guards:
         return Moves(
             tuple(alpha for alpha in lexicon.app_sources() if alpha in applicable),
             tuple(lexicon.mod_sources()) if mods_ok else (),
-            tuple(Transition("finish", constant=g) for g in lexicon.constant_names()
-                  if lexicon.type_of(g) in finishable),
+            tuple(tr for lam, tr in self.finishes() if lam in finishable),
         )
 
     def apply(self, cfg: Configuration, tr: Transition, check: bool = True) -> Configuration:
@@ -464,6 +482,19 @@ class _Guards:
                 finite += after
             states = states[:p] + (state,) + states[p + 1:]
         return Configuration(n, edges, stack, states, finite, infinite)
+
+
+def _choices(guards: _Guards, ts: frozenset[Type]) -> tuple[tuple[int, Transition], ...]:
+    """(slots owed, Choose(t, g)) for every constant g whose type reaches a
+    term type t in ts, t in serialize_type order, then g in name order: the
+    ltf Choose moves before the budget W - O is applied."""
+    lexicon = guards.lexicon
+    out = []
+    for t in sorted(ts, key=serialize_type):
+        need = {lam: len(c) for lam, _, c in guards.options(lexicon.omega, (t,), frozenset())}
+        out += [(need[lam], Transition("choose", term_type=t, constant=g))
+                for g in lexicon.constant_names() if (lam := lexicon.type_of(g)) in need]
+    return tuple(out)
 
 
 def _dependent_terms(lexicon: Lexicon, lbl: EdgeLabel, head_type: Type) -> frozenset[Type]:

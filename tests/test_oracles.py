@@ -120,6 +120,26 @@ def test_complete_step_on_goal_is_empty(closed_lex):
     assert complete_step(goal_cfg, closed_lex, "ltl") == []
 
 
+@pytest.mark.parametrize("system,unchecked", [
+    ("ltf", ["Choose([s], writer)"]),  # writer's type [] cannot reach [s]
+    ("ltl", ["Apply(o, 2)", "Apply(m, 3)"]),  # no type of omega has both o and m
+])
+def test_a_token_owing_the_impossible_has_no_move_and_no_completion(closed_lex, system, unchecked):
+    """Unchecked steps that leave the active token owing INF end in a state
+    with no legal transition, which checked steps refuse and completion
+    names, in both systems alike."""
+    cfg = apply_transition(initial_config(4), transitions.Transition("init", token=1), closed_lex, system)
+    for text in unchecked:
+        cfg = apply_transition(cfg, parse_transition(text), closed_lex, system, check=False)
+    assert cfg.owed_total == float("inf")
+    assert legal_transitions(cfg, closed_lex, system) == []
+    for text in ("Pop", "Finish(writer)", "Apply(s, 4)", "Modify(m, 4)"):
+        with pytest.raises(transitions.TransitionError, match="illegal transition"):
+            apply_transition(cfg, parse_transition(text), closed_lex, system)
+    with pytest.raises(transitions.TransitionError, match="owes the impossible; unreachable state"):
+        complete_step(cfg, closed_lex, system)
+
+
 def test_ltf_completion_shrinks_stack(closed_lex):
     """Each completion bundle ends one net element lower on the stack."""
     for seed in range(20):

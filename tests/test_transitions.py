@@ -694,12 +694,15 @@ def test_move_sets_match_the_per_source_reference_on_the_demo(closed_lex, system
 
 def assert_memo_answers_afresh(memo, lexicon):
     """Every entry of a guard memo equals what its key alone recomputes
-    over an empty memo: options, owed slots and dependent term types with
-    no setting, and each move set through ltl or ltf guards, the ltl ones
-    taking type_checked from the key."""
+    over an empty memo: options, owed slots, dependent term types and the
+    Choose and Finish transitions with no setting, and each move set
+    through ltl or ltf guards, the ltl ones taking type_checked from the
+    key."""
     from amparse.transitions import _dependent_terms, _Guards
+    from amparse.types import serialize_type
 
     ltl, ltf = _Guards(lexicon, "ltl", True, {}), _Guards(lexicon, "ltf", True, {})
+    names = sorted(lexicon.constants)
     for key, value in memo.items():
         kind, *args = key
         if kind == "options":
@@ -708,6 +711,15 @@ def assert_memo_answers_afresh(memo, lexicon):
             assert value == reference_owed(*args, lexicon), key
         elif kind == "dependent":
             assert value == _dependent_terms(lexicon, *args), key
+        elif kind == "choices":
+            (ts,) = args
+            assert value == tuple(
+                (len(c), Transition("choose", term_type=t, constant=g))
+                for t in sorted(ts, key=serialize_type) for g in names
+                if (c := apply_set(lexicon.type_of(g), t)) is not None), key
+        elif kind == "finishes":
+            assert args == [] and value == tuple(
+                (lexicon.type_of(g), Transition("finish", constant=g)) for g in names), key
         else:
             build = {"ltl": ltl._ltl, "choose": ltf._choose, "ltf": ltf._ltf}[kind]
             assert value == build(*args), key
@@ -832,7 +844,7 @@ def test_decode_shares_guards_per_system_and_type_checking(closed_lex):
     sentences = [gen_synthetic(seed, 3 + seed, lexicon) for seed in range(6)]
     assert_shared_guards_decode_like_fresh_ones(lexicon, sentences, (1, 4))
     assert {key[0] for key in lexicon.guards} == {
-        "options", "owed", "dependent", "ltl", "choose", "ltf"}
+        "options", "owed", "dependent", "choices", "finishes", "ltl", "choose", "ltf"}
     # checked and unchecked ltl decode differently here, so sharing their move sets would show
     assert any(decode(c, lexicon, "ltl", beam=4) != decode(c, lexicon, "ltl", beam=4, type_checked=False)
                for c in sentences)
@@ -869,7 +881,8 @@ def test_rejected_decode_settings_raise_every_time_and_cache_nothing(closed_lex)
 def test_entry_points_other_than_decode_keep_their_guards_per_call(closed_lex, gold, system):
     """Every entry point but decode shares the answers of each token state
     on the lexicon and keeps its move sets, which read the budget, per
-    call: the lexicon's memo holds no move set afterwards."""
+    call: the lexicon's memo holds no move set afterwards.  ltf's moves
+    read the Choose transitions, ltl's the Finish ones."""
     from amparse.oracles import complete_config, fuzz_episode, oracle_sequence, replay
 
     lexicon = fresh_copy(closed_lex)
@@ -884,14 +897,16 @@ def test_entry_points_other_than_decode_keep_their_guards_per_call(closed_lex, g
     random_walk(lexicon, system, 5, random.Random(0), max_steps=3)
     complete_config(initial_config(4), lexicon, system)
     assert fuzz_episode(1, system, lexicon, 5, 4).goal
-    assert {key[0] for key in lexicon.guards} == {"options", "owed", "dependent"}
+    kinds = {"options", "owed", "dependent", {"ltf": "choices", "ltl": "finishes"}[system]}
+    assert {key[0] for key in lexicon.guards} == kinds
     assert_memo_answers_afresh(lexicon.guards, lexicon)
 
 
 def test_a_second_oracle_round_trip_answers_no_token_state(closed_lex, gold, monkeypatch):
     """Oracle round trips of the same trees on a warm lexicon find every
-    token state's options, owed slots and dependents' term types in its
-    memo, so the second one computes none of them."""
+    token state's options, owed slots, dependents' term types and Choose
+    transitions in its memo, so the second one computes none of them: it
+    neither calls apply_set nor serializes a type."""
     from amparse import transitions
     from amparse.costs import gen_synthetic
     from amparse.oracles import oracle_sequence, replay
@@ -901,7 +916,8 @@ def test_a_second_oracle_round_trip_answers_no_token_state(closed_lex, gold, mon
         if (res := decode(gen_synthetic(seed, 4 + seed, closed_lex), fresh_copy(closed_lex), "ltl")).ok
     ]
     assert len(trees) > 3
-    calls = {name: 0 for name in ("_options", "_owed", "_dependent_terms")}
+    calls = {name: 0 for name in (
+        "_options", "_owed", "_dependent_terms", "apply_set", "serialize_type")}
     for name in calls:
         def counted(*args, real=getattr(transitions, name), name=name):
             calls[name] += 1
@@ -928,6 +944,8 @@ def test_copies_of_a_warm_lexicon(closed_lex):
     warm = fresh_copy(closed_lex)
     cases = decode_cases(warm)
     want = [decode(c, warm, s, beam=b, type_checked=tc) for c, s, tc, b in cases]
+    assert {key[0] for key in warm.guards} == {
+        "options", "owed", "dependent", "choices", "finishes", "ltl", "choose", "ltf"}
     assert_memo_answers_afresh(warm.guards, warm)
     assert {key[-1] for key in warm.guards if key[0] == "ltl"} == {True, False}
     warm.type_table  # the deductive decoders' cache
