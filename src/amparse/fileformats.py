@@ -270,11 +270,16 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
     label columns, each column joined into one string, which is exact
     because no split token holds whitespace.  So each shape's key list is
     built once per read and shared by every later sentence of that shape;
-    only the cost columns are converted per sentence.  A new edge shape's
-    labels are looked up among the label texts this text has shown so far;
-    only when a lookup misses is the label column scanned for new ones,
-    which take the next ids in first-appearance order.  Each sentence gets
-    the read's labels as they stand after it."""
+    only the cost columns are converted per sentence.  At an edge shape's
+    second sentence, its lines' prefixes (each line's text before its cost:
+    `edge <o> <j> <label> ` in the writers' layout) are kept for its n and
+    line count.  A later edge section of that n and line count is split
+    into lines and stripped of them; when every line had its prefix, the
+    rest of each line is its cost, else the section is read as columns.  A
+    new edge shape's labels are looked up among the label texts this text
+    has shown so far; only when a lookup misses is the label column scanned
+    for new ones, which take the next ids in first-appearance order.  Each
+    sentence gets the read's labels as they stand after it."""
     if "#" in text or text[-1:] not in ("\n", ""):
         return None
     if text.isascii():
@@ -287,6 +292,9 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
     labels = (ROOT, IGNORE)  # the read's labels so far, by id
     tag_keys: dict[tuple, list] = {}  # (n, i, g columns joined) -> the tag keys
     edge_keys: dict[tuple, list] = {}  # (n, o, j, label columns joined) -> the edge keys
+    # (n, edge-line count) -> a repeated edge shape's line prefixes, their total length
+    # and the shape's keys
+    edge_lines: dict[tuple, tuple] = {}
     pos, size = 0, len(text)
     try:
         while True:
@@ -319,6 +327,22 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
             if keys is None:
                 keys = tag_keys[shape] = list(zip(map(token.__getitem__, i_col), g_col))
             tags = dict(zip(keys, map(float, c_col)))
+            if len(tags) != len(g_col):
+                return None  # a duplicate tag entry
+            lines = text.count("\n", e, stop)
+            known = edge_lines.get((n, lines))
+            if known is not None:
+                prefixes, length, keys = known
+                costs = list(map(str.removeprefix, text[e + 1:stop].split("\n"), prefixes))
+                # every line had its prefix: one without would keep its whole length
+                if sum(map(len, costs)) == stop - e - lines - length:
+                    try:
+                        edges = dict(zip(keys, map(float, costs)))
+                    except ValueError:  # not one cost per line; the tokens say what is wrong
+                        pass
+                    else:
+                        out.append(SentenceCosts.from_table(n, tuple(forms), tags, edges, labels, head[1]))
+                        continue
             # no edge column reads "edge", so the edge section need not be counted
             o_col, j_col, l_col, e_col = _columns(text[e:stop], "edge", 5, counted=False)
             shape = (n, " ".join(o_col), " ".join(j_col), " ".join(l_col))
@@ -340,9 +364,16 @@ def _read_columns(text: str) -> Optional[list[SentenceCosts]]:
                             label_ids[label_text] = len(labels) - 1
                     keys = edge_key_list()
                 edge_keys[shape] = keys
+            elif known is None:  # the shape's second sentence: read later ones by prefix
+                # each line's text before its cost, kept only if every line ends in its
+                # cost; a line that does not would keep its whole length, cost included
+                prefixes = list(map(str.removesuffix, text[e + 1:stop].split("\n"), e_col))
+                length = sum(map(len, prefixes))
+                if length == stop - e - lines - sum(map(len, e_col)):
+                    edge_lines[n, lines] = prefixes, length, keys
             edges = dict(zip(keys, map(float, e_col)))
-            if len(tags) != len(g_col) or len(edges) != len(e_col):
-                return None  # a duplicate entry
+            if len(edges) != len(e_col):
+                return None  # a duplicate edge entry
             out.append(SentenceCosts.from_table(n, tuple(forms), tags, edges, labels, head[1]))
     except (KeyError, ValueError):
         return None

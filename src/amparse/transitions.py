@@ -450,6 +450,8 @@ class _Guards:
                 ts, done, g = states[i]
                 new[i] = tuple.__new__(TokenState, (ts, (done or frozenset()) | {tr.source}, g))
             if self.system == "ltf":
+                if states[i].graph is None:  # only an unchecked step gets here
+                    raise TransitionError(f"{tr} in ltf before token {i} has a constant")
                 _, done, g = new.get(j, states[j])
                 new[j] = tuple.__new__(TokenState, (
                     self.dependent_terms(lbl, lexicon.type_of(states[i].graph)), done, g))

@@ -591,6 +591,22 @@ def test_one_character_off_the_layout_reads_as_the_line_reader_does(lex, edit, a
     assert _outcome(ff.parse_cost_text, text) == _outcome(ff._read_lines, text)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["delete", "insert", "replace"]),
+    st.integers(min_value=0),
+    st.sampled_from([" ", "\t", "\r", "\n", "#", "7", "-", ".", "x", "\u00e9"]),
+)
+def test_one_character_off_a_repeated_shape_reads_as_the_line_reader_does(lex, edit, back, char):
+    """As above, on four blocks of one edge shape, so that the third and
+    fourth are read by their edge lines' prefixes.  The edit is placed
+    counting back from the end of the text, where those blocks are."""
+    text = ff.write_cost_text([gen_synthetic(s, 2, lex, sid=f"s{s}") for s in range(4)])
+    at = len(text) - 1 - back % len(text)
+    text = text[:at] + ("" if edit == "delete" else char) + text[at + (edit != "insert"):]
+    assert _outcome(ff.parse_cost_text, text) == _outcome(ff._read_lines, text)
+
+
 def test_both_readers_intern_new_labels_alike():
     """Both readers number a read's labels in first-appearance order, and
     give each sentence the labels as they stand after it."""
@@ -647,6 +663,77 @@ def test_column_reader_keys_each_sentence_shape_alike(n, tags, edges):
     got, want = ff._read_columns(text), ff._read_lines(text)
     assert got is not None and _cost_digest(got) == _cost_digest(want)
     assert [c.labels for c in got] == [c.labels for c in want]
+
+
+def _edit_line(block, prefix, edit):
+    """block with its line that starts with prefix replaced by edit(line)."""
+    start = block.index("\n" + prefix) + 1
+    end = block.index("\n", start)
+    return block[:start] + edit(block[start:end]) + block[end:]
+
+
+@pytest.mark.parametrize("edit,columns", [
+    (lambda b: b.replace("\nedge 1 2 APP_s ", "\nedge 3 2 APP_s "), True),
+    (lambda b: b.replace("\nedge 1 2 APP_s ", "\nedge 1 3 APP_s "), True),
+    (lambda b: b.replace("\nedge 1 2 APP_s ", "\nedge 1 2 APP_o "), True),
+    (lambda b: b.replace("\nedge 1 2 APP_s ", "\nedge 0 1 ROOT "), False),
+    (lambda b: _edit_line(b, "edge 2 3 MOD_m ", lambda line: line + " 7"), False),
+    (lambda b: _edit_line(b, "edge 2 3 MOD_m ", lambda line: line.split()[-1]), False),
+    (lambda b: _edit_line(b, "edge 2 3 MOD_m ", lambda line: "tag 3 writer 0.5"), False),
+    (lambda b: b.replace("\nedge 2 3 MOD_m ", "\nedge 2 3 MOD_m  "), True),
+    (lambda b: _edit_line(b, "edge 2 3 MOD_m ", lambda line: line + " "), True),
+], ids=["origin", "target", "label", "duplicate", "second-token", "bare-number", "tag-line",
+        "padded", "padded-after"])
+def test_a_block_that_collides_with_a_repeated_shape_reads_as_the_line_reader_does(edit, columns):
+    """After a shape's second sentence, its edge lines are known by their
+    prefixes.  A block with that n and edge-line count but other lines
+    falls back to the tokens, and the shape is read by prefix after it.
+    Where the column reader reads the text, it reads what the line reader
+    does; columns says whether it does."""
+    variant = edit(_shape_block("v0", 3))
+    assert variant.count("\n", variant.index("\nedge "), variant.index("\nend")) == 4
+    text = "\n\n".join([_shape_block("s0", 3), _shape_block("s1", 3), variant,
+                        _shape_block("s2", 3), _shape_block("s3", 3)]) + "\n"
+    got = ff._read_columns(text)
+    assert (got is not None) == columns
+    assert _outcome(ff.parse_cost_text, text) == _outcome(ff._read_lines, text)
+    if got is not None:
+        assert [c.labels for c in got] == [c.labels for c in ff._read_lines(text)]
+
+
+def test_a_repeated_edge_shape_is_read_by_its_prefixes(monkeypatch):
+    """Two shapes of one n alternate, each with its own edge-line count.  The
+    edge section is split into tokens at each shape's first two sentences
+    only: later ones are read by the prefixes kept for their n and
+    edge-line count."""
+    split, read_columns = [], ff._columns
+
+    def columns(section, keyword, *rest, **kw):
+        if keyword == "edge":
+            split.append(section.count("\n"))
+        return read_columns(section, keyword, *rest, **kw)
+
+    monkeypatch.setattr(ff, "_columns", columns)
+    blocks = [_shape_block(f"{s}{k}", 3, edges=edges) for k in range(4)
+              for s, edges in (("a", _SHAPE_EDGES), ("b", _SHAPE_EDGES[1:]))]
+    text = "\n\n".join(blocks) + "\n"
+    got = ff._read_columns(text)
+    assert got is not None and _cost_digest(got) == _cost_digest(ff._read_lines(text))
+    assert split == [4, 3, 4, 3]
+
+
+def test_a_line_with_a_space_after_its_cost_gives_its_shape_no_prefixes():
+    """A prefix is a line's text before its cost.  When the shape's second
+    sentence has a line that does not end in its cost, the shape keeps no
+    prefixes, so a later line holding that whole line, cost and space
+    included, and then a second cost is not read as one cost."""
+    second = _edit_line(_shape_block("s1", 3), "edge 2 3 MOD_m ", lambda line: line + " ")
+    line = next(line for line in second.split("\n") if line.startswith("edge 2 3 MOD_m "))
+    third = _edit_line(_shape_block("s2", 3), "edge 2 3 MOD_m ", lambda _: line + "0.75")
+    text = "\n\n".join([_shape_block("s0", 3), second, third]) + "\n"
+    assert ff._read_columns(text) is None
+    assert _outcome(ff.parse_cost_text, text) == _outcome(ff._read_lines, text)
+    assert "expected: edge <o> <j> <label> <cost>" in str(_outcome(ff.parse_cost_text, text))
 
 
 _TWO_FORMS = "sentence s0 2\nform 1 a\nform 2 b\n"

@@ -213,6 +213,17 @@ def test_unchecked_steps_still_reject_undefined_systems(closed_lex):
         render_trace([init], closed_lex, "bogus", 3)
 
 
+def test_an_unchecked_ltf_edge_before_any_choose_is_a_transition_error(closed_lex):
+    """An ltf Apply or Modify gives its dependent the terms that G(i)'s type
+    asks for; before a Choose, G(i) is undefined, so the step is refused."""
+    init = parse_transition("Init(1)")
+    cfg = apply_transition(initial_config(3), init, closed_lex, "ltf")
+    with pytest.raises(TransitionError, match="before token 1 has a constant"):
+        apply_transition(cfg, parse_transition("Modify(m, 2)"), closed_lex, "ltf", check=False)
+    with pytest.raises(TransitionError, match="before token 1 has a constant"):
+        render_trace([init, parse_transition("Apply(s, 2)")], closed_lex, "ltf", 3)
+
+
 @pytest.mark.parametrize("system", ["ltf", "ltl"])
 def test_random_walks_always_reach_goals(closed_lex, system):
     """Dead-end freedom: uniform random legal walks always end at a goal."""
